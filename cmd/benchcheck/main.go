@@ -21,6 +21,17 @@
 // structural speedups (the quiescent skip path must beat per-tick
 // stepping on a quiet horizon) rather than absolute timings.
 //
+// -write turns the gate around: instead of checking the output against
+// the baseline file, it rewrites the file from the output. For every
+// benchmark the output measures, the file's old "after" row moves to
+// "before" and the new ns/op, B/op, allocs/op (and any custom metric
+// columns) become the "after" row; the sections' "commit" labels become
+// -before-label and -after-label. Rows the output does not mention, and
+// every other field, stay as they are. Run it once on the parent
+// commit's output and once on the change's, from the same machine, and
+// the file holds a like-for-like before/after pair. A benchmark repeated
+// with -count N is recorded (and gated) as the median of its N lines.
+//
 // Usage:
 //
 //	go test ./internal/sim -run '^$' -bench 'BenchmarkSimRunPAD|BenchmarkStepperTick' \
@@ -28,15 +39,21 @@
 //	  benchcheck -baseline BENCH_engine.json -gate BenchmarkSimRunPAD \
 //	    -zero-allocs BenchmarkStepperTick \
 //	    -speedup BenchmarkSimRunQuiet/BenchmarkSimRunQuietSkip:5
+//
+//	go test ./internal/sim -run '^$' -bench 'BenchmarkSimRun' -benchmem | \
+//	  benchcheck -baseline BENCH_engine.json -write \
+//	    -before-label "abc1234 (parent)" -after-label "def5678 (change)"
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -49,19 +66,44 @@ type baselineFile struct {
 	} `json:"after"`
 }
 
-// measurement is one benchmark line's parsed metrics. allocsOp is only
-// meaningful when hasAllocs is set (the run included -benchmem).
+// measurement is one benchmark's parsed metrics. allocsOp is only
+// meaningful when hasAllocs is set (the run included -benchmem); across
+// repeats it is the most any run reported, since the zero-allocs gate
+// holds every run to 0, while nsOp and columns are medians.
 type measurement struct {
 	nsOp      float64
 	allocsOp  float64
 	hasAllocs bool
+	columns   []column // every metric column, in line order
+}
+
+// column is one "<value> <unit>" metric pair of a benchmark line.
+type column struct {
+	value float64
+	unit  string
+}
+
+// newMeasurement picks the gated metrics out of a line's columns; ok is
+// false for a line without ns/op.
+func newMeasurement(columns []column) (m measurement, ok bool) {
+	m.columns = columns
+	for _, c := range columns {
+		switch c.unit {
+		case "ns/op":
+			m.nsOp, ok = c.value, true
+		case "allocs/op":
+			m.allocsOp, m.hasAllocs = c.value, true
+		}
+	}
+	return m, ok
 }
 
 // parseBench extracts name → metrics from `go test -bench` output. The
 // GOMAXPROCS suffix (BenchmarkFoo-8) is stripped so names match the
-// baseline file's keys.
+// baseline file's keys. A benchmark repeated with -count N yields the
+// median of its N lines, column by column, which damps one noisy run.
 func parseBench(r io.Reader) (map[string]measurement, error) {
-	out := map[string]measurement{}
+	runs := map[string][]measurement{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -69,22 +111,17 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 			continue
 		}
 		// Metric columns are "<value> <unit>" pairs after the iteration
-		// count; pick out the units the gates consume.
-		var m measurement
-		nsOK := false
-		for i := 2; i < len(fields); i++ {
-			v, err := strconv.ParseFloat(fields[i-1], 64)
+		// count.
+		var columns []column
+		for i := 2; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				continue
+				break
 			}
-			switch fields[i] {
-			case "ns/op":
-				m.nsOp, nsOK = v, true
-			case "allocs/op":
-				m.allocsOp, m.hasAllocs = v, true
-			}
+			columns = append(columns, column{value: v, unit: fields[i+1]})
 		}
-		if !nsOK {
+		m, ok := newMeasurement(columns)
+		if !ok {
 			continue
 		}
 		name := fields[0]
@@ -93,9 +130,45 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 				name = name[:i]
 			}
 		}
-		out[name] = m
+		runs[name] = append(runs[name], m)
+	}
+	out := make(map[string]measurement, len(runs))
+	for name, ms := range runs {
+		out[name] = median(ms)
 	}
 	return out, sc.Err()
+}
+
+// median folds repeated lines of one benchmark into one measurement:
+// each of the first line's columns takes the median of that unit's
+// values across the lines (the mean of the middle two for an even
+// count).
+func median(ms []measurement) measurement {
+	if len(ms) == 1 {
+		return ms[0]
+	}
+	columns := make([]column, len(ms[0].columns))
+	for i, c := range ms[0].columns {
+		var vals []float64
+		for _, m := range ms {
+			for _, mc := range m.columns {
+				if mc.unit == c.unit {
+					vals = append(vals, mc.value)
+				}
+			}
+		}
+		sort.Float64s(vals)
+		v := vals[len(vals)/2]
+		if len(vals)%2 == 0 {
+			v = (vals[len(vals)/2-1] + v) / 2
+		}
+		columns[i] = column{value: v, unit: c.unit}
+	}
+	m, _ := newMeasurement(columns)
+	for _, r := range ms {
+		m.allocsOp = max(m.allocsOp, r.allocsOp)
+	}
+	return m
 }
 
 // speedupSpec is one parsed -speedup assertion: the slow benchmark's
@@ -198,6 +271,210 @@ func run(benchOut io.Reader, baselinePath string, gates, zeroAllocs []string, sp
 	return nil
 }
 
+// object is a JSON object that keeps its keys in file order, so a
+// rewrite of a BENCH file moves only the values it means to.
+type object struct {
+	keys []string
+	vals map[string]json.RawMessage
+}
+
+func (o *object) UnmarshalJSON(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return fmt.Errorf("benchcheck: want a JSON object, got %.20q", data)
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			return err
+		}
+		o.set(tok.(string), v)
+	}
+	_, err := dec.Token()
+	return err
+}
+
+func (o object) MarshalJSON() ([]byte, error) {
+	var b bytes.Buffer
+	b.WriteByte('{')
+	for i, k := range o.keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		key, err := marshal(k, "")
+		if err != nil {
+			return nil, err
+		}
+		b.Write(key)
+		b.WriteByte(':')
+		b.Write(o.vals[k])
+	}
+	b.WriteByte('}')
+	return b.Bytes(), nil
+}
+
+// marshal encodes v like json.Marshal (json.MarshalIndent when indent is
+// set) but leaves <, > and & unescaped, so prose fields such as "a -> b"
+// survive a rewrite byte for byte.
+func marshal(v any, indent string) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", indent)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), nil
+}
+
+// set stores v under key, appending key if it is new.
+func (o *object) set(key string, v json.RawMessage) {
+	if o.vals == nil {
+		o.vals = map[string]json.RawMessage{}
+	}
+	if _, ok := o.vals[key]; !ok {
+		o.keys = append(o.keys, key)
+	}
+	o.vals[key] = v
+}
+
+// child decodes the object stored under key; a missing key yields an
+// empty object.
+func (o *object) child(key string) (*object, error) {
+	c := &object{}
+	if raw, ok := o.vals[key]; ok {
+		if err := json.Unmarshal(raw, c); err != nil {
+			return nil, fmt.Errorf("benchcheck: %q: %w", key, err)
+		}
+	}
+	return c, nil
+}
+
+// setChild stores c under key.
+func (o *object) setChild(key string, c *object) error {
+	raw, err := marshal(c, "")
+	if err != nil {
+		return err
+	}
+	o.set(key, raw)
+	return nil
+}
+
+// rowKey names a metric unit in a BENCH file row: the three -benchmem
+// columns keep their established names, and a custom unit such as
+// samples/sec becomes samples_per_sec.
+func rowKey(unit string) string {
+	switch unit {
+	case "ns/op":
+		return "ns_op"
+	case "B/op":
+		return "bytes_op"
+	case "allocs/op":
+		return "allocs_op"
+	}
+	return strings.ReplaceAll(unit, "/", "_per_")
+}
+
+// row renders a measurement as a BENCH file row.
+func (m measurement) row() (json.RawMessage, error) {
+	var r object
+	for _, c := range m.columns {
+		r.set(rowKey(c.unit), json.RawMessage(strconv.FormatFloat(c.value, 'f', -1, 64)))
+	}
+	return marshal(r, "")
+}
+
+// section returns the BENCH file's section under key and its results.
+func section(file *object, key string) (sec, rows *object, err error) {
+	if sec, err = file.child(key); err != nil {
+		return nil, nil, err
+	}
+	if rows, err = sec.child("results"); err != nil {
+		return nil, nil, err
+	}
+	return sec, rows, nil
+}
+
+// putSection stores a section back under key with its label and results.
+func putSection(file *object, key string, sec *object, label string, rows *object) error {
+	l, err := marshal(label, "")
+	if err != nil {
+		return err
+	}
+	sec.set("commit", l)
+	if err := sec.setChild("results", rows); err != nil {
+		return err
+	}
+	return file.setChild(key, sec)
+}
+
+// write rewrites the BENCH file at path from bench output: for each
+// measured benchmark the old after row moves to before and the new
+// measurement becomes after, and the sections take the given labels.
+// Rows the output does not measure stay as they are.
+func write(benchOut io.Reader, path, beforeLabel, afterLabel string) error {
+	if beforeLabel == "" || afterLabel == "" {
+		return fmt.Errorf("benchcheck: -write needs -before-label and -after-label")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var file object
+	if err := json.Unmarshal(raw, &file); err != nil {
+		return fmt.Errorf("benchcheck: parsing %s: %w", path, err)
+	}
+	measured, err := parseBench(benchOut)
+	if err != nil {
+		return err
+	}
+	if len(measured) == 0 {
+		return fmt.Errorf("benchcheck: no benchmark lines in the input")
+	}
+	names := make([]string, 0, len(measured))
+	for name, m := range measured {
+		if !m.hasAllocs {
+			return fmt.Errorf("benchcheck: %s has no allocs/op column (run go test with -benchmem)", name)
+		}
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	before, beforeRows, err := section(&file, "before")
+	if err != nil {
+		return err
+	}
+	after, afterRows, err := section(&file, "after")
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		if old, ok := afterRows.vals[name]; ok {
+			beforeRows.set(name, old)
+		}
+		r, err := measured[name].row()
+		if err != nil {
+			return err
+		}
+		afterRows.set(name, r)
+	}
+	if err := putSection(&file, "before", before, beforeLabel, beforeRows); err != nil {
+		return err
+	}
+	if err := putSection(&file, "after", after, afterLabel, afterRows); err != nil {
+		return err
+	}
+	out, err := marshal(file, "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
 // splitList splits a comma-separated flag value, yielding nil for the
 // empty string.
 func splitList(s string) []string {
@@ -217,6 +494,9 @@ func main() {
 	speedup := flag.String("speedup", "", "comma-separated Slow/Fast:min assertions on measured ns/op ratios from this run")
 	maxRatio := flag.Float64("max-ratio", 2.0, "fail when measured ns/op exceeds baseline by this factor")
 	input := flag.String("input", "-", "bench output file, - for stdin")
+	writeMode := flag.Bool("write", false, "rewrite -baseline from the bench output (after rows move to before) instead of gating")
+	beforeLabel := flag.String("before-label", "", "with -write: the before section's commit label")
+	afterLabel := flag.String("after-label", "", "with -write: the after section's commit label")
 	flag.Parse()
 
 	in := io.Reader(os.Stdin)
@@ -228,6 +508,13 @@ func main() {
 		}
 		defer f.Close()
 		in = f
+	}
+	if *writeMode {
+		if err := write(in, *baseline, *beforeLabel, *afterLabel); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
 	}
 	speedups, err := parseSpeedups(*speedup)
 	if err != nil {

@@ -1,6 +1,7 @@
 package battery
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -11,18 +12,42 @@ import (
 
 // refKiBaM is a coefficient-cache-free reimplementation of the KiBaM
 // closed form: every transcendental is recomputed with math.Exp on every
-// call, with the exact expression grouping kibam.go uses. It is the
+// call, with the exact expression grouping kibam.go uses, and every clamp
+// is math.Min/math.Max where kibam.go uses the builtins. It is the
 // reference the cached kernel must match bit-for-bit — the coefficient
-// cache is a pure hoist, so any ULP of divergence is a bug.
+// cache is a pure hoist and the builtins keep math.Min/Max's ±0 rules, so
+// any ULP or sign of divergence is a bug.
 type refKiBaM struct {
-	capacity units.Joules
-	c, k     float64
-	y1, y2   float64
-	leak     float64
+	capacity     units.Joules
+	c, k         float64
+	y1, y2       float64
+	leak         float64
+	maxDischarge units.Watts
+	maxCharge    units.Watts
 }
 
 func newRefKiBaM(b *KiBaM) *refKiBaM {
-	return &refKiBaM{capacity: b.capacity, c: b.c, k: b.k, y1: b.y1, y2: b.y2, leak: b.leak}
+	return &refKiBaM{
+		capacity: b.capacity, c: b.c, k: b.k, y1: b.y1, y2: b.y2, leak: b.leak,
+		maxDischarge: b.maxDischarge, maxCharge: b.maxCharge,
+	}
+}
+
+// edgeFloats are the operands the min/max exactness tests sweep: NaN,
+// both zeros, both infinities, out-of-range, in-range and boundary
+// values, and the smallest subnormal.
+var edgeFloats = []float64{
+	math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+	-1, 0.05, 0.1, 0.5, 1, 2, math.SmallestNonzeroFloat64,
+}
+
+// sameFloat reports whether got and want are the same float64 bit for
+// bit — unlike ==, it tells −0 from +0 — counting any two NaNs as the
+// same: neither math.Min nor the builtin min fixes a NaN's payload, and
+// no output observes one.
+func sameFloat(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) ||
+		(math.IsNaN(got) && math.IsNaN(want))
 }
 
 func (r *refKiBaM) step(p float64, dt time.Duration) {
@@ -56,20 +81,20 @@ func (r *refKiBaM) maxSustainable(dt time.Duration) float64 {
 	y0 := r.y1 + r.y2
 	ekt := math.Exp(-k * t)
 	a := r.y1*ekt + y0*k*c*(1-ekt)/k
-	bb := (1 - ekt) / k + c*(k*t-1+ekt)/k
+	bb := (1-ekt)/k + c*(k*t-1+ekt)/k
 	if bb <= 0 {
 		return 0
 	}
 	return a / bb
 }
 
-func (r *refKiBaM) deliverable(dt time.Duration, rated units.Watts) units.Watts {
+func (r *refKiBaM) deliverable(dt time.Duration) units.Watts {
 	if dt <= 0 {
 		return 0
 	}
 	p := r.maxSustainable(dt)
-	if p > float64(rated) {
-		p = float64(rated)
+	if p > float64(r.maxDischarge) {
+		p = float64(r.maxDischarge)
 	}
 	if p < 0 {
 		p = 0
@@ -77,27 +102,120 @@ func (r *refKiBaM) deliverable(dt time.Duration, rated units.Watts) units.Watts 
 	return units.Watts(p)
 }
 
+func (r *refKiBaM) discharge(req units.Watts, dt time.Duration) units.Watts {
+	if !(req > 0) || dt <= 0 {
+		r.step(0, dt)
+		return 0
+	}
+	p := math.Min(float64(req), float64(r.maxDischarge))
+	p = math.Min(p, r.maxSustainable(dt))
+	if p <= 0 {
+		r.step(0, dt)
+		return 0
+	}
+	r.step(p, dt)
+	return units.Watts(p)
+}
+
+func (r *refKiBaM) charge(offered units.Watts, dt time.Duration) units.Watts {
+	if !(offered > 0) || dt <= 0 {
+		r.step(0, dt)
+		return 0
+	}
+	p := math.Min(float64(offered), float64(r.maxCharge))
+	headroom := float64(r.capacity) - (r.y1 + r.y2)
+	p = math.Min(p, headroom/dt.Seconds())
+	if p <= 0 {
+		r.step(0, dt)
+		return 0
+	}
+	r.step(-p, dt)
+	return units.Watts(p)
+}
+
+func (r *refKiBaM) soc() float64 {
+	return math.Min(1, math.Max(0, (r.y1+r.y2)/float64(r.capacity)))
+}
+
+func (r *refKiBaM) availableSOC() float64 {
+	return math.Min(1, math.Max(0, r.y1/(r.c*float64(r.capacity))))
+}
+
+// mismatch describes the first of b's wells, SOC and AvailableSOC that
+// differs from the reference's bit for bit, or returns "".
+func (r *refKiBaM) mismatch(b *KiBaM) string {
+	if !sameFloat(b.y1, r.y1) || !sameFloat(b.y2, r.y2) {
+		return fmt.Sprintf("wells (%v, %v) diverged from ref (%v, %v)", b.y1, b.y2, r.y1, r.y2)
+	}
+	if got, want := b.SOC(), r.soc(); !sameFloat(got, want) {
+		return fmt.Sprintf("SOC = %v (%#x), ref %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if got, want := b.AvailableSOC(), r.availableSOC(); !sameFloat(got, want) {
+		return fmt.Sprintf("AvailableSOC = %v (%#x), ref %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	return ""
+}
+
+// stepBoth advances a cached battery and the reference through one op —
+// a raw closed-form step of p, then Discharge (p ≥ 0) or Charge (p < 0)
+// of |p| through the public entry points — and demands bit-identical
+// maxSustainable, Deliverable, Discharge/Charge returns and state.
+func stepBoth(t *testing.T, i int, b *KiBaM, ref *refKiBaM, p float64, dt time.Duration) {
+	t.Helper()
+	if got, want := b.maxSustainable(dt), ref.maxSustainable(dt); !sameFloat(got, want) {
+		t.Fatalf("op %d (dt=%v): maxSustainable = %v, ref %v (Δ %g)", i, dt, got, want, got-want)
+	}
+	if got, want := b.Deliverable(dt), ref.deliverable(dt); !sameFloat(float64(got), float64(want)) {
+		t.Fatalf("op %d (dt=%v): Deliverable = %v, ref %v", i, dt, got, want)
+	}
+	b.step(p, dt)
+	ref.step(p, dt)
+	if d := ref.mismatch(b); d != "" {
+		t.Fatalf("op %d step(p=%v, dt=%v): %s", i, p, dt, d)
+	}
+
+	var got, want units.Watts
+	name := "Discharge"
+	if p >= 0 {
+		got, want = b.Discharge(units.Watts(p), dt), ref.discharge(units.Watts(p), dt)
+	} else {
+		name = "Charge"
+		got, want = b.Charge(units.Watts(-p), dt), ref.charge(units.Watts(-p), dt)
+	}
+	if !sameFloat(float64(got), float64(want)) {
+		t.Fatalf("op %d %s(%v, dt=%v) = %v, ref %v", i, name, math.Abs(p), dt, got, want)
+	}
+	if d := ref.mismatch(b); d != "" {
+		t.Fatalf("op %d %s(%v, dt=%v): %s", i, name, math.Abs(p), dt, d)
+	}
+}
+
+// TestKiBaMSOCExact pins SOC's and AvailableSOC's builtin min/max clamps
+// to the math.Min/Max reference for wells set directly to edge values —
+// NaN, both zeros, both infinities, negative, subnormal and over-full —
+// which the closed form reaches only through degenerate configurations.
+func TestKiBaMSOCExact(t *testing.T) {
+	b := MustKiBaM(KiBaMConfig{Capacity: 1})
+	ref := newRefKiBaM(b)
+	for _, y1 := range edgeFloats {
+		for _, y2 := range edgeFloats {
+			b.y1, b.y2 = y1, y2
+			ref.y1, ref.y2 = y1, y2
+			if d := ref.mismatch(b); d != "" {
+				t.Errorf("wells (%v, %v): %s", y1, y2, d)
+			}
+		}
+	}
+}
+
 // checkKiBaMAgainstRef drives a cached battery and the exp-per-call
-// reference through the same op sequence and demands exact float64
-// equality of the wells, maxSustainable and Deliverable at every step.
+// reference through the same op sequence (see stepBoth).
 func checkKiBaMAgainstRef(t *testing.T, b *KiBaM, ops int, nextOp func(i int) (p float64, dt time.Duration)) {
 	t.Helper()
 	ref := newRefKiBaM(b)
 	for i := 0; i < ops; i++ {
 		p, dt := nextOp(i)
-		if got, want := b.maxSustainable(dt), ref.maxSustainable(dt); got != want {
-			t.Fatalf("op %d (dt=%v): maxSustainable = %v, ref %v (Δ %g)",
-				i, dt, got, want, got-want)
-		}
-		if got, want := b.Deliverable(dt), ref.deliverable(dt, b.maxDischarge); got != want {
-			t.Fatalf("op %d (dt=%v): Deliverable = %v, ref %v", i, dt, got, want)
-		}
-		b.step(p, dt)
-		ref.step(p, dt)
-		if b.y1 != ref.y1 || b.y2 != ref.y2 {
-			t.Fatalf("op %d (p=%v, dt=%v): wells (%v, %v) diverged from ref (%v, %v)",
-				i, p, dt, b.y1, b.y2, ref.y1, ref.y2)
-		}
+		stepBoth(t, i, b, ref, p, dt)
 	}
 }
 
@@ -161,15 +279,7 @@ func FuzzKiBaMCoefIdentity(f *testing.F) {
 		for i, op := range ops {
 			dt := time.Duration(1+int(op>>4)) * 100 * time.Millisecond
 			p := (float64(op)/64 - 1) * float64(b.maxDischarge)
-			if got, want := b.maxSustainable(dt), ref.maxSustainable(dt); got != want {
-				t.Fatalf("op %d: maxSustainable = %v, ref %v", i, got, want)
-			}
-			b.step(p, dt)
-			ref.step(p, dt)
-			if b.y1 != ref.y1 || b.y2 != ref.y2 {
-				t.Fatalf("op %d: wells (%v, %v) diverged from ref (%v, %v)",
-					i, b.y1, b.y2, ref.y1, ref.y2)
-			}
+			stepBoth(t, i, b, ref, p, dt)
 		}
 	})
 }

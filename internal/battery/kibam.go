@@ -202,8 +202,8 @@ func (b *KiBaM) stepValues(p float64, dt time.Duration) (float64, float64) {
 		y2 *= co.decay
 	}
 	// Clamp tiny numerical excursions.
-	y1 = math.Max(0, math.Min(y1, c*float64(b.capacity)))
-	y2 = math.Max(0, math.Min(y2, (1-c)*float64(b.capacity)))
+	y1 = max(0, min(y1, c*float64(b.capacity)))
+	y2 = max(0, min(y2, (1-c)*float64(b.capacity)))
 	return y1, y2
 }
 
@@ -262,8 +262,8 @@ func (b *KiBaM) Discharge(req units.Watts, dt time.Duration) units.Watts {
 		b.Idle(dt)
 		return 0
 	}
-	p := math.Min(float64(req), float64(b.maxDischarge))
-	p = math.Min(p, b.maxSustainable(dt))
+	p := min(float64(req), float64(b.maxDischarge))
+	p = min(p, b.maxSustainable(dt))
 	if p <= 0 {
 		b.Idle(dt)
 		return 0
@@ -280,10 +280,10 @@ func (b *KiBaM) Charge(offered units.Watts, dt time.Duration) units.Watts {
 		b.Idle(dt)
 		return 0
 	}
-	p := math.Min(float64(offered), float64(b.maxCharge))
+	p := min(float64(offered), float64(b.maxCharge))
 	// Do not overfill: cap by the remaining headroom spread over the step.
 	headroom := float64(b.capacity) - (b.y1 + b.y2)
-	p = math.Min(p, headroom/dt.Seconds())
+	p = min(p, headroom/dt.Seconds())
 	if p <= 0 {
 		b.Idle(dt)
 		return 0
@@ -321,13 +321,13 @@ func (b *KiBaM) Idle(dt time.Duration) {
 // capacity across the wells at construction can round the sum a few ULPs
 // above the capacity.
 func (b *KiBaM) SOC() float64 {
-	return math.Min(1, math.Max(0, (b.y1+b.y2)/float64(b.capacity)))
+	return min(1, max(0, (b.y1+b.y2)/float64(b.capacity)))
 }
 
 // AvailableSOC returns the fill level of the available well alone, the
 // quantity an LVD device effectively senses through terminal voltage.
 func (b *KiBaM) AvailableSOC() float64 {
-	return math.Min(1, math.Max(0, b.y1/(b.c*float64(b.capacity))))
+	return min(1, max(0, b.y1/(b.c*float64(b.capacity))))
 }
 
 // Capacity implements Store.

@@ -2,7 +2,6 @@ package battery
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/units"
@@ -85,8 +84,8 @@ func (s *SuperCap) Discharge(req units.Watts, dt time.Duration) units.Watts {
 	if req <= 0 || dt <= 0 {
 		return 0
 	}
-	p := math.Min(float64(req), float64(s.maxPower))
-	p = math.Min(p, s.energy/dt.Seconds())
+	p := min(float64(req), float64(s.maxPower))
+	p = min(p, s.energy/dt.Seconds())
 	if p <= 0 {
 		return 0
 	}
@@ -104,10 +103,10 @@ func (s *SuperCap) Charge(offered units.Watts, dt time.Duration) units.Watts {
 	if offered <= 0 || dt <= 0 {
 		return 0
 	}
-	p := math.Min(float64(offered), float64(s.maxPower))
+	p := min(float64(offered), float64(s.maxPower))
 	headroom := float64(s.capacity) - s.energy
 	// Accepted power p stores p*efficiency; cap so we never overfill.
-	p = math.Min(p, headroom/(s.efficiency*dt.Seconds()))
+	p = min(p, headroom/(s.efficiency*dt.Seconds()))
 	if p <= 0 {
 		return 0
 	}
@@ -126,7 +125,7 @@ func (s *SuperCap) Deliverable(dt time.Duration) units.Watts {
 	if dt <= 0 {
 		return 0
 	}
-	p := math.Min(float64(s.maxPower), s.energy/dt.Seconds())
+	p := min(float64(s.maxPower), s.energy/dt.Seconds())
 	if p < 0 {
 		p = 0
 	}

@@ -1,6 +1,7 @@
 package battery
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -129,5 +130,100 @@ func TestSuperCapStats(t *testing.T) {
 	st := sc.UsageStats()
 	if st.EnergyOut != 100 || st.EnergyIn != 50 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// refSuperCap is SuperCap's Discharge, Charge and Deliverable written
+// with math.Min, the call the builtin min replaced.
+type refSuperCap struct {
+	capacity, energy, maxPower, efficiency float64
+}
+
+func newRefSuperCap(s *SuperCap) *refSuperCap {
+	return &refSuperCap{
+		capacity: float64(s.capacity), energy: s.energy,
+		maxPower: float64(s.maxPower), efficiency: s.efficiency,
+	}
+}
+
+func (r *refSuperCap) discharge(req units.Watts, dt time.Duration) units.Watts {
+	if req <= 0 || dt <= 0 {
+		return 0
+	}
+	p := math.Min(float64(req), r.maxPower)
+	p = math.Min(p, r.energy/dt.Seconds())
+	if p <= 0 {
+		return 0
+	}
+	r.energy -= p * dt.Seconds()
+	if r.energy < 0 {
+		r.energy = 0
+	}
+	return units.Watts(p)
+}
+
+func (r *refSuperCap) charge(offered units.Watts, dt time.Duration) units.Watts {
+	if offered <= 0 || dt <= 0 {
+		return 0
+	}
+	p := math.Min(float64(offered), r.maxPower)
+	headroom := r.capacity - r.energy
+	p = math.Min(p, headroom/(r.efficiency*dt.Seconds()))
+	if p <= 0 {
+		return 0
+	}
+	r.energy += p * r.efficiency * dt.Seconds()
+	if r.energy > r.capacity {
+		r.energy = r.capacity
+	}
+	return units.Watts(p)
+}
+
+func (r *refSuperCap) deliverable(dt time.Duration) units.Watts {
+	if dt <= 0 {
+		return 0
+	}
+	p := math.Min(r.maxPower, r.energy/dt.Seconds())
+	if p < 0 {
+		p = 0
+	}
+	return units.Watts(p)
+}
+
+// TestSuperCapMinExact pins the builtin min in SuperCap to the math.Min
+// reference bit for bit: for every bank NewSuperCap accepts from a grid
+// of capacities, ratings and fill levels, and every edge-valued request
+// and step, Deliverable, Discharge and Charge return the reference's
+// value and leave the same stored energy.
+func TestSuperCapMinExact(t *testing.T) {
+	dts := []time.Duration{100 * time.Millisecond, time.Nanosecond, 0, -time.Second}
+	for _, capacity := range []float64{1, math.Inf(1)} {
+		for _, maxPower := range []float64{0, 0.5, math.Inf(1), math.NaN()} {
+			for _, soc := range []float64{1, 0.5, math.SmallestNonzeroFloat64} {
+				cfg := SuperCapConfig{Capacity: units.Joules(capacity), MaxPower: units.Watts(maxPower), InitialSOC: soc}
+				for _, req := range edgeFloats {
+					for _, dt := range dts {
+						sc := MustSuperCap(cfg)
+						ref := newRefSuperCap(sc)
+						at := fmt.Sprintf("%+v req=%v dt=%v", cfg, req, dt)
+						if got, want := sc.Deliverable(dt), ref.deliverable(dt); !sameFloat(float64(got), float64(want)) {
+							t.Fatalf("%s: Deliverable = %v, ref %v", at, got, want)
+						}
+						if got, want := sc.Discharge(units.Watts(req), dt), ref.discharge(units.Watts(req), dt); !sameFloat(float64(got), float64(want)) {
+							t.Fatalf("%s: Discharge = %v, ref %v", at, got, want)
+						}
+						if !sameFloat(sc.energy, ref.energy) {
+							t.Fatalf("%s: energy after Discharge = %v, ref %v", at, sc.energy, ref.energy)
+						}
+						if got, want := sc.Charge(units.Watts(req), dt), ref.charge(units.Watts(req), dt); !sameFloat(float64(got), float64(want)) {
+							t.Fatalf("%s: Charge = %v, ref %v", at, got, want)
+						}
+						if !sameFloat(sc.energy, ref.energy) {
+							t.Fatalf("%s: energy after Charge = %v, ref %v", at, sc.energy, ref.energy)
+						}
+					}
+				}
+			}
+		}
 	}
 }

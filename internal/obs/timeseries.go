@@ -80,7 +80,7 @@ func NewSeries(tiers ...TierSpec) *Series {
 			t.Cap = 1
 		}
 		s.tiers[i] = seriesTier{step: t.Step}
-		s.tiers[i].buf = nil // allocated on first Append
+		s.tiers[i].buf = nil     // allocated on first Append
 		s.tiers[i].head = -t.Cap // stash Cap until allocation (head unused while buf is nil)
 	}
 	return s

@@ -69,13 +69,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // SessionStatus is the JSON view of one session.
 type SessionStatus struct {
-	ID       string   `json:"id"`
-	Scheme   string   `json:"scheme"`
-	Racks    int      `json:"racks"`
-	Servers  int      `json:"servers"`
-	Tick     Duration `json:"tick"`
-	Horizon  Duration `json:"horizon"`
-	WallClock bool    `json:"wall_clock,omitempty"`
+	ID        string   `json:"id"`
+	Scheme    string   `json:"scheme"`
+	Racks     int      `json:"racks"`
+	Servers   int      `json:"servers"`
+	Tick      Duration `json:"tick"`
+	Horizon   Duration `json:"horizon"`
+	WallClock bool     `json:"wall_clock,omitempty"`
 
 	Ticks    int64    `json:"ticks"`
 	Offset   Duration `json:"offset"`

@@ -292,7 +292,7 @@ func NewAckReader(r io.Reader) *AckReader {
 	if br, ok := r.(*bufio.Reader); ok {
 		return &AckReader{br: br}
 	}
-	return &AckReader{br: bufio.NewReaderSize(r, 16 << 10)}
+	return &AckReader{br: bufio.NewReaderSize(r, 16<<10)}
 }
 
 // Next reads and decodes the next ack into a. Reject IDs alias the

@@ -208,10 +208,10 @@ func TestAckRejects(t *testing.T) {
 func FuzzStreamFrame(f *testing.F) {
 	good := streamOf(validFrame())
 	f.Add(good)
-	f.Add(good[:StreamHeaderSize])          // truncated mid-header payload
-	f.Add(good[:len(good)-5])               // truncated mid-frame
-	f.Add(streamOf(validFrame(), nil))      // second envelope undersized
-	f.Add(append(good, good...))            // two interleaved frames
+	f.Add(good[:StreamHeaderSize])     // truncated mid-header payload
+	f.Add(good[:len(good)-5])          // truncated mid-frame
+	f.Add(streamOf(validFrame(), nil)) // second envelope undersized
+	f.Add(append(good, good...))       // two interleaved frames
 	long := streamOf(validFrame())
 	binary.LittleEndian.PutUint32(long[4:8], StreamHeaderSize+MaxFrameLen+1)
 	f.Add(long) // oversized claim

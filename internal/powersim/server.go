@@ -81,7 +81,7 @@ func (m ServerModel) PowerCoef(freq float64) PowerCoef {
 // demanded utilization.
 func (c PowerCoef) Power(util float64) units.Watts {
 	util = clamp01(util)
-	delivered := math.Min(util, c.freq)
+	delivered := min(util, c.freq)
 	// Dynamic power scales with delivered work and with the
 	// voltage/frequency operating point.
 	return c.idle + units.Watts(c.span*delivered*c.scale)
@@ -96,7 +96,7 @@ func (m ServerModel) Throughput(util, freq float64) float64 {
 	if util <= 0 {
 		return 1
 	}
-	return math.Min(util, freq) / util
+	return min(util, freq) / util
 }
 
 // UtilizationFor inverts Power at full frequency: the utilization that

@@ -139,3 +139,65 @@ func TestPowerMonotoneInUtilization(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// edgeFloats are the operands the min/max exactness tables sweep: NaN,
+// both zeros, both infinities, out-of-range, in-range and boundary
+// values, and the smallest subnormal.
+var edgeFloats = []float64{
+	math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
+	-1, 0.05, 0.1, 0.5, 1, 2, math.SmallestNonzeroFloat64,
+}
+
+// sameFloat reports whether got and want are the same float64 bit for
+// bit — unlike ==, it tells −0 from +0 — counting any two NaNs as the
+// same: neither math.Min nor the builtin min fixes a NaN's payload, and
+// no output observes one.
+func sameFloat(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) ||
+		(math.IsNaN(got) && math.IsNaN(want))
+}
+
+// refPower is PowerCoef(freq).Power(util) written with math.Min, the
+// call the builtin min replaced on the tick path.
+func refPower(m ServerModel, util, freq float64) units.Watts {
+	f := clampFreq(freq)
+	scale := 1.0
+	if f != 1 {
+		scale = math.Pow(f, m.dvfsExponent()-1)
+	}
+	delivered := math.Min(clamp01(util), f)
+	return m.Idle + units.Watts(float64(m.Peak-m.Idle)*delivered*scale)
+}
+
+// refThroughput is Throughput written with math.Min.
+func refThroughput(util, freq float64) float64 {
+	util = clamp01(util)
+	freq = clampFreq(freq)
+	if util <= 0 {
+		return 1
+	}
+	return math.Min(util, freq) / util
+}
+
+// TestPowerMinExact pins the builtin min in PowerCoef.Power and
+// Throughput to the math.Min reference bit for bit over every pairing of
+// edge operands. The −0 idle model carries a −0 delivered term through to
+// the result, so a signed-zero flip would show in the output bits.
+func TestPowerMinExact(t *testing.T) {
+	models := []ServerModel{DL585G5, {Idle: units.Watts(math.Copysign(0, -1)), Peak: 1}}
+	for _, m := range models {
+		for _, f := range edgeFloats {
+			pc := m.PowerCoef(f)
+			for _, u := range edgeFloats {
+				if got, want := pc.Power(u), refPower(m, u, f); !sameFloat(float64(got), float64(want)) {
+					t.Errorf("%+v: PowerCoef(%v).Power(%v) = %v (%#x), math.Min ref %v (%#x)",
+						m, f, u, got, math.Float64bits(float64(got)), want, math.Float64bits(float64(want)))
+				}
+				if got, want := m.Throughput(u, f), refThroughput(u, f); !sameFloat(got, want) {
+					t.Errorf("Throughput(%v, %v) = %v (%#x), math.Min ref %v (%#x)",
+						u, f, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}

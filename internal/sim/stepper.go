@@ -81,15 +81,19 @@ type Stepper struct {
 	topK      []*topKSelector // one per worker; serial uses topK[0]
 	bg        bgSampler
 
-	// Per-rack kernel outputs, filled by the apply kernel and folded by
-	// the serial reduce.
-	marks     []bool // per-server shed marks, racks concatenated
-	rackPower []units.Watts
-	rackShed  []int
-	rackGot   []units.Watts
-	rackMicro []units.Joules
-	rackDark  []bool
-	rackCoefs []powersim.PowerCoef
+	// Per-server and per-rack kernel outputs, filled by the view and
+	// apply kernels and folded by the serial reduce. serverPower holds
+	// each server's unshed draw at its rack's operating point: the view
+	// kernel writes the full-frequency value, and the apply kernel
+	// overwrites it only for DVFS-capped racks, so an uncapped server's
+	// power is evaluated once per tick.
+	marks       []bool // per-server shed marks, racks concatenated
+	serverPower []units.Watts
+	rackPower   []units.Watts
+	rackShed    []int
+	rackGot     []units.Watts
+	rackMicro   []units.Joules
+	rackDark    []bool
 
 	// Transient per-tick kernel inputs, set by Advance before the
 	// kernels run (fields rather than arguments so the worker pool can
@@ -246,12 +250,12 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	st.actsBuf = make([]Action, cfg.Racks)
 
 	st.marks = make([]bool, st.totalServers)
+	st.serverPower = make([]units.Watts, st.totalServers)
 	st.rackPower = make([]units.Watts, cfg.Racks)
 	st.rackShed = make([]int, cfg.Racks)
 	st.rackGot = make([]units.Watts, cfg.Racks)
 	st.rackMicro = make([]units.Joules, cfg.Racks)
 	st.rackDark = make([]bool, cfg.Racks)
-	st.rackCoefs = make([]powersim.PowerCoef, cfg.Racks)
 	st.powerFull = cfg.Server.PowerCoef(1)
 
 	workers := cfg.Workers
@@ -413,9 +417,12 @@ func (st *Stepper) Step() (bool, error) {
 func (st *Stepper) viewKernel(i int) {
 	cfg := &st.cfg
 	base := i * cfg.ServersPerRack
+	full := st.serverPower[base : base+cfg.ServersPerRack]
 	var demand units.Watts
-	for s := base; s < base+cfg.ServersPerRack; s++ {
-		demand += st.powerFull.Power(st.curDemand[s])
+	for s, u := range st.curDemand[base : base+cfg.ServersPerRack] {
+		p := st.powerFull.Power(u)
+		full[s] = p
+		demand += p
 	}
 	b := st.batteries[i]
 	v := RackView{
@@ -468,20 +475,23 @@ func (st *Stepper) applyKernel(worker, i int) {
 	order := st.marks[base : base+cfg.ServersPerRack]
 	st.topK[worker].markInto(order, st.curDemand[base:base+cfg.ServersPerRack], shed)
 
-	// One math.Pow per rack (zero at full frequency) instead of one per
-	// server: every server in the rack shares the DVFS operating point.
-	pc := st.powerFull
+	// At full frequency the view kernel's per-server power is already
+	// this rack's; a capped rack re-evaluates at its own operating point,
+	// with one math.Pow per rack since every server shares the DVFS cap.
+	pw := st.serverPower[base : base+cfg.ServersPerRack]
 	if freq != 1 {
-		pc = cfg.Server.PowerCoef(freq)
+		pc := cfg.Server.PowerCoef(freq)
+		for s, u := range st.curDemand[base : base+cfg.ServersPerRack] {
+			pw[s] = pc.Power(u)
+		}
 	}
-	st.rackCoefs[i] = pc
 	var power units.Watts
-	for s := 0; s < cfg.ServersPerRack; s++ {
+	for s, p := range pw {
 		if order[s] {
 			power += cfg.SleepPower
 			continue
 		}
-		power += pc.Power(st.curDemand[base+s])
+		power += p
 	}
 	st.rackPower[i] = power
 
@@ -633,27 +643,28 @@ func (st *Stepper) Advance(demandU []float64) error {
 	var totalGrid units.Watts
 	shedCount := 0
 	var shedWatts units.Watts
+	demanded, delivered := st.demandedWork, st.deliveredWork
 	for i := 0; i < cfg.Racks; i++ {
 		freq := st.lastFreq[i]
 		shedCount += st.rackShed[i]
 		base := i * cfg.ServersPerRack
 		order := st.marks[base : base+cfg.ServersPerRack]
-		pc := st.rackCoefs[i]
+		pw := st.serverPower[base : base+cfg.ServersPerRack]
 		for s := 0; s < cfg.ServersPerRack; s++ {
 			u := demandU[base+s]
-			st.demandedWork += u
+			demanded += u
 			if order[s] {
-				shedWatts += pc.Power(u) - cfg.SleepPower
+				shedWatts += pw[s] - cfg.SleepPower
 				continue
 			}
-			st.deliveredWork += minf(u, freq)
+			delivered += minf(u, freq)
 		}
 
 		if st.rackDark[i] {
 			// Undo this tick's delivered-work credit for the rack.
 			for s := 0; s < cfg.ServersPerRack; s++ {
 				if !order[s] {
-					st.deliveredWork -= minf(demandU[base+s], freq)
+					delivered -= minf(demandU[base+s], freq)
 				}
 			}
 			continue
@@ -678,6 +689,7 @@ func (st *Stepper) Advance(demandU []float64) error {
 		}
 		totalGrid += st.draws[i]
 	}
+	st.demandedWork, st.deliveredWork = demanded, delivered
 	st.shedSum += float64(shedCount) / float64(st.totalServers)
 	if st.tracer != nil && shedCount != st.lastShedCount {
 		st.tracer.Emit(obs.Event{
