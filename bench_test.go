@@ -252,9 +252,9 @@ func BenchmarkSimTick(b *testing.B) {
 		Tick:           100 * time.Millisecond,
 		Duration:       time.Duration(b.N) * 100 * time.Millisecond,
 		Background:     FlatBackground(220, 0.55),
-		Attack: NewAttack(4, virus.Config{
+		Attacks: []AttackSpec{NewAttack(4, virus.Config{
 			Profile: virus.CPUIntensive,
-		}),
+		})},
 		MicroDEBFactory: NewMicroDEBFactory(0.01),
 	}
 	b.ReportAllocs()

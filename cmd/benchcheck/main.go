@@ -18,8 +18,8 @@
 // run: "Slow/Fast:5" fails unless Slow's ns/op is at least 5× Fast's.
 // Both numbers come from the same machine and the same bench invocation,
 // so unlike the baseline gate this is noise-immune — it guards
-// structural speedups (the quiescent skip path must beat per-tick
-// stepping on a quiet horizon) rather than absolute timings.
+// structural speedups (padd's persistent stream must beat per-request
+// binary POSTs) rather than absolute timings.
 //
 // -write turns the gate around: instead of checking the output against
 // the baseline file, it rewrites the file from the output. For every
@@ -37,8 +37,13 @@
 //	go test ./internal/sim -run '^$' -bench 'BenchmarkSimRunPAD|BenchmarkStepperTick' \
 //	  -benchmem -benchtime=10x | \
 //	  benchcheck -baseline BENCH_engine.json -gate BenchmarkSimRunPAD \
-//	    -zero-allocs BenchmarkStepperTick \
-//	    -speedup BenchmarkSimRunQuiet/BenchmarkSimRunQuietSkip:5
+//	    -zero-allocs BenchmarkStepperTick
+//
+//	go test ./internal/padd -run '^$' -bench 'BenchmarkFleetIngest(Binary|Stream)$' \
+//	  -benchmem -benchtime=5000x | \
+//	  benchcheck -baseline BENCH_padd.json \
+//	    -gate BenchmarkFleetIngestBinary,BenchmarkFleetIngestStream \
+//	    -speedup BenchmarkFleetIngestBinary/BenchmarkFleetIngestStream:3
 //
 //	go test ./internal/sim -run '^$' -bench 'BenchmarkSimRun' -benchmem | \
 //	  benchcheck -baseline BENCH_engine.json -write \

@@ -124,7 +124,7 @@ func main() {
 	}
 
 	mgr := padd.NewManagerWith(padd.Options{Shards: *shards, MaxSessions: *maxSessions})
-	srv := &http.Server{Addr: *addr, Handler: padd.NewServer(mgr)}
+	srv := padd.NewHTTPServer(*addr, padd.NewServer(mgr))
 
 	errc := make(chan error, 1)
 

@@ -48,7 +48,6 @@ func main() {
 		tick        = flag.Duration("tick", 0, "simulation step (0 = search default, 100ms)")
 		bgMean      = flag.Float64("background", 0, "mean background utilization (0 = search default, 0.30)")
 		quick       = flag.Bool("quick", false, "tiny environment and horizon for smoke runs (CI uses this)")
-		noSkip      = flag.Bool("no-skip", false, "force per-tick evaluation (disable the engine's quiescent fast path; results are bit-identical either way)")
 		csvPath     = flag.String("csv", "frontier.csv", "write the robustness frontier CSV here ('' disables)")
 		jsonlPath   = flag.String("jsonl", "", "write every evaluation as JSONL here")
 		corpusDir   = flag.String("corpus", "", "write each scheme's worst case as a scenario file into this directory, with outcomes pinned for all six schemes")
@@ -110,7 +109,6 @@ func main() {
 		Seed:    *seed,
 		Workers: *workers,
 		Env:     env,
-		NoSkip:  *noSkip,
 		Metrics: attacksearch.NewMetrics(reg),
 	}
 	if *progress {

@@ -53,7 +53,6 @@ func main() {
 		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl (padtrace input) or chrome (Perfetto / chrome://tracing)")
 		chart       = flag.Bool("chart", false, "plot the cluster feed draw and mean battery SOC over the run")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for -compare (1 = sequential)")
-		rackWorkers = flag.Int("rack-workers", 0, "intra-run rack-kernel goroutines (0/1 = serial; results are bit-identical either way, worthwhile only for large clusters)")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
 	logFlags := obs.AddLogFlags(flag.CommandLine)
@@ -85,15 +84,14 @@ func main() {
 		OvershootTolerance:    *tolerance,
 		Background:            noisyBackground(*racks**spr, *bgMean, *duration, *seed),
 		StopOnTrip:            *stopOnTrip,
-		Workers:               *rackWorkers,
 	}
 	logger.Debug("scenario configured",
 		"scheme", *schemeName, "compare", *compare, "racks", *racks,
 		"servers_per_rack", *spr, "duration", *duration, "tick", *tick,
-		"attack_nodes", *attackNodes, "seed", *seed, "rack_workers", *rackWorkers)
+		"attack_nodes", *attackNodes, "seed", *seed)
 	// An Attack is stateful and stepped by the engine, so every run needs
-	// its own instance; mkAttack builds one from the flags.
-	mkAttack := func() *sim.AttackSpec {
+	// its own instance; mkAttacks builds one from the flags.
+	mkAttacks := func() []sim.AttackSpec {
 		if *attackNodes <= 0 {
 			return nil
 		}
@@ -114,15 +112,15 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		return &sim.AttackSpec{Servers: servers, Attack: atk}
+		return []sim.AttackSpec{{Servers: servers, Attack: atk}}
 	}
 
 	opts := schemes.Options{ServersPerRack: *spr}
 	if *compare {
-		runComparison(cfg, mkAttack, opts, *microFrac, *workers, *tracePath, *traceFormat)
+		runComparison(cfg, mkAttacks, opts, *microFrac, *workers, *tracePath, *traceFormat)
 		return
 	}
-	cfg.Attack = mkAttack()
+	cfg.Attacks = mkAttacks()
 	scheme, err := schemes.ByName(*schemeName, opts)
 	if err != nil {
 		fatal(err)
@@ -262,7 +260,7 @@ func comparePath(path, scheme string) string {
 // Config copy and a fresh Attack instance (the Attack is stateful), so
 // every scheme faces the identical scenario and the bars are independent
 // of the worker count.
-func runComparison(base sim.Config, mkAttack func() *sim.AttackSpec,
+func runComparison(base sim.Config, mkAttacks func() []sim.AttackSpec,
 	opts schemes.Options, microFrac float64, workers int, tracePath, traceFormat string) {
 	type entry struct {
 		name  string
@@ -285,7 +283,7 @@ func runComparison(base sim.Config, mkAttack func() *sim.AttackSpec,
 			Run: func() (*sim.Result, error) {
 				cfg := base
 				cfg.Key = "padsim/compare/" + e.name
-				cfg.Attack = mkAttack()
+				cfg.Attacks = mkAttacks()
 				if e.micro {
 					cfg.MicroDEBFactory = schemes.MicroDEBFactory(microFrac)
 				}

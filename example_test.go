@@ -15,11 +15,11 @@ func ExampleRun() {
 		ServersPerRack: 5,
 		Duration:       5 * time.Minute,
 		Background:     padsec.FlatBackground(10, 0.5),
-		Attack: padsec.NewAttack(3, padsec.AttackConfig{
+		Attacks: []padsec.AttackSpec{padsec.NewAttack(3, padsec.AttackConfig{
 			Profile:      padsec.CPUIntensive,
 			PrepDuration: time.Second,
 			MaxPhaseI:    2 * time.Minute,
-		}),
+		})},
 		StopOnTrip: true,
 	}
 	res, err := padsec.Run(cfg, padsec.NewConv(padsec.SchemeOptions{ServersPerRack: 5}))
@@ -44,11 +44,11 @@ func ExampleNewPAD() {
 		ServersPerRack: 5,
 		Duration:       5 * time.Minute,
 		Background:     padsec.FlatBackground(10, 0.5),
-		Attack: padsec.NewAttack(3, padsec.AttackConfig{
+		Attacks: []padsec.AttackSpec{padsec.NewAttack(3, padsec.AttackConfig{
 			Profile:      padsec.CPUIntensive,
 			PrepDuration: time.Second,
 			MaxPhaseI:    2 * time.Minute,
-		}),
+		})},
 		MicroDEBFactory: padsec.NewMicroDEBFactory(0.01),
 		StopOnTrip:      true,
 	}

@@ -37,10 +37,10 @@ func main() {
 		ServersPerRack: 10,
 		Duration:       20 * time.Minute,
 		Background:     padsec.FlatBackground(10, 0.5),
-		Attack: padsec.NewAttack(4, padsec.AttackConfig{
+		Attacks: []padsec.AttackSpec{padsec.NewAttack(4, padsec.AttackConfig{
 			Profile:   padsec.CPUIntensive,
 			MaxPhaseI: 18 * time.Minute,
-		}),
+		})},
 		DisableTrips: true,
 	}
 	if _, err := padsec.Run(cfg, padsec.NewPSPC(padsec.SchemeOptions{})); err != nil {
@@ -48,7 +48,7 @@ func main() {
 	}
 	fmt.Printf("\nPhase-I side channel: the attacker measured a %v drain time "+
 		"before capping betrayed the empty battery.\n",
-		cfg.Attack.Attack.LearnedDrainTime().Round(time.Second))
+		cfg.Attacks[0].Attack.LearnedDrainTime().Round(time.Second))
 }
 
 func effectiveAttacks(prof padsec.VirusProfile, width time.Duration, perMin float64) int {
@@ -57,13 +57,13 @@ func effectiveAttacks(prof padsec.VirusProfile, width time.Duration, perMin floa
 		ServersPerRack: 10,
 		Duration:       10 * time.Minute,
 		Background:     padsec.FlatBackground(10, 0.5),
-		Attack: padsec.NewAttack(4, padsec.AttackConfig{
+		Attacks: []padsec.AttackSpec{padsec.NewAttack(4, padsec.AttackConfig{
 			Profile:         prof,
 			SpikeWidth:      width,
 			SpikesPerMinute: perMin,
 			PrepDuration:    time.Second,
 			MaxPhaseI:       time.Second, // the rack battery is left at default (full)
-		}),
+		})},
 		DisableTrips: true, // count overloads without ending the run
 	}
 	// Conventional management with a full battery would shave the spikes;

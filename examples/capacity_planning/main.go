@@ -52,13 +52,13 @@ func survivalWith(fraction float64, horizon time.Duration) time.Duration {
 		Background:         padsec.FlatBackground(30, 0.31),
 		StopOnTrip:         true,
 		MicroDEBFactory:    padsec.NewMicroDEBFactory(fraction),
-		Attack: padsec.NewAttack(6, padsec.AttackConfig{
+		Attacks: []padsec.AttackSpec{padsec.NewAttack(6, padsec.AttackConfig{
 			Profile:         padsec.CPUIntensive,
 			PrepDuration:    time.Second,
 			MaxPhaseI:       time.Second,
 			SpikeWidth:      2 * time.Second,
 			SpikesPerMinute: 6,
-		}),
+		})},
 		// Rack batteries enter the window drained: Phase I already
 		// happened.
 		BatteryFactory: drainedBattery,

@@ -45,11 +45,11 @@ func main() {
 		Background:     padsec.FlatBackground(racks*spr, 0.55),
 		// The attacker waits out the morning lull and strikes the loaded
 		// mid-day window.
-		Attack: padsec.NewAttack(4, padsec.AttackConfig{
+		Attacks: []padsec.AttackSpec{padsec.NewAttack(4, padsec.AttackConfig{
 			Profile:      padsec.CPUIntensive,
 			PrepDuration: 45 * time.Minute,
 			MaxPhaseI:    3 * time.Minute,
-		}),
+		})},
 		StopOnTrip: true,
 	}
 	convRes, err := padsec.Run(simCfg, padsec.NewConv(padsec.SchemeOptions{}))

@@ -24,12 +24,12 @@ func main() {
 			// Four compromised servers on rack 0 run the classic
 			// two-phase attack: drain the battery with a visible peak,
 			// then fire hidden spikes.
-			Attack: padsec.NewAttack(4, padsec.AttackConfig{
+			Attacks: []padsec.AttackSpec{padsec.NewAttack(4, padsec.AttackConfig{
 				Profile:         padsec.CPUIntensive,
 				SpikeWidth:      4 * time.Second,
 				SpikesPerMinute: 6,
 				MaxPhaseI:       4 * time.Minute,
-			}),
+			})},
 			StopOnTrip: true,
 		}
 	}

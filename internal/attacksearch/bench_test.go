@@ -28,7 +28,6 @@ func BenchmarkEvalTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
 
 	minMargin := rackNameplate(s)
 	b.ReportAllocs()

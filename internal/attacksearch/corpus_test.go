@@ -93,38 +93,6 @@ func TestCorpusReplay(t *testing.T) {
 	}
 }
 
-// TestCorpusReplaySkip replays every corpus scenario against all six
-// schemes twice — with the engine's quiescent fast path on (the Evaluate
-// default) and forced off — and requires the full Outcomes to match
-// exactly. Unlike the amd64-pinned corpus values, both sides run on the
-// same hardware, so exact float equality holds on every architecture:
-// this is the skip path's bit-identity contract checked on the search's
-// own worst cases, stealth-margin tracking included.
-func TestCorpusReplaySkip(t *testing.T) {
-	if *updateCorpus {
-		t.Skip("corpus update runs in TestCorpusReplay")
-	}
-	for _, scen := range loadCorpusT(t) {
-		scen := scen
-		t.Run(scen.Name, func(t *testing.T) {
-			bg := scen.Background()
-			for _, name := range schemes.SchemeNames {
-				skip, err := Evaluate(scen, name, bg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				perTick, err := EvaluateNoSkip(scen, name, bg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if skip != perTick {
-					t.Errorf("%s: skip outcome %+v diverged from per-tick %+v", name, skip, perTick)
-				}
-			}
-		})
-	}
-}
-
 // TestCorpusOnlineOffline replays each corpus scenario's own scheme
 // through the padd daemon: the online HTTP-ingest path must reproduce
 // the offline engine bit for bit under the discovered worst-case attack,

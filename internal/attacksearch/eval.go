@@ -83,36 +83,16 @@ func (o Outcome) score(horizonS, rackNameplateW, clusterReserveJ float64) float6
 // tick tracks the minimum untripped breaker margin, which sim.Result
 // alone does not expose. The tick loop is allocation-free after stepper
 // construction — BenchmarkEvalTick pins that.
-//
-// Evaluation runs with the engine's quiescent fast path on: the skip
-// contract is bit-identity with per-tick stepping (and a skipped span is
-// provably margin-frozen, so the minimum-margin tracking loses nothing),
-// which keeps search results and corpus goldens byte-identical while
-// long pre-attack stretches collapse. EvaluateNoSkip forces the per-tick
-// path for cross-checking.
 func Evaluate(s Scenario, schemeName string, bg []*stats.Series) (Outcome, error) {
-	return evaluate(s, schemeName, bg, false)
-}
-
-// EvaluateNoSkip is Evaluate on the per-tick path, quiescent skipping
-// disabled. Search results must not depend on the choice; cmd/padsearch
-// exposes it as -no-skip and CI compares the two.
-func EvaluateNoSkip(s Scenario, schemeName string, bg []*stats.Series) (Outcome, error) {
-	return evaluate(s, schemeName, bg, true)
-}
-
-func evaluate(s Scenario, schemeName string, bg []*stats.Series, noSkip bool) (Outcome, error) {
 	cfg, scheme, err := s.SimConfig(schemeName, bg)
 	if err != nil {
 		return Outcome{}, err
 	}
 	cfg.StopOnTrip = true
-	cfg.SkipQuiescent = !noSkip
 	st, err := sim.NewStepper(cfg, scheme)
 	if err != nil {
 		return Outcome{}, err
 	}
-	defer st.Close()
 
 	minMargin := rackNameplate(s)
 	for {

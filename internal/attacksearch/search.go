@@ -26,11 +26,6 @@ type Config struct {
 	Workers int
 	// Env fixes the cluster and attacker environment.
 	Env Env
-	// NoSkip forces per-tick evaluation, disabling the engine's quiescent
-	// fast path. The skip contract is bit-identity, so reports are the
-	// same either way; the knob exists to prove that (CI diffs a skip and
-	// a no-skip frontier) and to isolate the fast path when debugging.
-	NoSkip bool
 	// Progress, when non-nil, receives one line per search phase —
 	// coarse narration, not per-evaluation spam.
 	Progress func(format string, args ...any)
@@ -166,7 +161,7 @@ func searchScheme(cfg Config, env Env, scheme string, seed uint64, bg []*stats.S
 			sr.Evals = append(sr.Evals, Evaluation{Scheme: scheme, Phase: phase, Index: i, Scenario: scen})
 			jobs = append(jobs, runner.Job[Outcome]{
 				Key: name,
-				Run: func() (Outcome, error) { return evaluate(scen, scheme, bg, cfg.NoSkip) },
+				Run: func() (Outcome, error) { return Evaluate(scen, scheme, bg) },
 			})
 		}
 		bestIdx := -1

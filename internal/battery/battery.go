@@ -55,19 +55,6 @@ type Store interface {
 	MaxCharge() units.Watts
 }
 
-// Rester is the optional quiescence probe a store may implement for the
-// simulator's event-driven fast path. AtRest(dt) reports that one tick
-// of dt would leave the store's observable and internal state
-// bit-identical under any of the engine's no-op drives — Idle, a Charge
-// offer (which must find no headroom to accept), or a non-positive
-// Discharge request — so an arbitrary run of such ticks can be elided
-// wholesale. AtRest must not advance state; a store that cannot prove
-// the fixed point simply returns false and the engine falls back to
-// per-tick stepping.
-type Rester interface {
-	AtRest(dt time.Duration) bool
-}
-
 // Stats accumulates usage counters used by the aging and cost analyses.
 type Stats struct {
 	// EnergyOut is the cumulative energy discharged.

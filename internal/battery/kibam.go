@@ -181,11 +181,13 @@ func MustKiBaM(cfg KiBaMConfig) *KiBaM {
 	return b
 }
 
-// stepValues returns the well levels one closed-form step of constant
-// external power p (positive = discharge, negative = charge) would leave,
-// without mutating the battery. step commits them and AtRest compares
-// them, so both paths share one formula and cannot diverge.
-func (b *KiBaM) stepValues(p float64, dt time.Duration) (float64, float64) {
+// step advances the wells by dt under constant external power p
+// (positive = discharge, negative = charge) using the closed-form KiBaM
+// solution for constant current.
+func (b *KiBaM) step(p float64, dt time.Duration) {
+	if dt <= 0 {
+		return
+	}
 	co := b.coefFor(dt)
 	k := b.k
 	y0 := b.y1 + b.y2
@@ -202,37 +204,8 @@ func (b *KiBaM) stepValues(p float64, dt time.Duration) (float64, float64) {
 		y2 *= co.decay
 	}
 	// Clamp tiny numerical excursions.
-	y1 = max(0, min(y1, c*float64(b.capacity)))
-	y2 = max(0, min(y2, (1-c)*float64(b.capacity)))
-	return y1, y2
-}
-
-// step advances the wells by dt under constant external power p
-// (positive = discharge, negative = charge) using the closed-form KiBaM
-// solution for constant current.
-func (b *KiBaM) step(p float64, dt time.Duration) {
-	if dt <= 0 {
-		return
-	}
-	b.y1, b.y2 = b.stepValues(p, dt)
-}
-
-// AtRest implements Rester: a trial idle step of dt must leave both
-// wells bit-identical (the closed form has reached its floating-point
-// fixed point, which a full battery does because the clamp pins y1 and
-// y2 at their well capacities) and the charge headroom must be
-// exhausted, so a Charge request degrades to Idle. When both hold,
-// Idle, Charge and non-positive Discharge all leave the battery's state
-// untouched for any number of consecutive ticks.
-func (b *KiBaM) AtRest(dt time.Duration) bool {
-	if dt <= 0 {
-		return true
-	}
-	y1, y2 := b.stepValues(0, dt)
-	if y1 != b.y1 || y2 != b.y2 {
-		return false
-	}
-	return float64(b.capacity)-(b.y1+b.y2) <= 0
+	b.y1 = max(0, min(y1, c*float64(b.capacity)))
+	b.y2 = max(0, min(y2, (1-c)*float64(b.capacity)))
 }
 
 // maxSustainable returns the largest constant discharge power the battery

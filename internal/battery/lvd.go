@@ -93,19 +93,6 @@ func (l *LVD) Deliverable(dt time.Duration) units.Watts {
 	return l.inner.Deliverable(dt)
 }
 
-// AtRest implements Rester: the wrapped store must prove its own fixed
-// point, and the LVD must be connected — a disconnected battery is mid
-// incident (drained, waiting on recharge), never a quiescent one, and
-// its Discharge path routes through inner.Idle with different
-// bookkeeping than the connected path.
-func (l *LVD) AtRest(dt time.Duration) bool {
-	if l.disconnected {
-		return false
-	}
-	r, ok := l.inner.(Rester)
-	return ok && r.AtRest(dt)
-}
-
 // Disconnected reports whether the LVD has isolated the battery.
 func (l *LVD) Disconnected() bool { return l.disconnected }
 

@@ -136,13 +136,6 @@ func (s *SuperCap) Deliverable(dt time.Duration) units.Watts {
 // simulation timescales, so Idle is a no-op.
 func (s *SuperCap) Idle(time.Duration) {}
 
-// AtRest implements Rester: Idle is already a no-op, so rest only needs
-// the headroom exhausted — a Charge offer then computes a non-positive
-// accepted power and returns without touching the stored energy.
-func (s *SuperCap) AtRest(time.Duration) bool {
-	return float64(s.capacity)-s.energy <= 0
-}
-
 // SOC implements Store.
 func (s *SuperCap) SOC() float64 { return s.energy / float64(s.capacity) }
 

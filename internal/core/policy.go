@@ -127,20 +127,3 @@ func (p *Policy) Step(in PolicyInputs) Level {
 	}
 	return p.level
 }
-
-// Holds reports whether Step(in) would leave the level unchanged — the
-// state machine has no transition to take on these inputs. The level is
-// the policy's only state, so a holding Step is a pure no-op; the
-// quiescent-skip engine uses this to elide it over a span of identical
-// inputs.
-func (p *Policy) Holds(in PolicyInputs) bool {
-	switch p.level {
-	case Level1:
-		return !p.empty(in.VDEBSOC)
-	case Level2:
-		return !p.empty(in.MicroSOC) && !p.recharged(in.VDEBSOC)
-	case Level3:
-		return !p.recharged(in.MicroSOC)
-	}
-	return true
-}

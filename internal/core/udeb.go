@@ -73,13 +73,6 @@ func (u *MicroDEB) Recharge(headroom units.Watts, dt time.Duration) units.Watts 
 	return u.bank.Charge(headroom, dt)
 }
 
-// AtRest reports that one tick of dt cannot change the μDEB: the bank
-// is full, so Recharge accepts nothing, and a Shave below the threshold
-// is a pure pass-through. The quiescent-skip engine separately verifies
-// the rack's draw sits below the conduction threshold (no shaving
-// happened on the last identical tick).
-func (u *MicroDEB) AtRest(dt time.Duration) bool { return u.bank.AtRest(dt) }
-
 // SOC returns the bank's state of charge, the "μDEB level" input of the
 // security policy.
 func (u *MicroDEB) SOC() float64 { return u.bank.SOC() }

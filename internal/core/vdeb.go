@@ -80,10 +80,9 @@ func (c *VDEBController) AllocateInto(out []units.Watts, socs []float64, pShave 
 	}
 	// Sort rack indices by SOC, descending (Algorithm 1 lines 9-10).
 	// Stable insertion sort: a stable order is unique, so this matches
-	// sort.SliceStable bit for bit while allocating nothing — the
-	// allocation-free property lets the quiescent-skip detector rerun the
-	// allocation as a pure check, and rack counts are small enough that
-	// O(n²) beats the reflection-based library sort anyway.
+	// sort.SliceStable bit for bit while allocating nothing, and rack
+	// counts are small enough that O(n²) beats the reflection-based
+	// library sort anyway.
 	if cap(c.order) < n {
 		c.order = make([]int, n)
 	}

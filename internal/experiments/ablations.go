@@ -52,14 +52,14 @@ func ablationSurvivalRun(p Params, key string, mk func() sim.Scheme, micro bool,
 		OvershootTolerance: 0.04,
 		Background:         bg,
 		StopOnTrip:         true,
-		Attack: attackSpec(4, virus.Config{
+		Attacks: []sim.AttackSpec{attackSpec(4, virus.Config{
 			Profile:         virus.CPUIntensive,
 			SpikeWidth:      4 * time.Second,
 			SpikesPerMinute: 6,
 			PrepDuration:    time.Minute,
 			MaxPhaseI:       3 * time.Minute,
 			Seed:            p.seed(),
-		}),
+		})},
 	}
 	if micro {
 		cfg.MicroDEBFactory = microFactory(defaultMicroFraction)
@@ -378,14 +378,14 @@ func AblationGranularity(p Params) (*AblationResult, error) {
 					Background:         bg,
 					StopOnTrip:         true,
 					BatteryFactory:     d.factory,
-					Attack: attackSpec(4, virus.Config{
+					Attacks: []sim.AttackSpec{attackSpec(4, virus.Config{
 						Profile:         virus.CPUIntensive,
 						SpikeWidth:      4 * time.Second,
 						SpikesPerMinute: 6,
 						PrepDuration:    time.Minute,
 						MaxPhaseI:       3 * time.Minute,
 						Seed:            p.seed(),
-					}),
+					})},
 				}
 				return sim.Run(cfg, schemes.NewPS(schemes.Options{}))
 			},
@@ -495,7 +495,7 @@ func jitterRun(p Params, key string, jitter float64, horizon time.Duration) (*si
 		Tick:           100 * time.Millisecond,
 		Duration:       horizon,
 		Background:     bg,
-		Attack:         atk,
+		Attacks:        []sim.AttackSpec{atk},
 		BatteryFactory: emptyBatteryFactory,
 		DisableTrips:   true,
 		Record:         true,

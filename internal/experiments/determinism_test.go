@@ -40,7 +40,7 @@ func detConfig() sim.Config {
 		Duration:       horizon,
 		Background:     bg,
 		Record:         true,
-		Attack: &sim.AttackSpec{
+		Attacks: []sim.AttackSpec{{
 			Servers: []int{0, 1},
 			Attack: virus.MustNew(virus.Config{
 				Profile:         virus.CPUIntensive,
@@ -50,7 +50,7 @@ func detConfig() sim.Config {
 				SpikesPerMinute: 20,
 				Seed:            5,
 			}),
-		},
+		}},
 	}
 }
 

@@ -236,12 +236,12 @@ const defaultMicroFraction = 0.01
 
 // attackSpec builds a two-phase attack on the first `nodes` servers of
 // rack 0.
-func attackSpec(nodes int, cfg virus.Config) *sim.AttackSpec {
+func attackSpec(nodes int, cfg virus.Config) sim.AttackSpec {
 	servers := make([]int, nodes)
 	for i := range servers {
 		servers[i] = i
 	}
-	return &sim.AttackSpec{
+	return sim.AttackSpec{
 		Servers: servers,
 		Attack:  virus.MustNew(cfg),
 	}

@@ -85,7 +85,7 @@ func Fig15(p Params) (*Fig15Result, error) {
 						// (§3.1).
 						vc.PrepDuration = 3 * time.Minute
 						vc.MaxPhaseI = 3 * time.Minute
-						cfg.Attack = attackSpec(4, vc)
+						cfg.Attacks = []sim.AttackSpec{attackSpec(4, vc)}
 						if needsMicro(name) {
 							cfg.MicroDEBFactory = microFactory(defaultMicroFraction)
 						}

@@ -62,14 +62,14 @@ func fig16Run(p Params, key, name string, width time.Duration, perMinute float64
 		return 0, err
 	}
 	attacked := base
-	attacked.Attack = attackSpec(4, virus.Config{
+	attacked.Attacks = []sim.AttackSpec{attackSpec(4, virus.Config{
 		Profile:         virus.CPUIntensive,
 		PrepDuration:    5 * time.Second,
 		MaxPhaseI:       horizon / 6,
 		SpikeWidth:      width,
 		SpikesPerMinute: perMinute,
 		Seed:            p.seed(),
-	})
+	})}
 	if needsMicro(name) {
 		attacked.MicroDEBFactory = microFactory(defaultMicroFraction)
 	}

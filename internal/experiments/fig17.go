@@ -79,14 +79,14 @@ func Fig17(p Params) (*Fig17Result, error) {
 					// that un-shaved spike trains accumulate breaker heat,
 					// light enough that a bank covering a whole spike can
 					// recover from rack headroom before the next one.
-					Attack: attackSpec(6, virus.Config{
+					Attacks: []sim.AttackSpec{attackSpec(6, virus.Config{
 						Profile:         virus.CPUIntensive,
 						PrepDuration:    time.Second,
 						MaxPhaseI:       time.Second,
 						SpikeWidth:      2 * time.Second,
 						SpikesPerMinute: 6,
 						Seed:            p.seed(),
-					}),
+					})},
 				}
 				// The μDEB-only scheme isolates the bank's contribution:
 				// PAD's capping and shedding fallbacks would mask the

@@ -58,7 +58,7 @@ func Fig6(p Params) (*Fig6Result, error) {
 				Tick:           100 * time.Millisecond,
 				Duration:       horizon,
 				Background:     bg,
-				Attack:         atk,
+				Attacks:        []sim.AttackSpec{atk},
 				Record:         true,
 				RecordStep:     time.Second,
 				DisableTrips:   true,
@@ -167,7 +167,7 @@ func Fig7(p Params) (*Fig7Result, error) {
 				Tick:           100 * time.Millisecond,
 				Duration:       horizon,
 				Background:     bg,
-				Attack:         atk,
+				Attacks:        []sim.AttackSpec{atk},
 				Record:         true,
 				RecordStep:     500 * time.Millisecond,
 				DisableTrips:   true,

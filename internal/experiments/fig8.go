@@ -47,14 +47,14 @@ func countEffectiveAttacks(p Params, key string, profile virus.Profile, nodes in
 		OvershootTolerance:    overshoot,
 		OversubscriptionRatio: ratio,
 		Background:            bg,
-		Attack: attackSpec(nodes, virus.Config{
+		Attacks: []sim.AttackSpec{attackSpec(nodes, virus.Config{
 			Profile:         profile,
 			PrepDuration:    time.Second,
 			MaxPhaseI:       time.Second, // batteries start drained: straight to spikes
 			SpikeWidth:      width,
 			SpikesPerMinute: perMinute,
 			Seed:            p.seed(),
-		}),
+		})},
 		BatteryFactory: emptyBatteryFactory,
 		DisableTrips:   true,
 	}

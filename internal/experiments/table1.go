@@ -142,7 +142,7 @@ func table1Run(p Params, key string, servers int, scale float64, width time.Dura
 		Tick:           100 * time.Millisecond,
 		Duration:       horizon,
 		Background:     bg,
-		Attack:         atk,
+		Attacks:        []sim.AttackSpec{atk},
 		BatteryFactory: emptyBatteryFactory,
 		DisableTrips:   true,
 		Record:         true,

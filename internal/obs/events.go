@@ -9,20 +9,15 @@
 //     allocates or formats anything on behalf of tracing.
 //   - Determinism. Events carry simulation time only (tick indices) —
 //     never wall clock — so a traced run's event stream is a pure
-//     function of the run's inputs, bit-identical across worker counts
+//     function of the run's inputs, bit-identical at any sweep worker count
 //     and across machines. All rendering (JSON, Chrome trace) happens at
 //     flush time, outside the tick loop.
 //
-// A corollary the engine's quiescent fast path (sim.Config.SkipQuiescent)
-// relies on: quiescent ticks emit no events. Every emission above is
-// edge-triggered — a level transition, a trip, a rising overload or heat
-// edge, a new minimum, a refresh decision, a shed-set change, a phase
-// change — and a quiescent tick by definition has no edges, so a span of
-// elided ticks contributes nothing to the stream except what the
-// scheme's own clocked decisions (the vDEB 1 s refresh) would have
-// emitted, which the scheme synthesizes when the span is skipped. Traced
-// runs therefore produce identical event streams with skipping on or
-// off; internal/sim's TestTraceSkipIdentical pins that.
+// Every emission is edge-triggered — a level transition, a trip, a
+// rising overload or heat edge, a new minimum, a shed-set change, a phase
+// change — or a clocked scheme decision (the vDEB 1 s refresh). A steady
+// tick therefore emits nothing beyond the clocked decisions, and a
+// trace's size follows what happened in the run rather than its horizon.
 package obs
 
 import "time"

@@ -67,7 +67,7 @@ func figure9Stepper(t *testing.T, record bool) *sim.Stepper {
 		Racks: fig9Racks, ServersPerRack: fig9SPR, Duration: fig9Duration, Tick: fig9Tick,
 		OversubscriptionRatio: fig9Ratio,
 		Background:            bg,
-		Attack:                &sim.AttackSpec{Servers: attacked, Attack: atk},
+		Attacks:               []sim.AttackSpec{{Servers: attacked, Attack: atk}},
 		MicroDEBFactory:       schemes.MicroDEBFactory(0.01),
 		Record:                record, RecordStep: fig9Tick,
 	}

@@ -161,7 +161,7 @@ func Replay(cfg ReplayConfig) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewServer(mgr)}
+	srv := NewHTTPServer("", NewServer(mgr))
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
@@ -246,7 +246,7 @@ func runOffline(cfg ReplayConfig, name string, bg []*stats.Series) (*sim.Result,
 		for i := range nodes {
 			nodes[i] = i
 		}
-		simCfg.Attack = &sim.AttackSpec{Servers: nodes, Attack: atk}
+		simCfg.Attacks = []sim.AttackSpec{{Servers: nodes, Attack: atk}}
 	}
 	st, err := sim.NewStepper(simCfg, scheme)
 	if err != nil {

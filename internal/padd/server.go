@@ -67,6 +67,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// Connection timeouts of the daemon's HTTP listener. A client has
+// ReadHeaderTimeout to finish its request headers, and a keep-alive
+// connection idle for IdleTimeout is closed, so a peer that never
+// completes a request cannot hold a goroutine forever. Connections
+// upgraded to /v1/stream clear these deadlines and live until the
+// client hangs up.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server that serves h on addr with the
+// daemon's connection timeouts. cmd/padd's API listener and Replay's
+// loopback listener are built with it.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+	}
+}
+
 // SessionStatus is the JSON view of one session.
 type SessionStatus struct {
 	ID        string   `json:"id"`

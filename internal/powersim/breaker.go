@@ -126,28 +126,6 @@ func (b *Breaker) Step(load units.Watts, dt time.Duration) bool {
 	return false
 }
 
-// CoolN advances an untripped, non-overloaded breaker by n ticks of
-// pure exponential cooling: exactly what n consecutive Step(load, dt)
-// calls with load <= Rated would do. The cooling multiply is iterated
-// literally — heat × factorⁿ via one Pow is not bit-identical to n
-// successive multiplies, and the simulator's quiescent fast path
-// promises bit-identity with the per-tick engine. Cooling never reaches
-// the trip threshold (heat is non-increasing and was below it), so no
-// trip check is needed. Callers must not use CoolN while the load
-// exceeds the rating.
-func (b *Breaker) CoolN(n int, dt time.Duration) {
-	if n <= 0 {
-		return
-	}
-	if !b.tripped && b.heat != 0 {
-		f := b.coolFactorFor(dt)
-		for i := 0; i < n; i++ {
-			b.heat *= f
-		}
-	}
-	b.elapsed += time.Duration(n) * dt
-}
-
 func (b *Breaker) trip() {
 	b.tripped = true
 	b.trippedAt = b.elapsed

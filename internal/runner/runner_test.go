@@ -268,7 +268,7 @@ func TestSimRunsAreIsolated(t *testing.T) {
 						Tick:           100 * time.Millisecond,
 						Duration:       5 * time.Second,
 						Background:     bg,
-						Attack: &sim.AttackSpec{
+						Attacks: []sim.AttackSpec{{
 							Servers: []int{0, 1},
 							Attack: virus.MustNew(virus.Config{
 								Profile:         virus.CPUIntensive,
@@ -278,7 +278,7 @@ func TestSimRunsAreIsolated(t *testing.T) {
 								SpikesPerMinute: 30,
 								Seed:            runner.DeriveSeed(7, key),
 							}),
-						},
+						}},
 					}
 					return sim.Run(cfg, schemes.NewPS(schemes.Options{}))
 				},

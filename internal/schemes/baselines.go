@@ -22,12 +22,7 @@ func NewConv(opts Options) *Conv {
 // Name implements sim.Scheme.
 func (s *Conv) Name() string { return "Conv" }
 
-// Plan implements sim.Scheme.
-func (s *Conv) Plan(view sim.ClusterView) []sim.Action {
-	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
-}
-
-// PlanInto implements sim.ScratchPlanner.
+// PlanInto implements sim.Scheme.
 func (s *Conv) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 	for i := range view.Racks {
 		acts[i].Charge = s.planCharge(i, view.Racks)
@@ -49,12 +44,7 @@ func NewPS(opts Options) *PS {
 // Name implements sim.Scheme.
 func (s *PS) Name() string { return "PS" }
 
-// Plan implements sim.Scheme.
-func (s *PS) Plan(view sim.ClusterView) []sim.Action {
-	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
-}
-
-// PlanInto implements sim.ScratchPlanner.
+// PlanInto implements sim.Scheme.
 func (s *PS) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 	for i, v := range view.Racks {
 		if need := v.Demand - v.Budget; need > 0 {
@@ -90,12 +80,7 @@ func (s *PSPC) Name() string { return "PSPC" }
 // monitoring).
 func (s *PSPC) SetMonitoringTau(tau time.Duration) { s.gov.Tau = tau }
 
-// Plan implements sim.Scheme.
-func (s *PSPC) Plan(view sim.ClusterView) []sim.Action {
-	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
-}
-
-// PlanInto implements sim.ScratchPlanner.
+// PlanInto implements sim.Scheme.
 func (s *PSPC) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 	smoothed := s.gov.observe(view)
 	if cap(s.desired) < len(view.Racks) {

@@ -44,7 +44,7 @@ func TestPADLifecycle(t *testing.T) {
 			}
 			return u
 		},
-		Attack: &sim.AttackSpec{
+		Attacks: []sim.AttackSpec{{
 			Servers: []int{0, 1, 2, 3},
 			Attack: virus.MustNew(virus.Config{
 				Profile:         virus.CPUIntensive,
@@ -53,7 +53,7 @@ func TestPADLifecycle(t *testing.T) {
 				SpikeWidth:      4 * time.Second,
 				SpikesPerMinute: 6,
 			}),
-		},
+		}},
 		Record:       true,
 		RecordStep:   5 * time.Second,
 		DisableTrips: true,
@@ -112,7 +112,7 @@ func TestVDEBSaturatedPoolEvenDuty(t *testing.T) {
 			{Demand: 4500, Budget: 3000, BatterySOC: 0.2, BatteryMax: 5000, BatteryMaxCharge: 100},
 		},
 	}
-	acts := s.Plan(view)
+	acts := plan(s, view)
 	for i, a := range acts {
 		if a.Discharge != 200 {
 			t.Errorf("rack %d discharge = %v, want the even 200", i, a.Discharge)
@@ -135,7 +135,7 @@ func TestUDEBRequestsMicroCharge(t *testing.T) {
 				BatteryMaxCharge: 100, MicroSOC: 1.0},
 		},
 	}
-	acts := s.Plan(view)
+	acts := plan(s, view)
 	if acts[0].MicroCharge <= 0 {
 		t.Error("drained μDEB should request recharge")
 	}
@@ -159,7 +159,7 @@ func TestPADStrictOptionStartsAtL2(t *testing.T) {
 					BatteryMaxCharge: 100, MicroSOC: 0.01},
 			},
 		}
-		s.Plan(view)
+		plan(s, view)
 		return s.Level()
 	}
 	if got := mk(false); got != core.Level1 {

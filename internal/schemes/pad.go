@@ -55,12 +55,7 @@ func (s *PAD) Level() core.Level {
 	return s.policy.Level()
 }
 
-// Plan implements sim.Scheme.
-func (s *PAD) Plan(view sim.ClusterView) []sim.Action {
-	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
-}
-
-// PlanInto implements sim.ScratchPlanner.
+// PlanInto implements sim.Scheme.
 func (s *PAD) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action {
 	smoothed := s.gov.observe(view)
 	inputs := s.policyInputs(view, smoothedTotal(smoothed))

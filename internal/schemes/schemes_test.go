@@ -12,6 +12,12 @@ import (
 	"repro/internal/virus"
 )
 
+// plan runs one planning step the way the engine does: into a fresh
+// zeroed scratch slice.
+func plan(s sim.Scheme, view sim.ClusterView) []sim.Action {
+	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
+}
+
 // noisyBackground builds per-server utilization series around mean u with
 // small deterministic wander, at 10 s resolution.
 func noisyBackground(racks, spr int, u float64, seed uint64) []*stats.Series {
@@ -37,12 +43,12 @@ func noisyBackground(racks, spr int, u float64, seed uint64) []*stats.Series {
 }
 
 // attackConfig builds a standard dense CPU attack on rack 0.
-func attackConfig(racks, spr int, seed uint64) *sim.AttackSpec {
+func attackConfig(racks, spr int, seed uint64) sim.AttackSpec {
 	servers := make([]int, 4)
 	for i := range servers {
 		servers[i] = i // four servers of rack 0
 	}
-	return &sim.AttackSpec{
+	return sim.AttackSpec{
 		Servers: servers,
 		Attack: virus.MustNew(virus.Config{
 			Profile:         virus.CPUIntensive,
@@ -64,7 +70,7 @@ func runScheme(t *testing.T, s sim.Scheme, micro bool, duration time.Duration) *
 		Tick:           200 * time.Millisecond,
 		Duration:       duration,
 		Background:     noisyBackground(6, 10, 0.55, 99),
-		Attack:         attackConfig(6, 10, 7),
+		Attacks:        []sim.AttackSpec{attackConfig(6, 10, 7)},
 		StopOnTrip:     true,
 	}
 	if micro {
@@ -111,7 +117,7 @@ func TestActionShapes(t *testing.T) {
 		NewConv(Options{}), NewPS(Options{}), NewPSPC(Options{}),
 		NewVDEB(Options{}), NewUDEB(Options{}), NewPAD(Options{}),
 	} {
-		acts := s.Plan(view)
+		acts := plan(s, view)
 		if len(acts) != 2 {
 			t.Fatalf("%s: %d actions for 2 racks", s.Name(), len(acts))
 		}
@@ -132,7 +138,7 @@ func TestConvNeverDischarges(t *testing.T) {
 			{Demand: 6000, Budget: 4000, BatterySOC: 1, BatteryMax: 5000},
 		},
 	}
-	acts := NewConv(Options{}).Plan(view)
+	acts := plan(NewConv(Options{}), view)
 	if acts[0].Discharge != 0 {
 		t.Fatalf("Conv discharged %v", acts[0].Discharge)
 	}
@@ -149,7 +155,7 @@ func TestPSDischargesExcessOnly(t *testing.T) {
 		},
 		TotalDemand: 5000,
 	}
-	acts := s.Plan(view)
+	acts := plan(s, view)
 	if acts[0].Discharge != 500 {
 		t.Fatalf("rack 0 discharge = %v, want 500", acts[0].Discharge)
 	}
@@ -161,7 +167,7 @@ func TestPSDischargesExcessOnly(t *testing.T) {
 	}
 	// Battery-limited rack cannot discharge more than available.
 	view.Racks[0].BatteryMax = 200
-	acts = NewPS(Options{}).Plan(view)
+	acts = plan(NewPS(Options{}), view)
 	if acts[0].Discharge != 200 {
 		t.Fatalf("battery-limited discharge = %v, want 200", acts[0].Discharge)
 	}
@@ -179,14 +185,14 @@ func TestPSPCCapsAfterLatency(t *testing.T) {
 	}
 	// First ticks: smoothing has seeded at 6000 (over budget, battery
 	// empty) but actuation is delayed.
-	acts := s.Plan(view)
+	acts := plan(s, view)
 	if acts[0].Freq != 0 {
 		t.Fatalf("cap applied with no latency: freq %v", acts[0].Freq)
 	}
 	var freq float64
 	for i := 0; i < 10; i++ {
 		view.Time += view.Tick
-		freq = s.Plan(view)[0].Freq
+		freq = plan(s, view)[0].Freq
 	}
 	if freq != 0.8 {
 		t.Fatalf("cap after latency = %v, want 0.8", freq)
@@ -206,7 +212,7 @@ func TestPSPCDoesNotCapWhenBatteryCovers(t *testing.T) {
 	var freq float64
 	for i := 0; i < 10; i++ {
 		view.Time += view.Tick
-		freq = s.Plan(view)[0].Freq
+		freq = plan(s, view)[0].Freq
 	}
 	if freq != 0 {
 		t.Fatalf("capped despite healthy battery: freq %v", freq)
@@ -224,7 +230,7 @@ func TestVDEBShiftsDutyToHealthyRacks(t *testing.T) {
 			{Demand: 4000, Budget: 3500, BatterySOC: 0.95, BatteryMax: 2000, BatteryMaxCharge: 100},
 		},
 	}
-	acts := s.Plan(view)
+	acts := plan(s, view)
 	if acts[1].Discharge <= acts[0].Discharge {
 		t.Fatalf("healthy rack should carry the duty: %v vs %v",
 			acts[1].Discharge, acts[0].Discharge)
@@ -245,7 +251,7 @@ func TestVDEBBudgetStretchBounded(t *testing.T) {
 			{Demand: 4000, Budget: 3500, BatterySOC: 1, BatteryMax: 2000, BatteryMaxCharge: 100},
 		},
 	}
-	acts := s.Plan(view)
+	acts := plan(s, view)
 	if acts[0].Budget > units.Watts(3500*1.2)+1 {
 		t.Fatalf("budget %v exceeds the 1.2x wiring stretch", acts[0].Budget)
 	}
@@ -267,7 +273,7 @@ func TestPADReportsLevels(t *testing.T) {
 			{Demand: 3000, Budget: 4000, BatterySOC: 1, BatteryMax: 2000, BatteryMaxCharge: 100, MicroSOC: 1},
 		},
 	}
-	s.Plan(view)
+	plan(s, view)
 	if s.Level() != core.Level1 {
 		t.Fatalf("healthy cluster level = %v", s.Level())
 	}
@@ -276,7 +282,7 @@ func TestPADReportsLevels(t *testing.T) {
 		view.Racks[i].BatterySOC = 0.01
 		view.Racks[i].BatteryMax = 0
 	}
-	s.Plan(view)
+	plan(s, view)
 	if s.Level() != core.Level2 {
 		t.Fatalf("drained pool level = %v, want L2", s.Level())
 	}
@@ -291,7 +297,7 @@ func TestPADReportsLevels(t *testing.T) {
 	// minutes of simulated time to see the new demand level.
 	for i := 0; i < 1800; i++ {
 		view.Time += view.Tick
-		acts = s.Plan(view)
+		acts = plan(s, view)
 	}
 	if s.Level() != core.Level3 {
 		t.Fatalf("exhausted backups level = %v, want L3", s.Level())
@@ -362,20 +368,20 @@ func TestOfflineChargingOption(t *testing.T) {
 		},
 		TotalDemand: 2000,
 	}
-	acts := s.Plan(view)
+	acts := plan(s, view)
 	if acts[0].Charge != 0 {
 		t.Fatalf("offline charger charged at SOC 0.8: %v", acts[0].Charge)
 	}
 	// Dip below threshold: charging starts.
 	view.Racks[0].BatterySOC = 0.2
-	acts = s.Plan(view)
+	acts = plan(s, view)
 	if acts[0].Charge <= 0 {
 		t.Fatal("offline charger should start below threshold")
 	}
 	// Online charger tops up whenever there is headroom.
 	on := NewPS(Options{})
 	view.Racks[0].BatterySOC = 0.8
-	acts = on.Plan(view)
+	acts = plan(on, view)
 	if acts[0].Charge <= 0 {
 		t.Fatal("online charger should charge at SOC 0.8")
 	}

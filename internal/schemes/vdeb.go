@@ -30,15 +30,6 @@ type vdebPlanner struct {
 	socs     []float64
 	alloc    []units.Watts
 	expected []units.Watts
-
-	// Quiescence scratch: the recompute-and-compare check writes a trial
-	// refresh here (never into the live allocCap/budgets), and the values
-	// a settled refresh would trace are frozen for skipPlan to synthesize
-	// the span's KindVDEBAlloc records from.
-	checkCap     []units.Watts
-	checkBudgets []units.Watts
-	qShave       units.Watts
-	qAlloc       units.Watts
 }
 
 func newVDEBPlanner(opts Options) *vdebPlanner {
@@ -54,57 +45,30 @@ func newVDEBPlanner(opts Options) *vdebPlanner {
 	}
 }
 
-// refresh recomputes discharge caps and soft limits from the current view.
+// refresh is one Algorithm-1 refresh against the current view: it
+// recomputes the per-rack discharge caps (allocCap) and soft limits
+// (budgets), sized to the rack count as needed.
 func (p *vdebPlanner) refresh(view sim.ClusterView) {
-	pShave, allocSum := p.computeInto(view, &p.allocCap, &p.budgets)
-	// Each Algorithm-1 refresh is a planning decision worth a trace
-	// record: the pool-wide shave demand against the discharge capacity
-	// the pool could actually commit (runs at the 1 s refresh cadence,
-	// not per tick, and Emit is nil-safe when tracing is off).
-	if view.Trace != nil && view.Tick > 0 {
-		view.Trace.Emit(obs.Event{
-			Tick: int64(view.Time / view.Tick),
-			Rack: -1,
-			Kind: obs.KindVDEBAlloc,
-			A:    float64(pShave),
-			B:    float64(allocSum),
-		})
-	}
-}
-
-// computeInto is one Algorithm-1 refresh computation against view,
-// writing the per-rack discharge caps into *capOut and soft limits into
-// *budgetOut (sized to the rack count as needed). refresh applies it to
-// the live planner arrays; the quiescence check applies the very same
-// code to trial arrays and compares — sharing the body is what makes the
-// recompute-and-compare certification impossible to desynchronize. It
-// returns the pool shave demand and committed discharge capacity the
-// refresh trace record reports.
-func (p *vdebPlanner) computeInto(view sim.ClusterView, capOut, budgetOut *[]units.Watts) (pShave, allocSum units.Watts) {
 	n := len(view.Racks)
 	if len(p.socs) != n {
 		p.socs = make([]float64, n)
 		p.alloc = make([]units.Watts, n)
 		p.expected = make([]units.Watts, n)
+		p.allocCap = make([]units.Watts, n)
+		p.budgets = make([]units.Watts, n)
 	}
-	if len(*capOut) != n {
-		*capOut = make([]units.Watts, n)
-	}
-	if len(*budgetOut) != n {
-		*budgetOut = make([]units.Watts, n)
-	}
-	caps, budgets := *capOut, *budgetOut
+	caps, budgets := p.allocCap, p.budgets
 	socs := p.socs
 	for i, v := range view.Racks {
 		socs[i] = v.BatterySOC
 	}
-	pShave = view.TotalDemand - view.PDUBudget
+	pShave := view.TotalDemand - view.PDUBudget
 	if pShave < 0 {
 		pShave = 0
 	}
 	alloc := p.ctrl.AllocateInto(p.alloc, socs, pShave)
 	expected := p.expected
-	var expectedSum units.Watts
+	var expectedSum, allocSum units.Watts
 	for i, v := range view.Racks {
 		cap_ := units.Min(alloc[i], v.BatteryMax)
 		cap_ = units.Min(cap_, v.Demand)
@@ -149,7 +113,19 @@ func (p *vdebPlanner) computeInto(view sim.ClusterView, capOut, budgetOut *[]uni
 			budgets[i] = units.Watts(float64(budgets[i]) * scale)
 		}
 	}
-	return pShave, allocSum
+	// Each Algorithm-1 refresh is a planning decision worth a trace
+	// record: the pool-wide shave demand against the discharge capacity
+	// the pool could actually commit (runs at the 1 s refresh cadence,
+	// not per tick, and Emit is nil-safe when tracing is off).
+	if view.Trace != nil && view.Tick > 0 {
+		view.Trace.Emit(obs.Event{
+			Tick: int64(view.Time / view.Tick),
+			Rack: -1,
+			Kind: obs.KindVDEBAlloc,
+			A:    float64(pShave),
+			B:    float64(allocSum),
+		})
+	}
 }
 
 // planInto produces the per-rack pooling actions for this tick in acts,
@@ -197,12 +173,7 @@ func NewVDEB(opts Options) *VDEB {
 // Name implements sim.Scheme.
 func (s *VDEB) Name() string { return "vDEB" }
 
-// Plan implements sim.Scheme.
-func (s *VDEB) Plan(view sim.ClusterView) []sim.Action {
-	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
-}
-
-// PlanInto implements sim.ScratchPlanner.
+// PlanInto implements sim.Scheme.
 func (s *VDEB) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 	return s.planner.planInto(view, &s.chargers, acts)
 }
@@ -223,12 +194,7 @@ func NewUDEB(opts Options) *UDEB {
 // Name implements sim.Scheme.
 func (s *UDEB) Name() string { return "uDEB" }
 
-// Plan implements sim.Scheme.
-func (s *UDEB) Plan(view sim.ClusterView) []sim.Action {
-	return s.PlanInto(view, make([]sim.Action, len(view.Racks)))
-}
-
-// PlanInto implements sim.ScratchPlanner.
+// PlanInto implements sim.Scheme.
 func (s *UDEB) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 	for i, v := range view.Racks {
 		if need := v.Demand - v.Budget; need > 0 {

@@ -26,41 +26,6 @@ func coordVirus(seed uint64, prep time.Duration) *virus.Attack {
 	})
 }
 
-// TestAttacksSingleGroupMatchesAttack pins the generalized attack-group
-// path to the legacy single-spec path: a one-entry Attacks list must be
-// bit-identical to the same spec passed as Attack.
-func TestAttacksSingleGroupMatchesAttack(t *testing.T) {
-	const racks, spr = 4, 5
-	mk := func(multi bool) *sim.Result {
-		cfg := sim.Config{
-			Racks:          racks,
-			ServersPerRack: spr,
-			Tick:           100 * time.Millisecond,
-			Duration:       90 * time.Second,
-			Background:     coordBG(racks*spr, 90*time.Second),
-			Record:         true,
-		}
-		spec := sim.AttackSpec{
-			Servers: []int{0, 1, 2},
-			Attack:  coordVirus(7, 2*time.Second),
-		}
-		if multi {
-			cfg.Attacks = []sim.AttackSpec{spec}
-		} else {
-			cfg.Attack = &spec
-		}
-		res, err := sim.Run(cfg, schemes.NewPS(schemes.Options{ServersPerRack: spr}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	single, multi := mk(false), mk(true)
-	if !reflect.DeepEqual(single, multi) {
-		t.Fatalf("Attacks=[spec] diverged from Attack=&spec:\nsingle %+v\nmulti  %+v", single, multi)
-	}
-}
-
 // TestCoordinatedAttackGroups exercises a phase-staggered multi-rack
 // campaign: three groups on three racks, each with its own controller,
 // must run deterministically, and the stagger must actually shift the
@@ -124,15 +89,7 @@ func TestAttackGroupValidation(t *testing.T) {
 		ServersPerRack: 2,
 		Duration:       time.Second,
 	}
-	spec := sim.AttackSpec{Servers: []int{0}, Attack: coordVirus(1, time.Second)}
 	scheme := schemes.NewPS(schemes.Options{ServersPerRack: 2})
-
-	both := cfg
-	both.Attack = &spec
-	both.Attacks = []sim.AttackSpec{spec}
-	if _, err := sim.Run(both, scheme); err == nil {
-		t.Fatal("Attack and Attacks together not rejected")
-	}
 
 	overlap := cfg
 	overlap.Attacks = []sim.AttackSpec{

@@ -66,7 +66,7 @@ func benchConfig(attack, record bool) sim.Config {
 		DisableTrips:   true,
 	}
 	if attack {
-		cfg.Attack = &sim.AttackSpec{
+		cfg.Attacks = []sim.AttackSpec{{
 			Servers: []int{0, 1, 2, 3},
 			Attack: virus.MustNew(virus.Config{
 				Profile:         virus.CPUIntensive,
@@ -76,7 +76,7 @@ func benchConfig(attack, record bool) sim.Config {
 				SpikesPerMinute: 6,
 				Seed:            3,
 			}),
-		}
+		}}
 	}
 	if record {
 		cfg.Record = true
@@ -119,7 +119,6 @@ func BenchmarkStepperTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -143,117 +142,11 @@ func BenchmarkStepperTickTraced(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Step(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// Worker-count variants of the full-run benchmark: the per-tick kernels
-// fan out across Config.Workers goroutines. On this 8-rack cluster the
-// kernels are small relative to the two barrier handoffs per tick, so
-// these mostly price the synchronization floor — the parallel path is
-// documented as worthwhile only for much larger clusters.
-func benchRunWorkers(b *testing.B, workers int) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(false, false)
-		cfg.Workers = workers
-		if _, err := sim.Run(cfg, newPAD()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSimRunPADWorkers2(b *testing.B) { benchRunWorkers(b, 2) }
-func BenchmarkSimRunPADWorkers4(b *testing.B) { benchRunWorkers(b, 4) }
-
-// quietConfig is the sweep-scale fast case the quiescent skip path is
-// built for: a long idle horizon — no background trace, no attack — that
-// the event-driven engine should cross in a handful of analytic spans.
-func quietConfig() sim.Config {
-	return sim.Config{
-		Racks:          benchRacks,
-		ServersPerRack: benchSPR,
-		Duration:       10 * time.Minute,
-		DisableTrips:   true,
-	}
-}
-
-// BenchmarkSimRunQuiet is the per-tick baseline over the quiet horizon:
-// 6000 engine ticks per op, none of which do anything. Its skip twin
-// below must beat it by well over the 5× floor BENCH_engine.json gates.
-func BenchmarkSimRunQuiet(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(quietConfig(), newPAD()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimRunQuietSkip is the same quiet run with SkipQuiescent on:
-// after the warm-up ticks the whole horizon collapses into analytic
-// spans, so ns/op prices setup plus a few span kernels instead of 6000
-// live ticks.
-func BenchmarkSimRunQuietSkip(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := quietConfig()
-		cfg.SkipQuiescent = true
-		if _, err := sim.Run(cfg, newPAD()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimRunSkipPAD prices the detector's rejection overhead: the
-// standard wobbly-background scenario never quiesces (the trace moves
-// every 10 s knot and the interpolation in between is live), so every
-// tick pays the cheapest-first predicate chain and then steps normally.
-// Compare against BenchmarkSimRunPAD — the delta is the cost of leaving
-// the knob on for runs that cannot use it.
-func BenchmarkSimRunSkipPAD(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := benchConfig(false, false)
-		cfg.SkipQuiescent = true
-		if _, err := sim.Run(cfg, newPAD()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStepperSkipSpan prices the analytic span kernel per elided
-// tick: a quiet horizon sized to b.N with spans capped at 64 ticks, so
-// every Step call runs the full detector and then the kernel. Setup is
-// outside the timer; ns/op is the amortized per-tick cost of skipping
-// and allocs/op must be 0 — the kernel appends only into recording
-// series pre-capped for the horizon.
-func BenchmarkStepperSkipSpan(b *testing.B) {
-	cfg := quietConfig()
-	cfg.Duration = time.Duration(b.N+1) * 100 * time.Millisecond
-	cfg.SkipQuiescent = true
-	cfg.SkipMaxSpan = 64
-	st, err := sim.NewStepper(cfg, newPAD())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for {
-		ok, err := st.Step()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !ok {
-			break
 		}
 	}
 }

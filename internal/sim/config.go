@@ -56,8 +56,8 @@ type RackView struct {
 type ClusterView struct {
 	// Time is the simulation offset.
 	Time time.Duration
-	// Tick is the step the engine advances per Plan call; schemes use it
-	// to model software reaction latency in real-time units.
+	// Tick is the step the engine advances per PlanInto call; schemes
+	// use it to model software reaction latency in real-time units.
 	Tick time.Duration
 	// TotalDemand is the sum of rack demands.
 	TotalDemand units.Watts
@@ -65,13 +65,13 @@ type ClusterView struct {
 	PDUBudget units.Watts
 	// Racks are the per-rack views. The backing array is owned by the
 	// engine and reused on every tick: it is valid only for the duration
-	// of the Plan/PlanInto call and must never be retained or mutated by
-	// the scheme. Copy any values needed across ticks.
+	// of the PlanInto call and must never be retained or mutated by the
+	// scheme. Copy any values needed across ticks.
 	Racks []RackView
 	// Trace is the engine's event tracer, or nil when tracing is
 	// disabled. Schemes may Emit planning-decision events through it
-	// (obs.Tracer is nil-safe); they must not retain it past the Plan
-	// call or flush it — the run driver owns flushing.
+	// (obs.Tracer is nil-safe); they must not retain it past the
+	// PlanInto call or flush it — the run driver owns flushing.
 	Trace *obs.Tracer
 }
 
@@ -103,22 +103,12 @@ type Action struct {
 type Scheme interface {
 	// Name identifies the scheme in reports.
 	Name() string
-	// Plan returns one Action per rack for this tick.
-	Plan(view ClusterView) []Action
-}
-
-// ScratchPlanner is the allocation-free planning path. A scheme that
-// implements it is handed a scratch slice owned by the engine — len
-// equal to len(view.Racks), zeroed before every call — and returns the
-// tick's actions in it (or in any other slice of the right length; the
-// engine consumes the returned slice before the next PlanInto call, so
-// scheme-owned buffers may be reused too). Schemes implement Plan by
-// wrapping PlanInto with a fresh slice, keeping both entry points in
-// agreement. The engine prefers PlanInto whenever it is available.
-type ScratchPlanner interface {
-	Scheme
-	// PlanInto returns one Action per rack for this tick, using scratch
-	// to avoid a per-tick allocation.
+	// PlanInto returns one Action per rack for this tick. The engine
+	// hands it a scratch slice it owns — len equal to len(view.Racks),
+	// zeroed before every call — and the scheme fills in its decisions
+	// there (or returns any other slice of the right length; the engine
+	// consumes the result before the next call, so scheme-owned buffers
+	// may be reused too). Planning therefore allocates nothing per tick.
 	PlanInto(view ClusterView, scratch []Action) []Action
 }
 
@@ -161,12 +151,11 @@ type Config struct {
 	// Racks×ServersPerRack, or nil for an idle background). Series are
 	// interpolated at tick resolution.
 	Background []*stats.Series
-	// Attack optionally injects a power virus. It is shorthand for a
-	// single-entry Attacks list and may not be combined with Attacks.
-	Attack *AttackSpec
-	// Attacks optionally injects several independently controlled virus
-	// groups — the coordinated multi-actor campaign model (many small
-	// phase-locked actors spread across racks). Each spec owns its own
+	// Attacks optionally injects power viruses: one entry per
+	// independently controlled virus group. A single attacker is a
+	// one-entry list; several entries model a coordinated multi-actor
+	// campaign (many small phase-locked actors spread across racks). Each
+	// spec owns its own
 	// closed-loop controller and server set; every controller observes
 	// capping on its own group's racks only, and a server may belong to
 	// at most one group. Recording.AttackUtil and TickStats.AttackUtil
@@ -196,43 +185,15 @@ type Config struct {
 	Record bool
 	// RecordStep is the recording resolution. 0 selects the tick.
 	RecordStep time.Duration
-	// SkipQuiescent enables the event-driven fast path: when the engine
-	// can prove a tick is a bitwise no-op except for clocks and
-	// accumulators (no attack group ramping or at a phase boundary, all
-	// batteries at rest and full, breakers only cooling, background trace
-	// frozen, scheme state at its fixed point), it advances a whole span
-	// of such ticks in one analytic kernel call instead of stepping each.
-	// Results, recordings and trace event streams are bit-identical to
-	// per-tick stepping at any Workers count (TestSkipBitIdentity); the
-	// flag only changes speed. Ignored for schemes that do not implement
-	// QuiescentPlanner or battery factories whose stores do not implement
-	// battery.Rester.
-	SkipQuiescent bool
-	// SkipMaxSpan caps how many ticks a single quiescent skip may elide
-	// (0 = bounded only by the next event and the run horizon). Useful
-	// for benchmarks and for drivers that want per-span observability at
-	// a fixed grain.
-	SkipMaxSpan int
-	// Workers enables opt-in intra-run rack parallelism: the per-rack
-	// view and apply kernels fan out over min(Workers, Racks) persistent
-	// goroutines with a barrier per phase, while every cross-rack phase
-	// (scheme planning, accumulation, charging, breakers, recording)
-	// stays on the stepping goroutine in rack order — so results are
-	// bit-identical to serial execution regardless of worker count.
-	// 0 or 1 keeps the zero-overhead serial path. Worth enabling only
-	// for large clusters; for sweeps of small runs prefer the run-level
-	// parallelism of internal/runner. A Stepper built with Workers > 1
-	// holds goroutines until Close (Run closes automatically).
-	Workers int
 	// Trace attaches an event tracer: the engine emits structured
 	// events (level transitions, breaker heat/margin crossings and
 	// trips, vDEB allocation refreshes, μDEB spike absorption, shed
 	// changes, attack phase changes) into its preallocated ring. Nil
 	// disables tracing at zero cost. Tracing never changes simulation
-	// results, and the emitted stream is identical at any Workers count:
-	// every event is emitted from a serial phase, in tick and rack
-	// order, stamped with simulation time only. The engine never flushes
-	// the tracer — the caller does, outside the tick loop.
+	// results, and the emitted stream is a pure function of the run:
+	// events come in tick and rack order, stamped with simulation time
+	// only. The engine never flushes the tracer — the caller does,
+	// outside the tick loop.
 	Trace *obs.Tracer
 }
 
@@ -294,14 +255,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: background has %d series for %d servers",
 			len(c.Background), c.Racks*c.ServersPerRack)
 	}
-	if c.Attack != nil && len(c.Attacks) > 0 {
-		return fmt.Errorf("sim: set Attack or Attacks, not both")
-	}
 	group := make([]int, c.Racks*c.ServersPerRack)
 	for i := range group {
 		group[i] = -1
 	}
-	for g, spec := range c.attackList() {
+	for g, spec := range c.Attacks {
 		if spec.Attack == nil {
 			return fmt.Errorf("sim: attack spec without controller")
 		}
@@ -318,20 +276,5 @@ func (c Config) Validate() error {
 			group[s] = g
 		}
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("sim: workers must be non-negative, got %d", c.Workers)
-	}
-	if c.SkipMaxSpan < 0 {
-		return fmt.Errorf("sim: skip max span must be non-negative, got %d", c.SkipMaxSpan)
-	}
 	return nil
-}
-
-// attackList normalizes the two attack fields into one ordered group
-// slice: Attack becomes a single-group list, Attacks is returned as is.
-func (c Config) attackList() []AttackSpec {
-	if c.Attack != nil {
-		return []AttackSpec{*c.Attack}
-	}
-	return c.Attacks
 }

@@ -139,16 +139,13 @@ func (b *bgSampler) at(s int) float64 {
 //
 // The per-tick loop is allocation-free in steady state: every buffer the
 // engine needs (soft limits, draws, the scheme's view and action slices,
-// the shed selector's scratch) is allocated once up front and reused.
-// Schemes implementing ScratchPlanner extend that guarantee through the
-// planning step; plain Plan schemes still work but allocate their own
-// action slice per tick.
+// the shed selector's scratch) is allocated once up front and reused,
+// and schemes plan into the engine's action buffer through PlanInto.
 func Run(cfg Config, scheme Scheme) (*Result, error) {
 	st, err := NewStepper(cfg, scheme)
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
 	for {
 		ok, err := st.Step()
 		if err != nil {
@@ -197,9 +194,8 @@ func newRecording(cfg Config) *Recording {
 // reusable size-k min-heap: O(n log k) per call, no allocations after
 // construction. Ties break toward the lower index, matching the
 // selection order of the original O(k·n) rescan. The selector holds only
-// private heap scratch and writes marks into a caller-provided slice, so
-// the engine keeps one selector per worker while the mark arrays live in
-// the stepper's struct-of-arrays scratch.
+// private heap scratch and writes marks into a caller-provided slice; the
+// mark arrays live in the stepper's struct-of-arrays scratch.
 type topKSelector struct {
 	heap []int
 }

@@ -27,16 +27,15 @@ func flatBackground(racks, spr int, u float64) []*stats.Series {
 type noopScheme struct{}
 
 func (noopScheme) Name() string { return "noop" }
-func (noopScheme) Plan(v ClusterView) []Action {
-	return make([]Action, len(v.Racks))
+func (noopScheme) PlanInto(_ ClusterView, acts []Action) []Action {
+	return acts
 }
 
 // shaveScheme is a minimal peak shaver used to exercise the engine.
 type shaveScheme struct{}
 
 func (shaveScheme) Name() string { return "shave" }
-func (shaveScheme) Plan(v ClusterView) []Action {
-	acts := make([]Action, len(v.Racks))
+func (shaveScheme) PlanInto(v ClusterView, acts []Action) []Action {
 	for i, r := range v.Racks {
 		if need := r.Demand - r.Budget; need > 0 {
 			acts[i].Discharge = need
@@ -70,7 +69,7 @@ func TestRunValidation(t *testing.T) {
 		t.Error("background size mismatch should fail")
 	}
 	cfg = smallConfig(time.Second)
-	cfg.Attack = &AttackSpec{Servers: []int{999}, Attack: virus.MustNew(virus.Config{Profile: virus.CPUIntensive})}
+	cfg.Attacks = []AttackSpec{{Servers: []int{999}, Attack: virus.MustNew(virus.Config{Profile: virus.CPUIntensive})}}
 	if _, err := Run(cfg, noopScheme{}); err == nil {
 		t.Error("out-of-range compromised server should fail")
 	}
@@ -146,14 +145,14 @@ func TestAttackDrivesRackOverload(t *testing.T) {
 	cfg.Background = flatBackground(4, 5, 0.5)
 	cfg.StopOnTrip = true
 	// Compromise four of rack 0's five servers.
-	cfg.Attack = &AttackSpec{
+	cfg.Attacks = []AttackSpec{{
 		Servers: []int{0, 1, 2, 3},
 		Attack: virus.MustNew(virus.Config{
 			Profile:      virus.CPUIntensive,
 			PrepDuration: 2 * time.Second,
 			MaxPhaseI:    30 * time.Second,
 		}),
-	}
+	}}
 	res, err := Run(cfg, noopScheme{})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +170,7 @@ func TestMicroDEBShavesSpikes(t *testing.T) {
 		cfg := smallConfig(8 * time.Minute)
 		cfg.Background = flatBackground(4, 5, 0.55)
 		cfg.StopOnTrip = true
-		cfg.Attack = &AttackSpec{
+		cfg.Attacks = []AttackSpec{{
 			Servers: []int{0, 1, 2, 3},
 			Attack: virus.MustNew(virus.Config{
 				Profile:         virus.CPUIntensive,
@@ -180,7 +179,7 @@ func TestMicroDEBShavesSpikes(t *testing.T) {
 				SpikeWidth:      time.Second,
 				SpikesPerMinute: 6,
 			}),
-		}
+		}}
 		// Batteries empty: only the μDEB stands between spikes and the
 		// breaker.
 		cfg.BatteryFactory = func(nameplate units.Watts) battery.Store {
@@ -268,14 +267,14 @@ func TestStopOnTrip(t *testing.T) {
 func TestTrippedRackGoesDark(t *testing.T) {
 	cfg := smallConfig(2 * time.Minute)
 	cfg.Background = flatBackground(4, 5, 0.5)
-	cfg.Attack = &AttackSpec{
+	cfg.Attacks = []AttackSpec{{
 		Servers: []int{0, 1, 2, 3},
 		Attack: virus.MustNew(virus.Config{
 			Profile:      virus.CPUIntensive,
 			PrepDuration: time.Second,
 			MaxPhaseI:    20 * time.Second,
 		}),
-	}
+	}}
 	cfg.Record = true
 	cfg.RecordStep = time.Second
 	res, err := Run(cfg, noopScheme{})
@@ -323,11 +322,12 @@ func TestShedActionReducesPower(t *testing.T) {
 	}
 }
 
-// schemeFunc adapts a function to sim.Scheme.
+// schemeFunc adapts a function to sim.Scheme; the function returns its
+// own action slice instead of filling the engine's scratch.
 type schemeFunc func(ClusterView) []Action
 
-func (schemeFunc) Name() string                  { return "func" }
-func (f schemeFunc) Plan(v ClusterView) []Action { return f(v) }
+func (schemeFunc) Name() string                                  { return "func" }
+func (f schemeFunc) PlanInto(v ClusterView, _ []Action) []Action { return f(v) }
 
 func TestDVFSCapReducesThroughputAndPower(t *testing.T) {
 	capAll := schemeFunc(func(v ClusterView) []Action {
@@ -417,7 +417,7 @@ func TestEnergyConservation(t *testing.T) {
 	// spikes; Phase I drives the victim rack over budget so they also
 	// discharge.
 	cfg.Background = flatBackground(4, 5, 0.35)
-	cfg.Attack = &AttackSpec{
+	cfg.Attacks = []AttackSpec{{
 		Servers: []int{0, 1, 2, 3},
 		Attack: virus.MustNew(virus.Config{
 			Profile:         virus.CPUIntensive,
@@ -426,7 +426,7 @@ func TestEnergyConservation(t *testing.T) {
 			SpikeWidth:      2 * time.Second,
 			SpikesPerMinute: 4,
 		}),
-	}
+	}}
 	cfg.MicroDEBFactory = func(nameplate, budget units.Watts) *core.MicroDEB {
 		return mustMicro(battery.NewMicroDEB(units.WattHours(1).Joules(), nameplate), budget)
 	}

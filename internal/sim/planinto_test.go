@@ -1,106 +1,97 @@
 package sim_test
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/schemes"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/virus"
 )
 
-// planOnly hides a scheme's PlanInto so the engine takes the legacy
-// allocate-per-tick Plan path.
-type planOnly struct{ inner sim.Scheme }
-
-func (p planOnly) Name() string                           { return p.inner.Name() }
-func (p planOnly) Plan(view sim.ClusterView) []sim.Action { return p.inner.Plan(view) }
-
-// planOnlyWithLevel keeps the security level visible (PAD), so the
-// recorded Levels series is identical on both paths.
-type planOnlyWithLevel struct {
-	planOnly
-	lr sim.LevelReporter
+// scratchProbe checks the engine's side of the PlanInto contract on every
+// call: the scratch slice must hold exactly len(view.Racks) entries, all
+// zero. It then writes a valid, non-zero action into every entry, so an
+// engine that forgot to re-zero its buffer shows up on the next tick.
+type scratchProbe struct {
+	calls int
+	err   error
 }
 
-func (p planOnlyWithLevel) Level() core.Level { return p.lr.Level() }
+func (p *scratchProbe) Name() string { return "probe" }
 
-func hidePlanInto(s sim.Scheme) sim.Scheme {
-	if lr, ok := s.(sim.LevelReporter); ok {
-		return planOnlyWithLevel{planOnly{s}, lr}
-	}
-	return planOnly{s}
-}
-
-func planIntoConfig() sim.Config {
-	const racks, spr = 3, 5
-	horizon := 12 * time.Second
-	bg := make([]*stats.Series, racks*spr)
-	rng := stats.NewRNG(23)
-	for i := range bg {
-		r := rng.Split(uint64(i))
-		s := stats.NewSeries(time.Second)
-		for k := 0; k <= int(horizon/time.Second)+1; k++ {
-			s.Append(0.35 + 0.4*r.Float64())
+func (p *scratchProbe) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action {
+	p.calls++
+	if p.err == nil {
+		if len(scratch) != len(view.Racks) {
+			p.err = fmt.Errorf("tick %d: scratch has %d entries for %d racks",
+				p.calls, len(scratch), len(view.Racks))
 		}
-		bg[i] = s
+		for i, a := range scratch {
+			if a != (sim.Action{}) {
+				p.err = fmt.Errorf("tick %d: scratch[%d] not zeroed: %+v", p.calls, i, a)
+				break
+			}
+		}
 	}
-	return sim.Config{
-		Key:            "planinto/equivalence",
-		Racks:          racks,
-		ServersPerRack: spr,
-		Tick:           100 * time.Millisecond,
-		Duration:       horizon,
-		Background:     bg,
-		Record:         true,
-		Attack: &sim.AttackSpec{
-			Servers: []int{0, 1, 5},
-			Attack: virus.MustNew(virus.Config{
-				Profile:         virus.CPUIntensive,
-				PrepDuration:    time.Second,
-				MaxPhaseI:       3 * time.Second,
-				SpikeWidth:      time.Second,
-				SpikesPerMinute: 15,
-				Seed:            9,
-			}),
-		},
+	for i, v := range view.Racks {
+		scratch[i] = sim.Action{
+			Discharge:   1,
+			Freq:        0.9,
+			ShedServers: 1,
+			Charge:      1,
+			MicroCharge: 1,
+			Budget:      v.Budget,
+		}
 	}
+	return scratch
 }
 
-// TestPlanIntoMatchesPlan is the ScratchPlanner contract check: for
-// every scheme, a run through the zero-allocation PlanInto path must
-// produce a Result deeply equal — recordings included — to a run where
-// the engine is forced onto the legacy Plan path. Schemes implement
-// Plan as a PlanInto wrapper, so any divergence means a scratch buffer
-// leaked state between ticks.
-func TestPlanIntoMatchesPlan(t *testing.T) {
-	makers := map[string]func() sim.Scheme{
-		"Conv": func() sim.Scheme { return schemes.NewConv(schemes.Options{}) },
-		"PS":   func() sim.Scheme { return schemes.NewPS(schemes.Options{}) },
-		"PSPC": func() sim.Scheme { return schemes.NewPSPC(schemes.Options{}) },
-		"uDEB": func() sim.Scheme { return schemes.NewUDEB(schemes.Options{}) },
-		"vDEB": func() sim.Scheme { return schemes.NewVDEB(schemes.Options{}) },
-		"PAD":  func() sim.Scheme { return schemes.NewPAD(schemes.Options{}) },
+// TestPlanIntoScratchZeroed pins the engine's half of the planning
+// contract through both entry points: Run (Step with trace-driven demand)
+// and Advance with externally supplied demand, as the online daemon calls
+// it.
+func TestPlanIntoScratchZeroed(t *testing.T) {
+	cfg := sim.Config{
+		Racks:          3,
+		ServersPerRack: 5,
+		Tick:           100 * time.Millisecond,
+		Duration:       5 * time.Second,
+		Attacks: []sim.AttackSpec{{
+			Servers: []int{0, 1, 5},
+			Attack:  virus.MustNew(virus.Config{Profile: virus.CPUIntensive, Seed: 3}),
+		}},
 	}
-	for name, mk := range makers {
-		t.Run(name, func(t *testing.T) {
-			if _, ok := mk().(sim.ScratchPlanner); !ok {
-				t.Fatalf("%s does not implement sim.ScratchPlanner", name)
-			}
-			fast, err := sim.Run(planIntoConfig(), mk())
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy, err := sim.Run(planIntoConfig(), hidePlanInto(mk()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(fast, legacy) {
-				t.Fatalf("%s: PlanInto path and Plan path produced different Results", name)
-			}
-		})
+	probe := &scratchProbe{}
+	if _, err := sim.Run(cfg, probe); err != nil {
+		t.Fatal(err)
+	}
+	if probe.err != nil {
+		t.Fatalf("Run: %v", probe.err)
+	}
+	if probe.calls != 50 {
+		t.Fatalf("Run planned %d ticks, want 50", probe.calls)
+	}
+
+	cfg.Attacks = nil
+	probe = &scratchProbe{}
+	st, err := sim.NewStepper(cfg, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := make([]float64, st.TotalServers())
+	for i := range demand {
+		demand[i] = 0.6
+	}
+	for !st.Done() {
+		if err := st.Advance(demand); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if probe.err != nil {
+		t.Fatalf("Advance: %v", probe.err)
+	}
+	if probe.calls != 50 {
+		t.Fatalf("Advance planned %d ticks, want 50", probe.calls)
 	}
 }

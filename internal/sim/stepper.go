@@ -23,19 +23,15 @@ import (
 // indexed by rack) and the per-tick work is organized as batched kernels
 // over those arrays: a view kernel (demand fill + rack observation), an
 // apply kernel (shedding, DVFS power, battery and μDEB stepping), and a
-// serial reduce that folds per-rack kernel outputs into the run
-// accumulators in exactly the order the historical single loop used —
-// which is what keeps results bit-identical across the refactor and
-// across worker counts (racks only couple through the already-serial
-// scheme/vDEB phase, the charge pass, and the reduce).
+// reduce that folds per-rack kernel outputs into the run accumulators in
+// exactly the order the historical single loop used — which is what
+// keeps results bit-identical across the refactor (racks only couple
+// through the scheme/vDEB phase, the charge pass, and the reduce).
 //
 // A Stepper inherits sim's concurrency contract: it is confined to one
 // goroutine at a time. The observability accessors (Stats, Now, Ticks)
 // are likewise not synchronized — callers that publish them across
-// goroutines must do their own handoff. With Config.Workers > 1 the
-// stepper owns a pool of persistent worker goroutines that are quiescent
-// outside Advance; call Close when done with a stepper to release them
-// (Run does this itself).
+// goroutines must do their own handoff.
 type Stepper struct {
 	cfg    Config
 	scheme Scheme
@@ -78,11 +74,11 @@ type Stepper struct {
 	limits    []units.Watts
 	draws     []units.Watts
 	actsBuf   []Action
-	topK      []*topKSelector // one per worker; serial uses topK[0]
+	topK      *topKSelector
 	bg        bgSampler
 
 	// Per-server and per-rack kernel outputs, filled by the view and
-	// apply kernels and folded by the serial reduce. serverPower holds
+	// apply kernels and folded by the reduce. serverPower holds
 	// each server's unshed draw at its rack's operating point: the view
 	// kernel writes the full-frequency value, and the apply kernel
 	// overwrites it only for DVFS-capped racks, so an uncapped server's
@@ -95,27 +91,10 @@ type Stepper struct {
 	rackMicro   []units.Joules
 	rackDark    []bool
 
-	// Transient per-tick kernel inputs, set by Advance before the
-	// kernels run (fields rather than arguments so the worker pool can
-	// call fixed methods without per-tick closures).
-	curDemand  []float64
-	curActions []Action
-
 	powerFull powersim.PowerCoef // frequency-1 power coefficients
-	pool      *rackPool          // nil unless Workers > 1 engaged a pool
 
-	scratchScheme ScratchPlanner
-	hasScratch    bool
-	levelScheme   LevelReporter
-	hasLevel      bool
-
-	// Quiescent fast path (nil quiet = disabled): the scheme's planner
-	// contract extension, the batteries' fixed-point probes, and span
-	// counters for observability (see skip.go).
-	quiet     QuiescentPlanner
-	resters   []battery.Rester
-	skipSpans int64
-	skipTicks int64
+	levelScheme LevelReporter
+	hasLevel    bool
 
 	demandedWork, deliveredWork float64
 	shedSum                     float64
@@ -130,13 +109,12 @@ type Stepper struct {
 	lastShedWatts units.Watts
 	lastAttackU   float64
 
-	// Event tracing (nil tracer = disabled). Every emission point sits in
-	// a serial phase of the tick — the attack step, the planning phase,
-	// the reduce, the breaker pass — so the event stream is identical at
-	// any Workers count: kernel-phase observations (μDEB shaving) ride
-	// the per-rack SoA outputs and are emitted by the reduce in rack
-	// order. The edge-tracking state below is written only when tracing
-	// is on; it never feeds back into the simulation.
+	// Event tracing (nil tracer = disabled). Events are emitted from the
+	// attack step, the planning phase, the reduce and the breaker pass,
+	// in tick and rack order; kernel-phase observations (μDEB shaving)
+	// ride the per-rack SoA outputs and are emitted by the reduce. The
+	// edge-tracking state below is written only when tracing is on; it
+	// never feeds back into the simulation.
 	tracer         *obs.Tracer
 	traceLevel     core.Level
 	tracePhases    []virus.Phase // one per attack group
@@ -200,7 +178,7 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	// Compromised-server index: a per-server group-id slice for the
 	// demand loop and each group's distinct racks for its controller's
 	// capped-observation scan — no map lookups on the hot path.
-	if specs := cfg.attackList(); len(specs) > 0 {
+	if specs := cfg.Attacks; len(specs) > 0 {
 		st.attacks = specs
 		st.groupRacks = make([][]int, len(specs))
 		st.groupU = make([]float64, len(specs))
@@ -257,26 +235,10 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	st.rackMicro = make([]units.Joules, cfg.Racks)
 	st.rackDark = make([]bool, cfg.Racks)
 	st.powerFull = cfg.Server.PowerCoef(1)
-
-	workers := cfg.Workers
-	if workers > cfg.Racks {
-		workers = cfg.Racks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	st.topK = make([]*topKSelector, workers)
-	for w := range st.topK {
-		st.topK[w] = newTopKSelector(cfg.ServersPerRack)
-	}
-	if workers > 1 {
-		st.pool = newRackPool(st, workers)
-	}
+	st.topK = newTopKSelector(cfg.ServersPerRack)
 
 	st.bg = newBGSampler(cfg.Background)
-	st.scratchScheme, st.hasScratch = scheme.(ScratchPlanner)
 	st.levelScheme, st.hasLevel = scheme.(LevelReporter)
-	st.initSkip()
 
 	st.tracer = cfg.Trace
 	if st.tracer != nil {
@@ -292,17 +254,10 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	return st, nil
 }
 
-// Close releases the stepper's worker pool, if any. It is idempotent and
-// safe on a serial stepper; a closed stepper falls back to serial
-// in-place execution if advanced again. Run closes its stepper itself;
-// callers that construct a Stepper with Config.Workers > 1 directly are
-// responsible for calling Close.
-func (st *Stepper) Close() {
-	if st.pool != nil {
-		st.pool.close()
-		st.pool = nil
-	}
-}
+// Close is a no-op: a stepper holds no goroutines or other resources
+// beyond its memory. It is kept so that drivers written against the
+// Stepper lifecycle (NewStepper, Step or Advance, Close) need not change.
+func (st *Stepper) Close() {}
 
 // Done reports whether the run has finished: the horizon is exhausted,
 // or StopOnTrip ended it at the first breaker trip.
@@ -392,18 +347,9 @@ func (st *Stepper) ComputeDemand() []float64 {
 // Step advances one tick with trace-derived demand (ComputeDemand +
 // Advance). It reports false, nil without advancing once the run is
 // done; Run is exactly a loop over Step.
-//
-// With Config.SkipQuiescent set (and a scheme/battery stack that
-// supports it), Step may instead advance a whole span of provably no-op
-// ticks in one analytic call — results, recordings and trace streams are
-// bit-identical either way, and one Step call still returns true per
-// span. Online drivers that call Advance directly never skip.
 func (st *Stepper) Step() (bool, error) {
 	if st.Done() {
 		return false, nil
-	}
-	if st.quiet != nil && st.skipAhead() {
-		return true, nil
 	}
 	if err := st.Advance(st.ComputeDemand()); err != nil {
 		return false, err
@@ -411,15 +357,15 @@ func (st *Stepper) Step() (bool, error) {
 	return true, nil
 }
 
-// viewKernel fills rack i's electrical demand and observation view. It
-// touches only rack-i state (its battery, its view slot), so distinct
-// racks run concurrently under the worker pool.
-func (st *Stepper) viewKernel(i int) {
+// viewKernel fills rack i's electrical demand and observation view from
+// the tick's per-server demand. It touches only rack-i state (its
+// battery, its view slot).
+func (st *Stepper) viewKernel(demandU []float64, i int) {
 	cfg := &st.cfg
 	base := i * cfg.ServersPerRack
 	full := st.serverPower[base : base+cfg.ServersPerRack]
 	var demand units.Watts
-	for s, u := range st.curDemand[base : base+cfg.ServersPerRack] {
+	for s, u := range demandU[base : base+cfg.ServersPerRack] {
 		p := st.powerFull.Power(u)
 		full[s] = p
 		demand += p
@@ -443,12 +389,10 @@ func (st *Stepper) viewKernel(i int) {
 // applyKernel executes rack i's share of the action pass: frequency and
 // shed clamping, top-k shed selection, server power summation, breaker
 // restore bookkeeping, battery discharge/idle and μDEB shaving. All
-// global accumulation is deferred to the serial reduce; the kernel
-// writes only rack-i slots (and its worker-private selector), so
-// distinct racks run concurrently under the worker pool.
-func (st *Stepper) applyKernel(worker, i int) {
+// global accumulation is deferred to the reduce; the kernel writes only
+// rack-i slots.
+func (st *Stepper) applyKernel(demandU []float64, act Action, i int) {
 	cfg := &st.cfg
-	act := st.curActions[i]
 	freq := act.Freq
 	if freq == 0 {
 		freq = 1
@@ -473,7 +417,7 @@ func (st *Stepper) applyKernel(worker, i int) {
 	// power (and any resident attacker) is.
 	base := i * cfg.ServersPerRack
 	order := st.marks[base : base+cfg.ServersPerRack]
-	st.topK[worker].markInto(order, st.curDemand[base:base+cfg.ServersPerRack], shed)
+	st.topK.markInto(order, demandU[base:base+cfg.ServersPerRack], shed)
 
 	// At full frequency the view kernel's per-server power is already
 	// this rack's; a capped rack re-evaluates at its own operating point,
@@ -481,7 +425,7 @@ func (st *Stepper) applyKernel(worker, i int) {
 	pw := st.serverPower[base : base+cfg.ServersPerRack]
 	if freq != 1 {
 		pc := cfg.Server.PowerCoef(freq)
-		for s, u := range st.curDemand[base : base+cfg.ServersPerRack] {
+		for s, u := range demandU[base : base+cfg.ServersPerRack] {
 			pw[s] = pc.Power(u)
 		}
 	}
@@ -559,24 +503,19 @@ func (st *Stepper) Advance(demandU []float64) error {
 	now := st.now
 	tick := int64(st.ticks) // 0-based index of the tick being advanced
 	st.ticks++
-	st.curDemand = demandU
 
 	// Per-rack electrical demand at full frequency (view kernel over the
 	// rack arrays).
-	if st.pool != nil {
-		st.pool.run(phaseViews)
-	} else {
-		for i := 0; i < cfg.Racks; i++ {
-			st.viewKernel(i)
-		}
+	for i := 0; i < cfg.Racks; i++ {
+		st.viewKernel(demandU, i)
 	}
 	var totalDemand units.Watts
 	for i := range st.views {
 		totalDemand += st.views[i].Demand
 	}
 
-	// 3. Scheme decides. ScratchPlanner schemes fill the engine's
-	// reusable action buffer; plain schemes allocate their own.
+	// 3. Scheme decides into the engine's reusable action buffer, zeroed
+	// first so no decision leaks from the previous tick.
 	view := ClusterView{
 		Time:        now,
 		Tick:        cfg.Tick,
@@ -585,20 +524,14 @@ func (st *Stepper) Advance(demandU []float64) error {
 		Racks:       st.views,
 		Trace:       st.tracer,
 	}
-	var actions []Action
-	if st.hasScratch {
-		for i := range st.actsBuf {
-			st.actsBuf[i] = Action{}
-		}
-		actions = st.scratchScheme.PlanInto(view, st.actsBuf)
-	} else {
-		actions = st.scheme.Plan(view)
+	for i := range st.actsBuf {
+		st.actsBuf[i] = Action{}
 	}
+	actions := st.scheme.PlanInto(view, st.actsBuf)
 	if len(actions) != cfg.Racks {
 		return fmt.Errorf("sim: scheme %s returned %d actions for %d racks",
 			st.scheme.Name(), len(actions), cfg.Racks)
 	}
-	st.curActions = actions
 	if st.tracer != nil && st.hasLevel {
 		if lvl := st.levelScheme.Level(); lvl != st.traceLevel {
 			st.tracer.Emit(obs.Event{
@@ -628,16 +561,11 @@ func (st *Stepper) Advance(demandU []float64) error {
 	}
 
 	// 4b. Apply actions rack by rack: the apply kernel computes every
-	// rack-local quantity (parallel under the pool), then a serial
-	// reduce folds the per-rack outputs into the run accumulators in
-	// exactly the order the historical single loop used, keeping every
-	// floating-point sum bit-identical at any worker count.
-	if st.pool != nil {
-		st.pool.run(phaseApply)
-	} else {
-		for i := 0; i < cfg.Racks; i++ {
-			st.applyKernel(0, i)
-		}
+	// rack-local quantity, then a reduce folds the per-rack outputs into
+	// the run accumulators in exactly the order the historical single
+	// loop used, keeping every floating-point sum bit-identical.
+	for i := 0; i < cfg.Racks; i++ {
+		st.applyKernel(demandU, actions[i], i)
 	}
 
 	var totalGrid units.Watts
@@ -671,7 +599,7 @@ func (st *Stepper) Advance(demandU []float64) error {
 		}
 
 		st.res.EnergyServed += st.rackPower[i].Energy(cfg.Tick)
-		if st.curActions[i].Discharge > 0 {
+		if actions[i].Discharge > 0 {
 			got := st.rackGot[i]
 			st.res.EnergyFromBatteries += got.Energy(cfg.Tick)
 			if got > st.res.MaxRackDischarge {
@@ -702,7 +630,7 @@ func (st *Stepper) Advance(demandU []float64) error {
 	// battery gets exactly one state-advancing call per tick: racks
 	// that discharged (or are dark) were stepped in pass 4; racks
 	// whose charge request cannot be granted idle instead. Headroom
-	// hands down sequentially, so this pass stays serial.
+	// hands down sequentially, in rack order.
 	headroom := st.pduBudget - totalGrid
 	for i := 0; i < cfg.Racks; i++ {
 		act := actions[i]

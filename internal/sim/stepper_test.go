@@ -33,7 +33,7 @@ func stepperConfig() sim.Config {
 		Background:      bg,
 		Record:          true,
 		MicroDEBFactory: schemes.MicroDEBFactory(0.01),
-		Attack: &sim.AttackSpec{
+		Attacks: []sim.AttackSpec{{
 			Servers: []int{0, 1, 5},
 			Attack: virus.MustNew(virus.Config{
 				Profile:         virus.CPUIntensive,
@@ -43,7 +43,7 @@ func stepperConfig() sim.Config {
 				SpikesPerMinute: 15,
 				Seed:            9,
 			}),
-		},
+		}},
 	}
 }
 

@@ -6,9 +6,50 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/virus"
 )
+
+// tracedConfig is an 8-rack cluster with recording on, μDEBs deployed
+// and an attack in flight, so every engine path that emits events is
+// exercised.
+func tracedConfig() sim.Config {
+	const racks, spr = 8, 4
+	horizon := 10 * time.Second
+	bg := make([]*stats.Series, racks*spr)
+	rng := stats.NewRNG(97)
+	for i := range bg {
+		r := rng.Split(uint64(i))
+		s := stats.NewSeries(time.Second)
+		for k := 0; k <= int(horizon/time.Second)+1; k++ {
+			s.Append(0.35 + 0.4*r.Float64())
+		}
+		bg[i] = s
+	}
+	return sim.Config{
+		Key:             "sim/traced",
+		Racks:           racks,
+		ServersPerRack:  spr,
+		Tick:            100 * time.Millisecond,
+		Duration:        horizon,
+		Background:      bg,
+		Record:          true,
+		MicroDEBFactory: schemes.MicroDEBFactory(0.01),
+		Attacks: []sim.AttackSpec{{
+			Servers: []int{0, 1, 9, 17},
+			Attack: virus.MustNew(virus.Config{
+				Profile:         virus.CPUIntensive,
+				PrepDuration:    time.Second,
+				MaxPhaseI:       3 * time.Second,
+				SpikeWidth:      time.Second,
+				SpikesPerMinute: 15,
+				Seed:            9,
+			}),
+		}},
+	}
+}
 
 // TestTracedRunBitIdentical pins the tracing layer's first contract: for
 // every scheme, attaching a tracer changes nothing about the simulation —
@@ -17,11 +58,11 @@ import (
 func TestTracedRunBitIdentical(t *testing.T) {
 	for name, mk := range stepperMakers() {
 		t.Run(name, func(t *testing.T) {
-			base, err := sim.Run(workersConfig(), mk())
+			base, err := sim.Run(tracedConfig(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := workersConfig()
+			cfg := tracedConfig()
 			cfg.Trace = obs.NewTracer(0)
 			got, err := sim.Run(cfg, mk())
 			if err != nil {
@@ -45,80 +86,12 @@ func TestTracedRunBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceWorkersIdentical pins the second contract: the event stream is
-// a pure function of the run, identical at every worker count. All
-// emission points live in serial phases (kernel-phase observations ride
-// the per-rack SoA outputs and are folded by the serial reduce), so this
-// must hold exactly, not approximately. Run under -race in CI.
-func TestTraceWorkersIdentical(t *testing.T) {
-	run := func(workers int) []obs.Event {
-		cfg := workersConfig()
-		cfg.Workers = workers
-		cfg.Trace = obs.NewTracer(0)
-		if _, err := sim.Run(cfg, stepperMakers()["PAD"]()); err != nil {
-			t.Fatal(err)
-		}
-		return cfg.Trace.Events()
-	}
-	base := run(0)
-	if len(base) == 0 {
-		t.Fatal("attacked PAD run emitted no events")
-	}
-	for _, workers := range []int{1, 4, 8} {
-		if got := run(workers); !reflect.DeepEqual(base, got) {
-			t.Fatalf("Workers=%d event stream diverged from serial:\nserial %d events, parallel %d",
-				workers, len(base), len(got))
-		}
-	}
-}
-
-// TestTraceSkipIdentical pins the tracing side of the quiescent fast
-// path's contract: with SkipQuiescent on, a traced run must produce the
-// same Result AND the same event stream as the per-tick traced run.
-// Quiescent ticks emit nothing (every engine emission is edge-triggered
-// and a quiescent span has no edges), so the only events inside a span
-// are the ones SkipPlan synthesizes — for vDEB and PAD, the 1 s refresh's
-// KindVDEBAlloc records, which must land at the same ticks with the same
-// values as the live refreshes they replace.
-func TestTraceSkipIdentical(t *testing.T) {
-	for scen, mkCfg := range skipScenarios() {
-		for name, mk := range stepperMakers() {
-			t.Run(scen+"/"+name, func(t *testing.T) {
-				base := mkCfg()
-				base.Trace = obs.NewTracer(0)
-				baseRes, err := sim.Run(base, mk())
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := mkCfg()
-				cfg.SkipQuiescent = true
-				cfg.Trace = obs.NewTracer(0)
-				gotRes, err := sim.Run(cfg, mk())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if base.Trace.Dropped() != 0 || cfg.Trace.Dropped() != 0 {
-					t.Fatalf("ring overflowed (%d/%d dropped); comparison needs complete streams",
-						base.Trace.Dropped(), cfg.Trace.Dropped())
-				}
-				if !reflect.DeepEqual(baseRes, gotRes) {
-					t.Fatalf("%s/%s: skip run result diverged under tracing", scen, name)
-				}
-				if !reflect.DeepEqual(base.Trace.Events(), cfg.Trace.Events()) {
-					t.Fatalf("%s/%s: skip run event stream diverged: per-tick %d events, skip %d",
-						scen, name, base.Trace.Len(), cfg.Trace.Len())
-				}
-			})
-		}
-	}
-}
-
 // TestTraceStreamShape sanity-checks the semantics of the emitted stream
 // on an attacked PAD run: ticks are non-decreasing, the attack walks
 // Preparation→Phase-I→Phase-II, the initial level assignment is emitted
 // with old level 0, and run-minimum margins only ever ratchet down.
 func TestTraceStreamShape(t *testing.T) {
-	cfg := workersConfig()
+	cfg := tracedConfig()
 	cfg.Trace = obs.NewTracer(0)
 	if _, err := sim.Run(cfg, stepperMakers()["PAD"]()); err != nil {
 		t.Fatal(err)

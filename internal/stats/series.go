@@ -70,58 +70,6 @@ func (s *Series) Interp(t time.Duration) float64 {
 	return s.Values[lo]*(1-frac) + s.Values[lo+1]*frac
 }
 
-// InterpFrozenTicks returns how long the interpolated value stays
-// bitwise-frozen: the largest n such that Interp(from + k·tick) is
-// bit-identical to Interp(from) for every k in 1..n. math.MaxInt means
-// frozen forever (an empty series, or from at or past the final sample,
-// where Interp clamps — offsets only grow during a run).
-//
-// Only two shapes are provably frozen in float64 bits: the end clamps,
-// and a leading run of exactly-zero samples (v·(1−frac) + v·frac equals
-// v in general only for v = +0). Flat non-zero segments are NOT
-// reported frozen — their lerp can differ from the sample value by an
-// ULP — so the result is conservative: 0 simply means the caller must
-// sample per tick.
-func (s *Series) InterpFrozenTicks(from, tick time.Duration) int {
-	if len(s.Values) == 0 {
-		return math.MaxInt
-	}
-	if tick <= 0 {
-		return 0
-	}
-	// Past-end clamp, tested with the very comparison Interp performs so
-	// the two can never disagree at the boundary.
-	last := len(s.Values) - 1
-	if float64(from)/float64(s.Step) >= float64(last) {
-		return math.MaxInt
-	}
-	if math.Float64bits(s.Interp(from)) != 0 {
-		return 0
-	}
-	// Leading zero run: both lerp endpoints are +0 while the position
-	// stays at or below the last zero sample, so the result is +0 bits.
-	j := 0
-	for j < len(s.Values) && math.Float64bits(s.Values[j]) == 0 {
-		j++
-	}
-	if j == len(s.Values) {
-		return math.MaxInt // all-zero series
-	}
-	// Largest k with from + k·tick inside the zero run, by integer
-	// duration math; then back off while Interp's float positioning
-	// disagrees (rounding at the run boundary). Frozenness is monotone in
-	// k here, so verifying the endpoint covers the interior.
-	maxT := time.Duration(j-1) * s.Step
-	if maxT <= from {
-		return 0 // a zero value mid-trace, not in the leading run
-	}
-	k := int((maxT - from) / tick)
-	for k > 0 && math.Float64bits(s.Interp(from+time.Duration(k)*tick)) != 0 {
-		k--
-	}
-	return k
-}
-
 // Max returns the largest sample, or 0 for an empty series.
 func (s *Series) Max() float64 {
 	_, hi := MinMax(s.Values)

@@ -286,111 +286,6 @@ func (a *Attack) stepJitteredSpikes(inPhase time.Duration, period time.Duration,
 	return a.ramp(a.cfg.RestFraction, dt)
 }
 
-// Quiescent reports whether one Step(dt, Observation{Capped: capped})
-// would change nothing but the elapsed clock and return the identical
-// utilization: the ramp sits at its floating-point fixed point for the
-// current phase's target, the observation drives no counter, and the
-// step stays strictly inside the current phase segment (no transition,
-// no spike start or end, no RNG draw). While Quiescent holds, a run of
-// such steps collapses to Skip.
-func (a *Attack) Quiescent(capped bool, dt time.Duration) bool {
-	if a.NextEvent(capped, dt) < 1 {
-		return false
-	}
-	switch a.phase {
-	case Preparation:
-		return a.rampSettled(0.05, dt)
-	case PhaseI:
-		if capped || a.cappedTicks != 0 {
-			// A capped tick advances the confirmation counter; an uncapped
-			// tick after capped ones resets it. Either is a state change.
-			return false
-		}
-		return a.rampSettled(a.cfg.Profile.SustainFraction, dt)
-	case PhaseII:
-		inPhase := a.elapsed - a.phaseStart
-		period := time.Duration(float64(time.Minute) / a.cfg.SpikesPerMinute)
-		if a.cfg.PhaseJitter > 0 {
-			if a.spiking {
-				return a.rampSettled(a.spikeTarget, dt)
-			}
-			return a.rampSettled(a.cfg.RestFraction, dt)
-		}
-		if inPhase%period < a.cfg.SpikeWidth {
-			// Mid-spike: quiescent only once this spike's start tick (which
-			// rolls the jitter RNG) has already executed.
-			return int(inPhase/period) == a.lastSpikeID && a.rampSettled(a.spikeTarget, dt)
-		}
-		return a.rampSettled(a.cfg.RestFraction, dt)
-	}
-	return false
-}
-
-// NextEvent returns how many consecutive Steps of dt from the current
-// state stay strictly inside the current phase segment — the attack's
-// event horizon in ticks. The Step at that horizon (a phase transition,
-// spike boundary, or RNG draw) must run live; callers skip fewer ticks
-// than the horizon.
-func (a *Attack) NextEvent(capped bool, dt time.Duration) int {
-	if dt <= 0 {
-		return 0
-	}
-	inPhase := a.elapsed - a.phaseStart
-	switch a.phase {
-	case Preparation:
-		return ticksUntil(a.cfg.PrepDuration-a.elapsed, dt)
-	case PhaseI:
-		if capped {
-			// Each capped tick moves the confirmation counter; no horizon.
-			return 0
-		}
-		return ticksUntil(a.cfg.MaxPhaseI-inPhase, dt)
-	case PhaseII:
-		period := time.Duration(float64(time.Minute) / a.cfg.SpikesPerMinute)
-		if a.cfg.PhaseJitter > 0 {
-			if a.spiking {
-				return ticksUntil(a.spikeEndAt-inPhase, dt)
-			}
-			return ticksUntil(a.nextSpikeAt-inPhase, dt)
-		}
-		if off := inPhase % period; off < a.cfg.SpikeWidth {
-			return ticksUntil(a.cfg.SpikeWidth-off, dt)
-		}
-		return ticksUntil(period-inPhase%period, dt)
-	}
-	return 0
-}
-
-// Skip advances the attack clock by n ticks of dt without stepping: the
-// exact residue of n quiescent Steps, whose only effect is the deferred
-// elapsed accumulation.
-func (a *Attack) Skip(n int, dt time.Duration) {
-	a.elapsed += time.Duration(n) * dt
-}
-
-// ticksUntil converts a remaining duration to a whole-tick horizon: the
-// number of dt steps that start strictly before the boundary.
-func ticksUntil(remaining, dt time.Duration) int {
-	if remaining <= 0 {
-		return 0
-	}
-	return int((remaining + dt - 1) / dt)
-}
-
-// rampSettled reports whether ramp(target, dt) would return a.reached
-// unchanged — the first-order filter has converged to its floating-point
-// fixed point for this target.
-func (a *Attack) rampSettled(target float64, dt time.Duration) bool {
-	tau := a.cfg.Profile.RampTime.Seconds()
-	if tau <= 0 {
-		return a.reached == target
-	}
-	if !a.alphaKey.Hit(dt) {
-		a.alpha = 1 - math.Exp(-dt.Seconds()/tau)
-	}
-	return a.reached+(target-a.reached)*a.alpha == a.reached
-}
-
 // SpikesLaunched reports how many Phase-II spikes have started.
 func (a *Attack) SpikesLaunched() int { return a.lastSpikeID + 1 }
 

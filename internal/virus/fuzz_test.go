@@ -81,10 +81,10 @@ func FuzzVirusProfile(f *testing.F) {
 			Tick:           tick,
 			Duration:       3 * time.Second,
 			Background:     bg,
-			Attack: &sim.AttackSpec{
+			Attacks: []sim.AttackSpec{{
 				Servers: []int{0, 1},
 				Attack:  virus.MustNew(cfg), // fresh controller; atk above is spent
-			},
+			}},
 		}, schemes.NewPS(schemes.Options{}))
 		if err != nil {
 			t.Fatalf("engine rejected a validated attack config: %v", err)

@@ -11,7 +11,9 @@
 //	cfg := padsec.ClusterConfig{
 //		Duration:   10 * time.Minute,
 //		Background: padsec.FlatBackground(220, 0.55),
-//		Attack:     padsec.NewAttack(4, padsec.AttackConfig{Profile: padsec.CPUIntensive}),
+//		Attacks: []padsec.AttackSpec{
+//			padsec.NewAttack(4, padsec.AttackConfig{Profile: padsec.CPUIntensive}),
+//		},
 //		StopOnTrip: true,
 //	}
 //	res, err := padsec.Run(cfg, padsec.NewPAD(padsec.SchemeOptions{}))
@@ -188,13 +190,14 @@ var (
 )
 
 // NewAttack places a two-phase power virus on the first n servers of rack
-// 0 (the usual victim in the paper's experiments).
-func NewAttack(n int, cfg AttackConfig) *AttackSpec {
+// 0 (the usual victim in the paper's experiments). List the result in
+// ClusterConfig.Attacks.
+func NewAttack(n int, cfg AttackConfig) AttackSpec {
 	servers := make([]int, n)
 	for i := range servers {
 		servers[i] = i
 	}
-	return &AttackSpec{Servers: servers, Attack: virus.MustNew(cfg)}
+	return AttackSpec{Servers: servers, Attack: virus.MustNew(cfg)}
 }
 
 // FlatBackground builds per-server utilization series pinned at mean —

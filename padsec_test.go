@@ -16,11 +16,11 @@ func TestFacadeQuickAttackRun(t *testing.T) {
 		Duration:       5 * time.Minute,
 		Tick:           200 * time.Millisecond,
 		Background:     FlatBackground(10, 0.5),
-		Attack: NewAttack(3, AttackConfig{
+		Attacks: []AttackSpec{NewAttack(3, AttackConfig{
 			Profile:      CPUIntensive,
 			PrepDuration: time.Second,
 			MaxPhaseI:    2 * time.Minute,
-		}),
+		})},
 		StopOnTrip: true,
 	}
 	conv, err := Run(cfg, NewConv(SchemeOptions{ServersPerRack: 5}))
