@@ -7,11 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkEvalTick measures the per-tick cost of the search's
-// evaluation loop — stepper advance plus the Stats() margin probe — and
-// pins it allocation-free, the same contract BenchmarkStepperTick holds
-// for the bare engine. Per-candidate search cost is this number times
-// the horizon's tick count.
+// BenchmarkEvalTick measures the per-tick cost of Evaluate's loop —
+// stepper advance plus the Tripped/BreakerMargin probe — and pins it
+// allocation-free, the same contract BenchmarkStepperTick holds for the
+// bare engine. Per-candidate search cost is this number times the
+// horizon's tick count.
 func BenchmarkEvalTick(b *testing.B) {
 	s := validScenario()
 	// Horizon sized to the benchmark so the stepper never finishes early;
@@ -40,9 +40,10 @@ func BenchmarkEvalTick(b *testing.B) {
 		if !ok {
 			b.Fatalf("stepper finished early at tick %d", i)
 		}
-		ts := st.Stats()
-		if !ts.Tripped && ts.BreakerMargin < minMargin {
-			minMargin = ts.BreakerMargin
+		if !st.Tripped() {
+			if m := st.BreakerMargin(); m < minMargin {
+				minMargin = m
+			}
 		}
 	}
 	b.StopTimer()

@@ -1,8 +1,6 @@
 package attacksearch
 
 import (
-	"time"
-
 	"repro/internal/battery"
 	"repro/internal/powersim"
 	"repro/internal/sim"
@@ -81,8 +79,9 @@ func (o Outcome) score(horizonS, rackNameplateW, clusterReserveJ float64) float6
 //
 // The run stops at the first trip (time-to-trip is the point) and per
 // tick tracks the minimum untripped breaker margin, which sim.Result
-// alone does not expose. The tick loop is allocation-free after stepper
-// construction — BenchmarkEvalTick pins that.
+// alone does not expose; the loop reads only the trip flag and that
+// margin, not the full Stats snapshot. It is allocation-free after
+// stepper construction — BenchmarkEvalTick pins that.
 func Evaluate(s Scenario, schemeName string, bg []*stats.Series) (Outcome, error) {
 	cfg, scheme, err := s.SimConfig(schemeName, bg)
 	if err != nil {
@@ -103,9 +102,10 @@ func Evaluate(s Scenario, schemeName string, bg []*stats.Series) (Outcome, error
 		if !ok {
 			break
 		}
-		ts := st.Stats()
-		if !ts.Tripped && ts.BreakerMargin < minMargin {
-			minMargin = ts.BreakerMargin
+		if !st.Tripped() {
+			if m := st.BreakerMargin(); m < minMargin {
+				minMargin = m
+			}
 		}
 	}
 	res := st.Result()
@@ -133,10 +133,4 @@ func rackNameplate(s Scenario) units.Watts {
 func clusterReserve(s Scenario) float64 {
 	per := battery.SizeForAutonomy(rackNameplate(s), battery.RackCabinetAutonomy, 0, 0)
 	return float64(per) * float64(s.Racks)
-}
-
-// horizonTicks is the tick count of a scenario run (used by budget
-// estimates in cmd/padsearch).
-func horizonTicks(s Scenario) int {
-	return int(s.Duration() / (time.Duration(s.TickMS) * time.Millisecond))
 }

@@ -74,13 +74,16 @@ type statTracker struct {
 
 const deepDischargeSOC = 0.20
 
-func (t *statTracker) recordOut(p units.Watts, dt time.Duration, soc float64) {
-	t.stats.EnergyOut += p.Energy(dt)
+// recordOut and recordIn take the step in seconds, which the stores
+// already hold, so the energy is p·secs exactly as units.Watts.Energy
+// computes it without re-deriving dt.Seconds().
+func (t *statTracker) recordOut(p units.Watts, secs, soc float64) {
+	t.stats.EnergyOut += units.Joules(float64(p) * secs)
 	t.sampleSOC(soc)
 }
 
-func (t *statTracker) recordIn(p units.Watts, dt time.Duration, soc float64) {
-	t.stats.EnergyIn += p.Energy(dt)
+func (t *statTracker) recordIn(p units.Watts, secs, soc float64) {
+	t.stats.EnergyIn += units.Joules(float64(p) * secs)
 	t.sampleSOC(soc)
 }
 

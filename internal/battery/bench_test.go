@@ -49,6 +49,9 @@ func BenchmarkKiBaMStepVaryDT(b *testing.B) {
 	}
 }
 
+// BenchmarkKiBaMDeliverable reads Deliverable at a fixed dt with the
+// wells unchanged, so after the first op every call is a maxSustainable
+// memo hit — the cost of each read after the first within a tick.
 func BenchmarkKiBaMDeliverable(b *testing.B) {
 	bat := benchKiBaM()
 	const dt = 100 * time.Millisecond

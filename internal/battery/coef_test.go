@@ -10,13 +10,15 @@ import (
 	"repro/internal/units"
 )
 
-// refKiBaM is a coefficient-cache-free reimplementation of the KiBaM
-// closed form: every transcendental is recomputed with math.Exp on every
-// call, with the exact expression grouping kibam.go uses, and every clamp
-// is math.Min/math.Max where kibam.go uses the builtins. It is the
-// reference the cached kernel must match bit-for-bit — the coefficient
-// cache is a pure hoist and the builtins keep math.Min/Max's ±0 rules, so
-// any ULP or sign of divergence is a bug.
+// refKiBaM is a cache-free reimplementation of the KiBaM closed form:
+// every transcendental is recomputed with math.Exp on every call, with
+// the exact expression grouping kibam.go uses, every clamp is
+// math.Min/math.Max where kibam.go uses the builtins, SOC and
+// maxSustainable are derived on every read, and every idle call steps.
+// It is the reference the cached kernel must match bit-for-bit — the
+// coefficient cache, the SOC field, the maxSustainable memo and the idle
+// rest flag are pure hoists and the builtins keep math.Min/Max's ±0
+// rules, so any ULP or sign of divergence is a bug.
 type refKiBaM struct {
 	capacity     units.Joules
 	c, k         float64
@@ -102,6 +104,12 @@ func (r *refKiBaM) deliverable(dt time.Duration) units.Watts {
 	return units.Watts(p)
 }
 
+func (r *refKiBaM) idle(dt time.Duration) {
+	if dt > 0 {
+		r.step(0, dt)
+	}
+}
+
 func (r *refKiBaM) discharge(req units.Watts, dt time.Duration) units.Watts {
 	if !(req > 0) || dt <= 0 {
 		r.step(0, dt)
@@ -141,9 +149,10 @@ func (r *refKiBaM) availableSOC() float64 {
 	return math.Min(1, math.Max(0, r.y1/(r.c*float64(r.capacity))))
 }
 
-// mismatch describes the first of b's wells, SOC and AvailableSOC that
-// differs from the reference's bit for bit, or returns "".
-func (r *refKiBaM) mismatch(b *KiBaM) string {
+// mismatch describes the first of b's wells, SOC, AvailableSOC,
+// maxSustainable(dt) and Deliverable(dt) that differs from the
+// reference's bit for bit, or returns "".
+func (r *refKiBaM) mismatch(b *KiBaM, dt time.Duration) string {
 	if !sameFloat(b.y1, r.y1) || !sameFloat(b.y2, r.y2) {
 		return fmt.Sprintf("wells (%v, %v) diverged from ref (%v, %v)", b.y1, b.y2, r.y1, r.y2)
 	}
@@ -153,24 +162,66 @@ func (r *refKiBaM) mismatch(b *KiBaM) string {
 	if got, want := b.AvailableSOC(), r.availableSOC(); !sameFloat(got, want) {
 		return fmt.Sprintf("AvailableSOC = %v (%#x), ref %v (%#x)", got, math.Float64bits(got), want, math.Float64bits(want))
 	}
+	if got, want := b.maxSustainable(dt), r.maxSustainable(dt); !sameFloat(got, want) {
+		return fmt.Sprintf("maxSustainable(%v) = %v, ref %v (Δ %g)", dt, got, want, got-want)
+	}
+	if got, want := b.Deliverable(dt), r.deliverable(dt); !sameFloat(float64(got), float64(want)) {
+		return fmt.Sprintf("Deliverable(%v) = %v, ref %v", dt, got, want)
+	}
 	return ""
 }
 
-// stepBoth advances a cached battery and the reference through one op —
-// a raw closed-form step of p, then Discharge (p ≥ 0) or Charge (p < 0)
-// of |p| through the public entry points — and demands bit-identical
-// maxSustainable, Deliverable, Discharge/Charge returns and state.
-func stepBoth(t *testing.T, i int, b *KiBaM, ref *refKiBaM, p float64, dt time.Duration) {
-	t.Helper()
-	if got, want := b.maxSustainable(dt), ref.maxSustainable(dt); !sameFloat(got, want) {
-		t.Fatalf("op %d (dt=%v): maxSustainable = %v, ref %v (Δ %g)", i, dt, got, want, got-want)
+// kibamOp is one op of the reference harness: Idle(dt) alone when idle is
+// set, otherwise a raw closed-form step of p followed by Discharge (p ≥ 0)
+// or Charge (p < 0) of |p| through the public entry points.
+type kibamOp struct {
+	idle bool
+	p    float64
+	dt   time.Duration
+}
+
+// restCover counts the cache transitions a harness run went through, so
+// a test can demand that its op stream reached them: idle calls made at
+// rest, dt changes at rest, and charges or discharges that ended a rest.
+type restCover struct {
+	idles, dtChanges, broken int
+	lastDT                   time.Duration
+}
+
+func (c *restCover) note(b *KiBaM, op kibamOp) {
+	if b.rest {
+		switch {
+		case op.dt != c.lastDT:
+			c.dtChanges++
+		case op.idle:
+			c.idles++
+		default:
+			c.broken++
+		}
 	}
-	if got, want := b.Deliverable(dt), ref.deliverable(dt); !sameFloat(float64(got), float64(want)) {
-		t.Fatalf("op %d (dt=%v): Deliverable = %v, ref %v", i, dt, got, want)
+	c.lastDT = op.dt
+}
+
+// stepBoth advances a cached battery and the reference through one op
+// and demands bit-identical returns and state (see mismatch) before the
+// op and after each of its parts.
+func stepBoth(t *testing.T, i int, b *KiBaM, ref *refKiBaM, op kibamOp) {
+	t.Helper()
+	p, dt := op.p, op.dt
+	if d := ref.mismatch(b, dt); d != "" {
+		t.Fatalf("op %d (dt=%v), before: %s", i, dt, d)
+	}
+	if op.idle {
+		b.Idle(dt)
+		ref.idle(dt)
+		if d := ref.mismatch(b, dt); d != "" {
+			t.Fatalf("op %d Idle(%v): %s", i, dt, d)
+		}
+		return
 	}
 	b.step(p, dt)
 	ref.step(p, dt)
-	if d := ref.mismatch(b); d != "" {
+	if d := ref.mismatch(b, dt); d != "" {
 		t.Fatalf("op %d step(p=%v, dt=%v): %s", i, p, dt, d)
 	}
 
@@ -185,7 +236,7 @@ func stepBoth(t *testing.T, i int, b *KiBaM, ref *refKiBaM, p float64, dt time.D
 	if !sameFloat(float64(got), float64(want)) {
 		t.Fatalf("op %d %s(%v, dt=%v) = %v, ref %v", i, name, math.Abs(p), dt, got, want)
 	}
-	if d := ref.mismatch(b); d != "" {
+	if d := ref.mismatch(b, dt); d != "" {
 		t.Fatalf("op %d %s(%v, dt=%v): %s", i, name, math.Abs(p), dt, d)
 	}
 }
@@ -194,14 +245,16 @@ func stepBoth(t *testing.T, i int, b *KiBaM, ref *refKiBaM, p float64, dt time.D
 // to the math.Min/Max reference for wells set directly to edge values —
 // NaN, both zeros, both infinities, negative, subnormal and over-full —
 // which the closed form reaches only through degenerate configurations.
+// The wells are written through setWells, the one writer that also
+// refreshes the cached SOC and drops the maxSustainable memo.
 func TestKiBaMSOCExact(t *testing.T) {
 	b := MustKiBaM(KiBaMConfig{Capacity: 1})
 	ref := newRefKiBaM(b)
 	for _, y1 := range edgeFloats {
 		for _, y2 := range edgeFloats {
-			b.y1, b.y2 = y1, y2
+			b.setWells(y1, y2)
 			ref.y1, ref.y2 = y1, y2
-			if d := ref.mismatch(b); d != "" {
+			if d := ref.mismatch(b, 100*time.Millisecond); d != "" {
 				t.Errorf("wells (%v, %v): %s", y1, y2, d)
 			}
 		}
@@ -209,21 +262,24 @@ func TestKiBaMSOCExact(t *testing.T) {
 }
 
 // checkKiBaMAgainstRef drives a cached battery and the exp-per-call
-// reference through the same op sequence (see stepBoth).
-func checkKiBaMAgainstRef(t *testing.T, b *KiBaM, ops int, nextOp func(i int) (p float64, dt time.Duration)) {
+// reference through the same op sequence (see stepBoth), recording the
+// rest transitions it passed through in cov.
+func checkKiBaMAgainstRef(t *testing.T, b *KiBaM, ops int, cov *restCover, nextOp func(i int) kibamOp) {
 	t.Helper()
 	ref := newRefKiBaM(b)
 	for i := 0; i < ops; i++ {
-		p, dt := nextOp(i)
-		stepBoth(t, i, b, ref, p, dt)
+		op := nextOp(i)
+		cov.note(b, op)
+		stepBoth(t, i, b, ref, op)
 	}
 }
 
-// TestKiBaMCoefBitIdentity is the property test pinning the coefficient
-// cache: across random configurations (c, k, leak, SOC), random powers
-// spanning charge and discharge, and tick widths that alternate between
-// repeats (cache hits) and changes (cache invalidation), the cached
-// closed form must equal recomputing every exponential, bit for bit.
+// TestKiBaMCoefBitIdentity is the property test pinning the battery's
+// caches: across random configurations (c, k, leak, SOC), random powers
+// spanning charge and discharge, runs of idles long enough to reach
+// rest, and tick widths that alternate between repeats (cache hits) and
+// changes (cache invalidation, at rest too), the cached kernel must equal
+// the cache-free reference bit for bit after every op.
 func TestKiBaMCoefBitIdentity(t *testing.T) {
 	rng := stats.NewRNG(71)
 	dtPool := []time.Duration{
@@ -231,6 +287,7 @@ func TestKiBaMCoefBitIdentity(t *testing.T) {
 		33 * time.Millisecond, 5 * time.Second, time.Minute,
 		100 * time.Millisecond, 0, -time.Second, 250 * time.Millisecond,
 	}
+	var cov restCover
 	for trial := 0; trial < 200; trial++ {
 		r := rng.Split(uint64(trial))
 		cfg := KiBaMConfig{
@@ -242,25 +299,48 @@ func TestKiBaMCoefBitIdentity(t *testing.T) {
 		if trial%3 == 0 {
 			cfg.SelfDischargePerMonth = r.Range(0.001, 0.5)
 		}
+		if trial%4 == 1 {
+			cfg.InitialSOC = 1 // full wells sit at their rest point
+		}
 		b := MustKiBaM(cfg)
 		span := float64(b.maxDischarge) * 2
-		checkKiBaMAgainstRef(t, b, 60, func(i int) (float64, time.Duration) {
-			// Hold each dt for a few ops so the cache actually hits, then
-			// move on so it re-keys.
-			dt := dtPool[(i/3)%len(dtPool)]
-			return r.Range(-span, span), dt
+		checkKiBaMAgainstRef(t, b, 120, &cov, func(i int) kibamOp {
+			// Blocks of 20 ops. Idles at one dt, long enough to reach
+			// rest; idles alternating between two dts (a dt change at
+			// rest); one power step at the idles' dt (ending a rest
+			// without a dt change); idles again; then power steps that
+			// hold each pool dt for a few ops so the coefficient cache
+			// hits, then move on so it re-keys.
+			dtA := dtPool[(i/20)%2]
+			dtB := dtPool[1-(i/20)%2]
+			switch j := i % 20; {
+			case j < 6, j > 10 && j < 14:
+				return kibamOp{idle: true, dt: dtA}
+			case j < 10:
+				return kibamOp{idle: true, dt: []time.Duration{dtB, dtA}[j%2]}
+			case j == 10:
+				return kibamOp{p: r.Range(-span, span), dt: dtA}
+			default:
+				return kibamOp{p: r.Range(-span, span), dt: dtPool[(i/3)%len(dtPool)]}
+			}
 		})
+	}
+	// The op stream must have reached every rest transition, or the
+	// comparisons above never exercised the rest flag's resets.
+	if cov.idles == 0 || cov.dtChanges == 0 || cov.broken == 0 {
+		t.Fatalf("op stream missed a rest transition: %+v", cov)
 	}
 }
 
 // FuzzKiBaMCoefIdentity extends the property test to fuzzed
 // configurations and op streams: for any battery NewKiBaM accepts and
-// any power/step sequence, the cached kernel and the exp-per-call
+// any idle/power/step sequence, the cached kernel and the cache-free
 // reference must agree exactly.
 func FuzzKiBaMCoefIdentity(f *testing.F) {
 	f.Add(float64(260640), 0.62, 4.5e-4, 1.0, 0.0, []byte("ddddcciiddcc"))
 	f.Add(float64(1200), 0.3, 1e-3, 0.05, 0.03, []byte{0, 255, 17, 84, 200, 3})
 	f.Add(float64(1), 0.62, 4.5e-4, 0.5, 0.9, []byte("id"))
+	f.Add(float64(260640), 0.62, 4.5e-4, 1.0, 0.0, []byte{1, 1, 17, 1, 17, 0xf4, 1, 1, 1, 17, 0x13, 1, 17})
 	f.Fuzz(func(t *testing.T, capacity, c, k, soc, leak float64, ops []byte) {
 		b, err := NewKiBaM(KiBaMConfig{
 			Capacity:              units.Joules(capacity),
@@ -277,9 +357,14 @@ func FuzzKiBaMCoefIdentity(f *testing.F) {
 		}
 		ref := newRefKiBaM(b)
 		for i, op := range ops {
-			dt := time.Duration(1+int(op>>4)) * 100 * time.Millisecond
-			p := (float64(op)/64 - 1) * float64(b.maxDischarge)
-			stepBoth(t, i, b, ref, p, dt)
+			// One byte per op: the high nibble picks dt, op%8 == 1
+			// ('i') is an idle, anything else a power step.
+			o := kibamOp{
+				idle: op%8 == 1,
+				p:    (float64(op)/64 - 1) * float64(b.maxDischarge),
+				dt:   time.Duration(1+int(op>>4)) * 100 * time.Millisecond,
+			}
+			stepBoth(t, i, b, ref, o)
 		}
 	})
 }

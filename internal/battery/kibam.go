@@ -42,6 +42,19 @@ type KiBaM struct {
 	coefKey fixedstep.Key
 	coef    kibamCoef
 
+	// Values derived from the wells, kept in step with them by setWells
+	// so every read between two changes returns the stored bits instead
+	// of re-deriving them: soc is SOC's clamped ratio; sustain memoizes
+	// maxSustainable for the current wells and cached dt (valid while
+	// sustainOK); rest records that an idle step at the cached dt left
+	// both wells bit-identical, so further idle steps at that dt are
+	// no-ops. setWells clears sustainOK and rest, and so does a change of
+	// the cached dt.
+	soc       float64
+	sustain   float64
+	sustainOK bool
+	rest      bool
+
 	statTracker
 }
 
@@ -50,29 +63,35 @@ type KiBaM struct {
 // produces, so substituting them into the formulas is bit-identical to
 // recomputing (pinned by TestKiBaMCoefBitIdentity).
 type kibamCoef struct {
-	t     float64 // dt in seconds
-	ekt   float64 // exp(-k·t)
-	omekt float64 // 1 - ekt
-	ktm1e float64 // k·t - 1 + ekt
-	decay float64 // exp(-leak·t); 1 when the battery has no leak
+	t       float64 // dt in seconds
+	ekt     float64 // exp(-k·t)
+	omekt   float64 // 1 - ekt
+	ktm1e   float64 // k·t - 1 + ekt
+	decay   float64 // exp(-leak·t); 1 when the battery has no leak
+	sustDen float64 // omekt/k + c·ktm1e/k, maxSustainable's denominator
 }
 
 // coefFor returns the closed-form coefficients for dt, recomputing only
-// when dt differs from the cached step.
+// when dt differs from the cached step. A recompute also drops the
+// maxSustainable memo and the rest flag, which hold for the old dt only.
 func (b *KiBaM) coefFor(dt time.Duration) *kibamCoef {
 	if !b.coefKey.Hit(dt) {
 		t := dt.Seconds()
-		ekt := math.Exp(-b.k * t)
+		k := b.k
+		ekt := math.Exp(-k * t)
 		b.coef = kibamCoef{
 			t:     t,
 			ekt:   ekt,
 			omekt: 1 - ekt,
-			ktm1e: b.k*t - 1 + ekt,
+			ktm1e: k*t - 1 + ekt,
 			decay: 1,
 		}
+		b.coef.sustDen = b.coef.omekt/k + b.c*b.coef.ktm1e/k
 		if b.leak > 0 {
 			b.coef.decay = math.Exp(-b.leak * t)
 		}
+		b.sustainOK = false
+		b.rest = false
 	}
 	return &b.coef
 }
@@ -165,8 +184,7 @@ func NewKiBaM(cfg KiBaMConfig) (*KiBaM, error) {
 		maxCharge:    maxC,
 		leak:         leak,
 	}
-	b.y1 = c * float64(cfg.Capacity) * soc
-	b.y2 = (1 - c) * float64(cfg.Capacity) * soc
+	b.setWells(c*float64(cfg.Capacity)*soc, (1-c)*float64(cfg.Capacity)*soc)
 	b.wasAbove = soc >= deepDischargeSOC
 	return b, nil
 }
@@ -204,28 +222,44 @@ func (b *KiBaM) step(p float64, dt time.Duration) {
 		y2 *= co.decay
 	}
 	// Clamp tiny numerical excursions.
-	b.y1 = max(0, min(y1, c*float64(b.capacity)))
-	b.y2 = max(0, min(y2, (1-c)*float64(b.capacity)))
+	b.setWells(max(0, min(y1, c*float64(b.capacity))), max(0, min(y2, (1-c)*float64(b.capacity))))
+}
+
+// setWells stores new well contents and brings everything derived from
+// them up to date: SOC's clamped ratio is recomputed (the clamp keeps it
+// in [0,1] where splitting the capacity across the wells rounds the sum a
+// few ULPs above the capacity), and the maxSustainable memo and the rest
+// flag are dropped. Every write to the wells goes through here.
+func (b *KiBaM) setWells(y1, y2 float64) {
+	b.y1, b.y2 = y1, y2
+	b.soc = min(1, max(0, (y1+y2)/float64(b.capacity)))
+	b.sustainOK = false
+	b.rest = false
 }
 
 // maxSustainable returns the largest constant discharge power the battery
 // can sustain for the whole step without the available well going
-// negative, ignoring the power rating.
+// negative, ignoring the power rating. The result is a pure function of
+// the wells and dt, so it is memoized until either changes.
 func (b *KiBaM) maxSustainable(dt time.Duration) float64 {
 	if dt <= 0 {
 		return 0
 	}
 	co := b.coefFor(dt)
+	if b.sustainOK {
+		return b.sustain
+	}
 	k := b.k
 	y0 := b.y1 + b.y2
 	c := b.c
 	// y1(t) = A − p·B with A, B >= 0; p_max solves y1(t) = 0.
 	a := b.y1*co.ekt + y0*k*c*co.omekt/k
-	bb := co.omekt/k + c*co.ktm1e/k
-	if bb <= 0 {
-		return 0
+	p := 0.0
+	if !(co.sustDen <= 0) {
+		p = a / co.sustDen
 	}
-	return a / bb
+	b.sustain, b.sustainOK = p, true
+	return p
 }
 
 // Discharge implements Store. A NaN request is treated as zero (the
@@ -243,7 +277,7 @@ func (b *KiBaM) Discharge(req units.Watts, dt time.Duration) units.Watts {
 	}
 	b.step(p, dt)
 	got := units.Watts(p)
-	b.recordOut(got, dt, b.SOC())
+	b.recordOut(got, b.coef.t, b.soc)
 	return got
 }
 
@@ -256,14 +290,14 @@ func (b *KiBaM) Charge(offered units.Watts, dt time.Duration) units.Watts {
 	p := min(float64(offered), float64(b.maxCharge))
 	// Do not overfill: cap by the remaining headroom spread over the step.
 	headroom := float64(b.capacity) - (b.y1 + b.y2)
-	p = min(p, headroom/dt.Seconds())
+	p = min(p, headroom/b.coefFor(dt).t)
 	if p <= 0 {
 		b.Idle(dt)
 		return 0
 	}
 	b.step(-p, dt)
 	got := units.Watts(p)
-	b.recordIn(got, dt, b.SOC())
+	b.recordIn(got, b.coef.t, b.soc)
 	return got
 }
 
@@ -283,19 +317,28 @@ func (b *KiBaM) Deliverable(dt time.Duration) units.Watts {
 	return units.Watts(p)
 }
 
-// Idle implements Store.
+// Idle implements Store. step is a pure function of the wells and dt, so
+// once an idle step at the cached dt leaves both wells bit-identical,
+// every further idle step at that dt would too: Idle then returns at
+// once until a charge, a discharge or a new dt moves the wells or the
+// coefficients.
 func (b *KiBaM) Idle(dt time.Duration) {
-	if dt > 0 {
-		b.step(0, dt)
+	if dt <= 0 {
+		return
 	}
+	b.coefFor(dt)
+	if b.rest {
+		return
+	}
+	y1, y2 := b.y1, b.y2
+	b.step(0, dt)
+	b.rest = math.Float64bits(b.y1) == math.Float64bits(y1) &&
+		math.Float64bits(b.y2) == math.Float64bits(y2)
 }
 
-// SOC implements Store. The ratio is clamped to [0,1]: splitting the
-// capacity across the wells at construction can round the sum a few ULPs
-// above the capacity.
-func (b *KiBaM) SOC() float64 {
-	return min(1, max(0, (b.y1+b.y2)/float64(b.capacity)))
-}
+// SOC implements Store: the total charge over the capacity, clamped to
+// [0,1] and refreshed whenever the wells change (see setWells).
+func (b *KiBaM) SOC() float64 { return b.soc }
 
 // AvailableSOC returns the fill level of the available well alone, the
 // quantity an LVD device effectively senses through terminal voltage.

@@ -94,7 +94,7 @@ func (s *SuperCap) Discharge(req units.Watts, dt time.Duration) units.Watts {
 		s.energy = 0
 	}
 	got := units.Watts(p)
-	s.recordOut(got, dt, s.SOC())
+	s.recordOut(got, dt.Seconds(), s.SOC())
 	return got
 }
 
@@ -115,7 +115,7 @@ func (s *SuperCap) Charge(offered units.Watts, dt time.Duration) units.Watts {
 		s.energy = float64(s.capacity)
 	}
 	got := units.Watts(p)
-	s.recordIn(got, dt, s.SOC())
+	s.recordIn(got, dt.Seconds(), s.SOC())
 	return got
 }
 

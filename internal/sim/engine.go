@@ -81,55 +81,6 @@ type Recording struct {
 	AttackUtil *stats.Series
 }
 
-// bgSampler samples the per-server background series without a division
-// per server: series are grouped by sampling step and the interpolation
-// coefficients are computed once per (step, tick), then reused across
-// every series in the group. The arithmetic per sample is exactly
-// stats.Series.Interp's, so the results are bit-identical.
-type bgSampler struct {
-	series  []*stats.Series
-	stepIdx []int               // per-series index into steps
-	steps   []time.Duration     // distinct sampling steps
-	points  []stats.InterpPoint // per-step coefficients for the current tick
-}
-
-func newBGSampler(series []*stats.Series) bgSampler {
-	b := bgSampler{series: series}
-	if len(series) == 0 {
-		return b
-	}
-	b.stepIdx = make([]int, len(series))
-	for i, s := range series {
-		found := -1
-		for j, st := range b.steps {
-			if st == s.Step {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			b.steps = append(b.steps, s.Step)
-			found = len(b.steps) - 1
-		}
-		b.stepIdx[i] = found
-	}
-	b.points = make([]stats.InterpPoint, len(b.steps))
-	return b
-}
-
-// tick precomputes this offset's interpolation coefficients, one per
-// distinct step.
-func (b *bgSampler) tick(now time.Duration) {
-	for i, st := range b.steps {
-		b.points[i] = stats.InterpPointAt(st, now)
-	}
-}
-
-// at returns series s interpolated at the offset passed to tick.
-func (b *bgSampler) at(s int) float64 {
-	return b.series[s].InterpAt(b.points[b.stepIdx[s]])
-}
-
 // Run executes one simulation and returns its result.
 //
 // Run is a loop over the single-tick Stepper: NewStepper does the

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/powersim"
+	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/virus"
 )
@@ -54,12 +55,9 @@ type Stepper struct {
 	// Attack groups, struct-of-arrays: attacks[g] is group g's spec,
 	// groupRacks[g] the distinct racks it occupies (the capped-observation
 	// scan), groupU[g] the utilization its controller commanded this tick.
-	// attackOf maps each server to its group index, -1 for clean servers;
-	// nil when the run hosts no virus.
 	attacks    []AttackSpec
 	groupRacks [][]int
 	groupU     []float64
-	attackOf   []int32
 
 	res      *Result
 	rec      *Recording
@@ -75,7 +73,7 @@ type Stepper struct {
 	draws     []units.Watts
 	actsBuf   []Action
 	topK      *topKSelector
-	bg        bgSampler
+	bg        *stats.Sampler // nil without a background trace
 
 	// Per-server and per-rack kernel outputs, filled by the view and
 	// apply kernels and folded by the reduce. serverPower holds
@@ -92,6 +90,7 @@ type Stepper struct {
 	rackDark    []bool
 
 	powerFull powersim.PowerCoef // frequency-1 power coefficients
+	tickS     float64            // cfg.Tick in seconds, for the energy sums
 
 	levelScheme LevelReporter
 	hasLevel    bool
@@ -175,24 +174,18 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 
 	st.totalServers = cfg.Racks * cfg.ServersPerRack
 
-	// Compromised-server index: a per-server group-id slice for the
-	// demand loop and each group's distinct racks for its controller's
+	// Each attack group's distinct racks, for its controller's
 	// capped-observation scan — no map lookups on the hot path.
 	if specs := cfg.Attacks; len(specs) > 0 {
 		st.attacks = specs
 		st.groupRacks = make([][]int, len(specs))
 		st.groupU = make([]float64, len(specs))
-		st.attackOf = make([]int32, st.totalServers)
-		for s := range st.attackOf {
-			st.attackOf[s] = -1
-		}
 		rackSeen := make([]bool, cfg.Racks)
 		for g, spec := range specs {
 			for i := range rackSeen {
 				rackSeen[i] = false
 			}
 			for _, s := range spec.Servers {
-				st.attackOf[s] = int32(g)
 				if r := s / cfg.ServersPerRack; !rackSeen[r] {
 					rackSeen[r] = true
 					st.groupRacks[g] = append(st.groupRacks[g], r)
@@ -235,9 +228,12 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	st.rackMicro = make([]units.Joules, cfg.Racks)
 	st.rackDark = make([]bool, cfg.Racks)
 	st.powerFull = cfg.Server.PowerCoef(1)
+	st.tickS = cfg.Tick.Seconds()
 	st.topK = newTopKSelector(cfg.ServersPerRack)
 
-	st.bg = newBGSampler(cfg.Background)
+	if cfg.Background != nil {
+		st.bg = stats.NewSampler(cfg.Background)
+	}
 	st.levelScheme, st.hasLevel = scheme.(LevelReporter)
 
 	st.tracer = cfg.Trace
@@ -318,27 +314,21 @@ func (st *Stepper) ComputeDemand() []float64 {
 	}
 	st.lastAttackU = attackU
 
-	// 2. Per-server utilization demand at full frequency.
-	if st.bg.series != nil {
-		st.bg.tick(st.now)
-		for s := 0; s < st.totalServers; s++ {
-			u := st.bg.at(s)
-			if st.attackOf != nil {
-				if g := st.attackOf[s]; g >= 0 && st.groupU[g] > u {
-					u = st.groupU[g]
-				}
-			}
-			st.demandU[s] = u
-		}
+	// 2. Per-server utilization demand at full frequency: the background
+	// sample (0 without a background), raised on each compromised server
+	// to its group's commanded utilization. Validate keeps the groups'
+	// servers disjoint, so one pass over the groups is the overlay.
+	if st.bg != nil {
+		st.bg.Sample(st.now, st.demandU)
 	} else {
-		for s := 0; s < st.totalServers; s++ {
-			u := 0.0
-			if st.attackOf != nil {
-				if g := st.attackOf[s]; g >= 0 && st.groupU[g] > u {
-					u = st.groupU[g]
-				}
+		clear(st.demandU)
+	}
+	for g := range st.attacks {
+		u := st.groupU[g]
+		for _, s := range st.attacks[g].Servers {
+			if u > st.demandU[s] {
+				st.demandU[s] = u
 			}
-			st.demandU[s] = u
 		}
 	}
 	return st.demandU
@@ -371,19 +361,17 @@ func (st *Stepper) viewKernel(demandU []float64, i int) {
 		demand += p
 	}
 	b := st.batteries[i]
-	v := RackView{
-		Demand:           demand,
-		Budget:           st.budgets[i],
-		BatterySOC:       b.SOC(),
-		BatteryMax:       b.Deliverable(cfg.Tick),
-		BatteryMaxCharge: b.MaxCharge(),
-		MicroSOC:         -1,
-	}
+	v := &st.views[i]
+	v.Demand = demand
+	v.Budget = st.budgets[i]
+	v.BatterySOC = b.SOC()
+	v.BatteryMax = b.Deliverable(cfg.Tick)
+	v.BatteryMaxCharge = b.MaxCharge()
+	v.MicroSOC = -1
 	if m := st.micros[i]; m != nil {
 		v.MicroSOC = m.SOC()
 	}
 	v.LastDraw = st.lastDraws[i]
-	st.views[i] = v
 }
 
 // applyKernel executes rack i's share of the action pass: frequency and
@@ -598,10 +586,10 @@ func (st *Stepper) Advance(demandU []float64) error {
 			continue
 		}
 
-		st.res.EnergyServed += st.rackPower[i].Energy(cfg.Tick)
+		st.res.EnergyServed += units.Joules(float64(st.rackPower[i]) * st.tickS)
 		if actions[i].Discharge > 0 {
 			got := st.rackGot[i]
-			st.res.EnergyFromBatteries += got.Energy(cfg.Tick)
+			st.res.EnergyFromBatteries += units.Joules(float64(got) * st.tickS)
 			if got > st.res.MaxRackDischarge {
 				st.res.MaxRackDischarge = got
 			}
@@ -643,7 +631,7 @@ func (st *Stepper) Advance(demandU []float64) error {
 				st.draws[i] += got
 				totalGrid += got
 				headroom -= got
-				st.res.EnergyIntoStorage += got.Energy(cfg.Tick)
+				st.res.EnergyIntoStorage += units.Joules(float64(got) * st.tickS)
 			} else {
 				st.batteries[i].Idle(cfg.Tick)
 			}
@@ -653,12 +641,12 @@ func (st *Stepper) Advance(demandU []float64) error {
 			st.draws[i] += got
 			totalGrid += got
 			headroom -= got
-			st.res.EnergyIntoStorage += got.Energy(cfg.Tick)
+			st.res.EnergyIntoStorage += units.Joules(float64(got) * st.tickS)
 		}
 	}
 
 	copy(st.lastDraws, st.draws)
-	st.res.EnergyFromGrid += totalGrid.Energy(cfg.Tick)
+	st.res.EnergyFromGrid += units.Joules(float64(totalGrid) * st.tickS)
 
 	// 6. Step breakers and count overload events. The rack's overload
 	// protection threshold follows its assigned soft limit, while
@@ -852,8 +840,6 @@ func (st *Stepper) Stats() TickStats {
 	if st.hasLevel {
 		ts.Level = st.levelScheme.Level()
 	}
-	margin := st.pduBreaker.Rated - st.lastTotalGrid
-	marginSet := !st.pduBreaker.Tripped()
 	var micro float64
 	microCount := 0
 	for i := range st.batteries {
@@ -866,12 +852,6 @@ func (st *Stepper) Stats() TickStats {
 			micro += st.micros[i].SOC()
 			microCount++
 		}
-		if !st.rackBreakers[i].Tripped() {
-			if m := st.rackBreakers[i].Rated - st.draws[i]; !marginSet || m < margin {
-				margin = m
-				marginSet = true
-			}
-		}
 	}
 	if len(st.batteries) > 0 {
 		ts.MeanSOC /= float64(len(st.batteries))
@@ -881,8 +861,31 @@ func (st *Stepper) Stats() TickStats {
 	if microCount > 0 {
 		ts.MeanMicroSOC = micro / float64(microCount)
 	}
-	if marginSet {
-		ts.BreakerMargin = margin
-	}
+	ts.BreakerMargin = st.BreakerMargin()
 	return ts
+}
+
+// Tripped reports whether any breaker has tripped so far
+// (TickStats.Tripped without the rest of the snapshot).
+func (st *Stepper) Tripped() bool { return st.res.Tripped }
+
+// BreakerMargin returns the smallest rated-minus-draw margin across the
+// untripped feeds (rack feeds and the cluster PDU) after the last
+// advanced tick — TickStats.BreakerMargin without the rest of the
+// snapshot — or 0 when every feed has tripped.
+func (st *Stepper) BreakerMargin() units.Watts {
+	margin := st.pduBreaker.Rated - st.lastTotalGrid
+	marginSet := !st.pduBreaker.Tripped()
+	for i, br := range st.rackBreakers {
+		if !br.Tripped() {
+			if m := br.Rated - st.draws[i]; !marginSet || m < margin {
+				margin = m
+				marginSet = true
+			}
+		}
+	}
+	if !marginSet {
+		return 0
+	}
+	return margin
 }
