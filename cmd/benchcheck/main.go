@@ -18,8 +18,8 @@
 // run: "Slow/Fast:5" fails unless Slow's ns/op is at least 5× Fast's.
 // Both numbers come from the same machine and the same bench invocation,
 // so unlike the baseline gate this is noise-immune — it guards
-// structural speedups (padd's persistent stream must beat per-request
-// binary POSTs) rather than absolute timings.
+// structural speedups (padd's persistent stream must beat per-session
+// JSON POSTs) rather than absolute timings.
 //
 // -write turns the gate around: instead of checking the output against
 // the baseline file, it rewrites the file from the output. For every
@@ -39,11 +39,11 @@
 //	  benchcheck -baseline BENCH_engine.json -gate BenchmarkSimRunPAD \
 //	    -zero-allocs BenchmarkStepperTick
 //
-//	go test ./internal/padd -run '^$' -bench 'BenchmarkFleetIngest(Binary|Stream)$' \
-//	  -benchmem -benchtime=5000x | \
+//	go test ./internal/padd -run '^$' -bench 'BenchmarkFleetIngest(JSON|Stream)$' \
+//	  -benchmem -benchtime=100x | \
 //	  benchcheck -baseline BENCH_padd.json \
-//	    -gate BenchmarkFleetIngestBinary,BenchmarkFleetIngestStream \
-//	    -speedup BenchmarkFleetIngestBinary/BenchmarkFleetIngestStream:3
+//	    -gate BenchmarkFleetIngestStream \
+//	    -speedup BenchmarkFleetIngestJSON/BenchmarkFleetIngestStream:6
 //
 //	go test ./internal/sim -run '^$' -bench 'BenchmarkSimRun' -benchmem | \
 //	  benchcheck -baseline BENCH_engine.json -write \

@@ -1,9 +1,9 @@
 // Command padd is the online PAD defense daemon. It hosts many
 // independent PDU-scale control sessions, each running the same engine
 // the offline simulator uses, fed by streamed per-server power
-// telemetry over an HTTP JSON API, batched binary POSTs, or persistent
-// binary-acked stream connections, with Prometheus-style metrics and a
-// per-session event log.
+// telemetry over an HTTP JSON API or persistent binary-acked stream
+// connections, with Prometheus-style metrics and a per-session event
+// log.
 //
 // Usage:
 //
@@ -15,13 +15,11 @@
 //	curl -X POST localhost:8484/v1/sessions/s1/telemetry -d '{"samples":[{"u":[0.4, ...]}]}'
 //	curl localhost:8484/metrics
 //
-// Persistent streams upgrade POST /v1/stream on the main listener;
-// -stream-addr additionally serves the same frame protocol on a raw
-// TCP port with no HTTP handshake at all.
+// Persistent streams upgrade POST /v1/stream on the same listener.
 //
 // With -replay the daemon instead checks itself: it runs every scheme
-// offline, streams the identical demand through all three of its own
-// ingest paths, and exits non-zero unless the online results match the
+// offline, streams the identical demand through both of its own ingest
+// paths, and exits non-zero unless the online results match the
 // offline results bit for bit.
 package main
 
@@ -30,7 +28,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof-addr serves the default mux
 	"os"
@@ -50,10 +47,9 @@ var prof *profiling.Flags
 func main() {
 	var (
 		addr         = flag.String("addr", ":8484", "listen address")
-		streamAddr   = flag.String("stream-addr", "", "raw TCP listener for persistent ingest streams, no HTTP upgrade (empty disables)")
 		shards       = flag.Int("shards", 0, "session manager shards (0 = GOMAXPROCS)")
 		maxSessions  = flag.Int("max-sessions", 0, "resident session cap; creates past it get 503 + Retry-After (0 = unlimited)")
-		replay       = flag.Bool("replay", false, "verify online/offline agreement for every scheme through all three ingest paths, then exit")
+		replay       = flag.Bool("replay", false, "verify online/offline agreement for every scheme through both ingest paths, then exit")
 		replayFor    = flag.Duration("replay-duration", 2*time.Minute, "simulated horizon for -replay")
 		replaySeed   = flag.Uint64("replay-seed", 42, "seed for the -replay background load and virus")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown budget for draining sessions")
@@ -84,7 +80,7 @@ func main() {
 		// Every ingest format must reproduce the offline engine exactly;
 		// a frame-encoding bug that survives JSON would hide otherwise.
 		ok := true
-		for _, mode := range []string{padd.ModeJSON, padd.ModeBinary, padd.ModeStream} {
+		for _, mode := range []string{padd.ModeJSON, padd.ModeStream} {
 			fmt.Printf("-- %s ingest path\n", mode)
 			report, err := padd.Replay(padd.ReplayConfig{
 				Duration: *replayFor,
@@ -108,7 +104,7 @@ func main() {
 			prof.Stop()
 			os.Exit(1)
 		}
-		fmt.Println("all schemes: online == offline (json, binary and stream)")
+		fmt.Println("all schemes: online == offline (json and stream)")
 		return
 	}
 
@@ -127,37 +123,6 @@ func main() {
 	srv := padd.NewHTTPServer(*addr, padd.NewServer(mgr))
 
 	errc := make(chan error, 1)
-
-	// Raw stream listener: no HTTP upgrade, the frame protocol starts at
-	// byte zero. Connections land in the same manager, so Shutdown's
-	// drain covers them too; the listener itself is closed on exit.
-	var streamLn net.Listener
-	if *streamAddr != "" {
-		streamLn, err = net.Listen("tcp", *streamAddr)
-		if err != nil {
-			fatal(err)
-		}
-		go func() {
-			logger.Info("stream listening", "addr", *streamAddr)
-			for {
-				conn, err := streamLn.Accept()
-				if err != nil {
-					if !mgr.Healthy() || errors.Is(err, net.ErrClosed) {
-						return
-					}
-					errc <- fmt.Errorf("stream accept: %w", err)
-					return
-				}
-				go func() {
-					if err := mgr.ServeStream(conn); err != nil &&
-						!errors.Is(err, padd.ErrShuttingDown) {
-						logger.Debug("stream connection", "remote", conn.RemoteAddr().String(), "err", err)
-					}
-				}()
-			}
-		}()
-	}
-
 	go func() {
 		logger.Info("listening", "addr", *addr)
 		errc <- srv.ListenAndServe()
@@ -176,9 +141,6 @@ func main() {
 	// acknowledged telemetry is processed before exit.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if streamLn != nil {
-		streamLn.Close()
-	}
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("http shutdown", "err", err)
 	}

@@ -1,9 +1,9 @@
 // Command padload is the fleet load generator for padd: it creates a
 // configurable number of sessions against a live daemon and drives each
-// at a target samples/sec over any ingest path — per-session JSON
-// POSTs, batched binary wire frames, or persistent binary-acked stream
-// connections (one per worker) — while recording round-trip latencies
-// (POST or send→ack) in a histogram.
+// at a target samples/sec over either ingest path — persistent
+// binary-acked stream connections (one per worker, each frame batching
+// many sessions) or per-session JSON POSTs — while recording round-trip
+// latencies (send→ack or POST) in a histogram.
 //
 // Usage:
 //
@@ -43,9 +43,9 @@ func main() {
 		sessions = flag.Int("sessions", 1000, "sessions to create and drive")
 		rate     = flag.Float64("rate", 10, "samples per second per session")
 		duration = flag.Duration("duration", 10*time.Second, "drive phase length")
-		mode     = flag.String("mode", "binary", "ingest path: binary (batched wire frames), json (per-session POSTs) or stream (persistent connections with binary acks)")
+		mode     = flag.String("mode", padd.ModeStream, "ingest path: stream (persistent connections with binary acks) or json (per-session POSTs)")
 		batch    = flag.Int("batch", 10, "samples per session per send")
-		perFrame = flag.Int("frame-sessions", 64, "sessions batched into one binary frame")
+		perFrame = flag.Int("frame-sessions", 64, "sessions batched into one stream frame")
 		ramp     = flag.Duration("ramp", 0, "spread session creation over this window (0 = create as fast as possible)")
 		workers  = flag.Int("workers", 16, "concurrent posting goroutines")
 		scheme   = flag.String("scheme", "Conv", "defense scheme for the driven sessions")
@@ -62,8 +62,8 @@ func main() {
 		fmt.Println("padload", version.String())
 		return
 	}
-	if *mode != padd.ModeBinary && *mode != padd.ModeJSON && *mode != padd.ModeStream {
-		fatal(fmt.Errorf("padload: -mode %q: want binary, json or stream", *mode))
+	if *mode != padd.ModeJSON && *mode != padd.ModeStream {
+		fatal(fmt.Errorf("padload: -mode %q: want stream or json", *mode))
 	}
 	if *sessions < 1 || *batch < 1 || *perFrame < 1 || *workers < 1 || *rate <= 0 {
 		fatal(fmt.Errorf("padload: -sessions, -batch, -frame-sessions, -workers must be >= 1 and -rate > 0"))
@@ -210,7 +210,7 @@ func (lg *loadgen) createAll(ids []string, scheme string, racks, spr int, ramp t
 }
 
 // drive runs the paced send rounds. Sessions are partitioned across
-// workers; binary mode batches -frame-sessions records per POST.
+// workers; stream mode batches -frame-sessions records per frame.
 func (lg *loadgen) drive(ids []string, rounds int, interval time.Duration, workers int, verbose bool) {
 	var wg sync.WaitGroup
 	per := (len(ids) + workers - 1) / workers
@@ -265,21 +265,6 @@ func (lg *loadgen) drive(ids []string, rounds int, interval time.Duration, worke
 						if !lg.streamSend(sc, &enc, flat) {
 							return
 						}
-					}
-				case padd.ModeBinary:
-					for lo := 0; lo < len(ids); lo += lg.perFrame {
-						hi := lo + lg.perFrame
-						if hi > len(ids) {
-							hi = len(ids)
-						}
-						enc.Reset()
-						for _, id := range ids[lo:hi] {
-							if err := enc.AppendFlat(id, lg.batch, lg.servers, flat); err != nil {
-								lg.errors.Add(1)
-								return
-							}
-						}
-						lg.send("/v1/ingest", "application/octet-stream", enc.Frame(), (hi-lo)*lg.batch)
 					}
 				default:
 					var req padd.TelemetryRequest
@@ -342,7 +327,7 @@ func (lg *loadgen) send(path, contentType string, body []byte, samples int) {
 // each observation is one frame's full send→ack round trip). Samples
 // are counted from the ack's accepted tally, so a partial ack never
 // over-counts; queue-full rejects are re-encoded and retried alone,
-// mirroring the 429 retry on the POST paths. Returns false on a hard
+// mirroring the 429 retry on the JSON path. Returns false on a hard
 // failure (connection error or a non-backpressure reject).
 func (lg *loadgen) streamSend(sc *padd.StreamClient, enc *wire.Encoder, flat []float64) bool {
 	var a wire.Ack

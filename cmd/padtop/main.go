@@ -137,8 +137,8 @@ func (p *padtop) frame() (string, error) {
 		fs.DetectionOnsets,
 		histQuantile(fs.DetectionLatency, 0.50, "s"), fs.DetectionLatency.Count,
 		histQuantile(fs.ShedLatency, 0.50, "s"), fs.ShedLatency.Count)
-	fmt.Fprintf(&b, "ingest    %d json + %d binary frames, %d streams, rate %s\n",
-		fs.IngestFramesJSON, fs.IngestFramesBinary, fs.StreamConnections, p.ingestRate(fs, now))
+	fmt.Fprintf(&b, "ingest    %d json frames, %d streams, rate %s\n",
+		fs.IngestFramesJSON, fs.StreamConnections, p.ingestRate(fs, now))
 	fmt.Fprintf(&b, "shards    %s\n\n", shardLine(fs.Shards))
 
 	// Top-N table, hottest sessions first: level descending, then

@@ -15,7 +15,7 @@ import (
 	"repro/internal/padd/wire"
 )
 
-// The fleet ingest benchmarks price the three transports head to head
+// The fleet ingest benchmarks price the two transports head to head
 // over a real TCP HTTP server at collector cadence: one op moves one
 // sample for every session in a 64-session fleet (one telemetry tick
 // fleet-wide). Sessions are paused and the queues drained with the
@@ -104,39 +104,10 @@ func benchFlat() []float64 {
 	return flat
 }
 
-// BenchmarkFleetIngestBinary is the CI-gated batched binary POST path:
-// one op is one wire frame carrying all 64 sessions' next sample
-// through a full HTTP request — connection handling, headers, routing,
-// zero-copy decode, enqueue, JSON response — on a kept-alive client.
-func BenchmarkFleetIngestBinary(b *testing.B) {
-	srv, ids, drain := benchFleet(b)
-	frame := benchFrame(b, ids, benchFlat())
-	client := srv.Client()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%benchBurst == 0 {
-			b.StopTimer()
-			drain()
-			b.StartTimer()
-		}
-		resp, err := client.Post(srv.URL+"/v1/ingest", "application/octet-stream", bytes.NewReader(frame))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			b.Fatalf("ingest: HTTP %d", resp.StatusCode)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*benchSessions/b.Elapsed().Seconds(), "samples/sec")
-}
-
-// BenchmarkFleetIngestJSON is the same fleet tick through the
-// compatibility path: 64 per-session JSON POSTs per op. Kept beside the
-// binary benchmark so BENCH_padd.json records what the frame format
-// buys at fleet scale.
+// BenchmarkFleetIngestJSON is one fleet tick through the compatibility
+// path: 64 per-session JSON POSTs per op, each a full HTTP request on a
+// kept-alive client. Kept beside the stream benchmark so BENCH_padd.json
+// records what the stream buys at fleet scale.
 func BenchmarkFleetIngestJSON(b *testing.B) {
 	srv, ids, drain := benchFleet(b)
 	body, err := json.Marshal(padd.TelemetryRequest{
@@ -170,9 +141,10 @@ func BenchmarkFleetIngestJSON(b *testing.B) {
 }
 
 // BenchmarkFleetIngestStream is the same fleet tick through the
-// persistent stream: one long-lived upgraded connection, frames
-// windowed in flight, compact binary acks. The CI gate holds this path
-// to at least 3× the per-POST binary path (target 5×).
+// persistent stream: one 64-record wire frame per op down one
+// long-lived upgraded connection, frames windowed in flight, compact
+// binary acks. The CI gate holds this path to at least 6× the JSON
+// path.
 func BenchmarkFleetIngestStream(b *testing.B) {
 	const window = 32 // frames in flight; must stay under the server ack window
 	srv, ids, drain := benchFleet(b)

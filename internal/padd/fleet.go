@@ -183,9 +183,8 @@ type FleetStatus struct {
 	DetectionLatency HistogramStatus `json:"detection_latency_seconds"`
 	ShedLatency      HistogramStatus `json:"shed_latency_seconds"`
 
-	IngestFramesJSON   int64 `json:"ingest_frames_json"`
-	IngestFramesBinary int64 `json:"ingest_frames_binary"`
-	StreamConnections  int   `json:"stream_connections"`
+	IngestFramesJSON  int64 `json:"ingest_frames_json"`
+	StreamConnections int   `json:"stream_connections"`
 
 	Shards []ShardStatus `json:"shards"`
 }
@@ -215,9 +214,8 @@ func (m *Manager) Fleet() FleetStatus {
 
 		DetectionOnsets: m.det.onsets.Load(),
 
-		IngestFramesJSON:   m.framesJSON.Load(),
-		IngestFramesBinary: m.framesBinary.Load(),
-		StreamConnections:  m.StreamConnections(),
+		IngestFramesJSON:  m.framesJSON.Load(),
+		StreamConnections: m.StreamConnections(),
 	}
 	counts := m.ShardSessions()
 	fs.Shards = make([]ShardStatus, len(m.shards))

@@ -2,66 +2,48 @@ package padd
 
 import (
 	"errors"
-	"fmt"
 	"io"
-	"net/http"
-	"sync"
 
 	"repro/internal/padd/wire"
 )
 
 // frameReject is one record a frame ingest could not accept: the binary
-// reject reason, the record's id (aliasing the frame buffer — consume
-// before the buffer is reused), and the error for the JSON envelope.
+// reject reason and the record's id (aliasing the frame buffer — consume
+// before the buffer is reused).
 type frameReject struct {
 	Reason byte
 	ID     []byte
-	Err    error
 }
 
 // frameIngest is the reusable state for routing one wire frame's
-// records into sessions. The HTTP handler and the stream server share
-// it: both paths decode with the same zero-copy decoder, apply the same
-// per-record accept/reject rules, and derive their response (JSON
-// envelope + HTTP status, or binary ack) from the same result, so the
-// two ingest surfaces cannot drift.
+// records into sessions: the zero-copy decoder, the per-record
+// accept/reject outcome, and the scratch ack the result is encoded
+// into. A stream connection holds one for its whole life.
 type frameIngest struct {
 	d   wire.Decoder
 	rec wire.Record
 
-	records  int
 	accepted int // accepted records
 	samples  int // accepted samples
 	rejects  []frameReject
 	frameErr error // frame went syntactically bad (header or mid-decode)
-	headerOK bool  // the frame header parsed (frameErr, if set, is mid-decode)
 	allFull  bool  // every rejection was queue backpressure
 	allDrain bool  // every rejection was a stopping session
 
 	ackScratch wire.Ack
-	ackBuf     []byte
 }
 
-// ingestPool recycles frameIngest state across HTTP requests; stream
-// connections hold one for their lifetime instead.
-var ingestPool = sync.Pool{New: func() any { return new(frameIngest) }}
-
 func (fi *frameIngest) reset() {
-	fi.records, fi.accepted, fi.samples = 0, 0, 0
+	fi.accepted, fi.samples = 0, 0
 	fi.rejects = fi.rejects[:0]
 	fi.frameErr = nil
-	fi.headerOK = false
 	fi.allFull, fi.allDrain = true, true
 }
 
-func (fi *frameIngest) reject(id []byte, reason byte, err error) {
-	if !errors.Is(err, ErrQueueFull) {
-		fi.allFull = false
-	}
-	if !errors.Is(err, ErrStopping) {
-		fi.allDrain = false
-	}
-	fi.rejects = append(fi.rejects, frameReject{Reason: reason, ID: id, Err: err})
+func (fi *frameIngest) reject(id []byte, reason byte) {
+	fi.allFull = fi.allFull && reason == wire.RejectQueueFull
+	fi.allDrain = fi.allDrain && reason == wire.RejectStopping
+	fi.rejects = append(fi.rejects, frameReject{Reason: reason, ID: id})
 }
 
 // ingestFrame routes one wire frame's records into their sessions:
@@ -76,7 +58,6 @@ func (m *Manager) ingestFrame(frame []byte, fi *frameIngest) {
 		fi.frameErr = err
 		return
 	}
-	fi.headerOK = true
 	rec := &fi.rec
 	for {
 		err := fi.d.Next(rec)
@@ -87,22 +68,20 @@ func (m *Manager) ingestFrame(frame []byte, fi *frameIngest) {
 			fi.frameErr = err
 			return
 		}
-		fi.records++
 		sess, err := m.lookupBytes(rec.ID)
 		if err != nil {
-			fi.reject(rec.ID, wire.RejectUnknownSession, err)
+			fi.reject(rec.ID, wire.RejectUnknownSession)
 			continue
 		}
 		flat, err := rec.FloatsInto(getFlat(rec.Values()))
 		if err != nil {
 			putFlat(flat)
-			fi.reject(rec.ID, wire.RejectNonFinite, err)
+			fi.reject(rec.ID, wire.RejectNonFinite)
 			continue
 		}
-		if want := sess.st.TotalServers(); rec.Servers != want {
+		if rec.Servers != sess.st.TotalServers() {
 			putFlat(flat)
-			fi.reject(rec.ID, wire.RejectShape,
-				fmt.Errorf("padd: record has %d servers, session has %d", rec.Servers, want))
+			fi.reject(rec.ID, wire.RejectShape)
 			continue
 		}
 		if err := sess.EnqueueFlat(flat, rec.Samples); err != nil {
@@ -114,7 +93,7 @@ func (m *Manager) ingestFrame(frame []byte, fi *frameIngest) {
 			case errors.Is(err, ErrStopping):
 				reason = wire.RejectStopping
 			}
-			fi.reject(rec.ID, reason, err)
+			fi.reject(rec.ID, reason)
 			continue
 		}
 		fi.accepted++
@@ -123,25 +102,10 @@ func (m *Manager) ingestFrame(frame []byte, fi *frameIngest) {
 	}
 }
 
-// httpStatus preserves the POST /v1/ingest envelope contract: 202 when
-// anything was accepted (or the frame was empty), 429 when everything
-// rejected was backpressure, 503 when everything rejected was draining,
-// 400 otherwise.
-func (fi *frameIngest) httpStatus() int {
-	switch {
-	case fi.accepted > 0 || fi.records == 0:
-		return http.StatusAccepted
-	case fi.allFull:
-		return http.StatusTooManyRequests
-	case fi.allDrain:
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// ackStatus maps the result onto the binary ack statuses, mirroring
-// httpStatus (AckBackpressure ≈ 429, AckDraining ≈ 503).
+// ackStatus maps the result onto the binary ack statuses.
+// AckBackpressure (the JSON route's 429) and AckDraining (its 503) are
+// only sent when nothing in the frame landed, so a client may resend
+// the whole frame.
 func (fi *frameIngest) ackStatus() byte {
 	switch {
 	case fi.frameErr != nil:

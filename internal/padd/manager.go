@@ -58,9 +58,8 @@ type Manager struct {
 	closed atomic.Bool
 	count  atomic.Int64 // resident sessions, for MaxSessions
 
-	framesJSON   atomic.Int64
-	framesBinary atomic.Int64
-	batchSizes   batchHist
+	framesJSON atomic.Int64
+	batchSizes batchHist
 
 	// det is the fleet-wide detection-latency accounting shared by every
 	// shard's executors.

@@ -73,19 +73,13 @@ func (h *batchHist) observe(samples int) {
 	h.counts[numBatchBounds].Add(1)
 }
 
-// noteIngest records one accepted ingest batch in the given format
-// ("json" or "binary"). Frame-level accounting (frames_total) is done
-// once per POST by noteFrame.
+// noteIngest records the size of one accepted ingest batch, from
+// either path.
 func (m *Manager) noteIngest(samples int) { m.batchSizes.observe(samples) }
 
-// noteFrame counts one ingest POST by format.
-func (m *Manager) noteFrame(binary bool) {
-	if binary {
-		m.framesBinary.Add(1)
-	} else {
-		m.framesJSON.Add(1)
-	}
-}
+// noteFrame counts one JSON telemetry POST; stream frames are counted
+// by ack result in noteStreamFrame.
+func (m *Manager) noteFrame() { m.framesJSON.Add(1) }
 
 // numAckStatuses sizes the per-result stream frame counters
 // (wire.AckOK through wire.AckMalformed).
@@ -129,7 +123,6 @@ func (m *Manager) noteStreamFrame(status byte) {
 type fleetMetrics struct {
 	ShardSessions  []int
 	FramesJSON     int64
-	FramesBinary   int64
 	BatchCounts    [numBatchBounds + 1]uint64
 	BatchSum       float64
 	BatchTotal     uint64
@@ -166,7 +159,6 @@ func (m *Manager) fleetMetrics() fleetMetrics {
 	fm := fleetMetrics{
 		ShardSessions:  m.ShardSessions(),
 		FramesJSON:     m.framesJSON.Load(),
-		FramesBinary:   m.framesBinary.Load(),
 		StreamConns:    m.StreamConnections(),
 		StreamInflight: m.streamInflight.Load(),
 	}
@@ -256,7 +248,6 @@ func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
 	}
 	frames := reg.Counter("padd_ingest_frames_total", "Telemetry ingest requests by wire format.", "format")
 	frames.Set("json", float64(fm.FramesJSON))
-	frames.Set("binary", float64(fm.FramesBinary))
 	reg.Histogram("padd_ingest_batch_size", "Samples per accepted ingest batch.", "", batchBounds[:]).
 		SetHistogram("", fm.BatchCounts[:], fm.BatchSum, fm.BatchTotal)
 	reg.Gauge("padd_stream_connections", "Live persistent ingest stream connections.", "").

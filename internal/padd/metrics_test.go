@@ -59,13 +59,12 @@ func goldenRows() []metricsRow {
 }
 
 // goldenFleet is the matching deterministic manager-level snapshot:
-// two shards, both POST ingest formats exercised, a hand-set batch-size
-// histogram, and a live stream with every ack result represented.
+// two shards, JSON ingest exercised, a hand-set batch-size histogram,
+// and a live stream with every ack result represented.
 func goldenFleet() fleetMetrics {
 	fm := fleetMetrics{
 		ShardSessions:  []int{1, 1},
 		FramesJSON:     40,
-		FramesBinary:   8,
 		StreamConns:    2,
 		StreamInflight: 3,
 		StreamFrames:   [numAckStatuses]int64{120, 4, 7, 1, 1},
@@ -129,7 +128,6 @@ func TestMetricsEmpty(t *testing.T) {
 	for _, want := range []string{
 		"padd_up 1\n", "padd_sessions 0\n",
 		"# TYPE padd_shard_sessions gauge\n",
-		"padd_ingest_frames_total{format=\"binary\"} 0\n",
 		"padd_ingest_frames_total{format=\"json\"} 0\n",
 		"# TYPE padd_ingest_batch_size histogram\n",
 		"padd_stream_connections 0\n",

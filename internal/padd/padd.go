@@ -12,12 +12,14 @@
 //     bounded telemetry queue. The hot path reuses the engine's
 //     allocation-free scratch machinery; cross-goroutine reads go
 //     through a mutex-guarded snapshot refreshed once per tick.
-//   - Telemetry arrives over HTTP (POST /v1/sessions/{id}/telemetry) as
-//     batches of per-server utilization samples, one sample per tick.
-//     The queue is bounded: when it is full the server answers 429
-//     immediately rather than buffering unboundedly — backpressure is
-//     the client's signal to slow down, and a control loop that falls
-//     behind real time must drop input, not latency.
+//   - Telemetry arrives over HTTP as batches of per-server utilization
+//     samples, one sample per tick, by one of two paths: per-session
+//     JSON (POST /v1/sessions/{id}/telemetry) or binary frames for many
+//     sessions down a persistent POST /v1/stream upgrade. The queue is
+//     bounded: when it is full the server answers 429 (on the stream, a
+//     backpressure ack) immediately rather than buffering unboundedly —
+//     backpressure is the client's signal to slow down, and a control
+//     loop that falls behind real time must drop input, not latency.
 //   - Sessions in wall-clock mode tick on real time: when telemetry is
 //     late the session coasts on the last known demand, so batteries,
 //     breakers and the security policy keep advancing.

@@ -48,18 +48,12 @@ type ReplayConfig struct {
 	// controllers each call (controllers are single-run state). This is
 	// how coordinated multi-group corpus scenarios enter the replay.
 	AttackFactory func() ([]sim.AttackSpec, error)
-	// BatchSize is the number of ticks per telemetry POST.
+	// BatchSize is the number of ticks per JSON POST or stream frame.
 	BatchSize int
-	// Binary streams the online pass through the batched binary ingest
-	// endpoint (/v1/ingest) instead of the per-session JSON route. The
-	// two paths must agree bit for bit; -replay proves both.
-	// Superseded by Mode; kept so zero-value callers keep meaning JSON.
-	Binary bool
 	// Mode selects the online ingest path: ModeJSON (per-session JSON
-	// POSTs), ModeBinary (batched wire frames over POST /v1/ingest) or
-	// ModeStream (one persistent /v1/stream connection with binary
-	// acks). Empty falls back to Binary. All three must agree with the
-	// offline engine bit for bit; -replay proves them.
+	// POSTs, the default) or ModeStream (one persistent /v1/stream
+	// connection with binary acks). Both must agree with the offline
+	// engine bit for bit; -replay proves them.
 	Mode string
 	// Log, when set, receives one progress line per scheme.
 	Log io.Writer
@@ -68,17 +62,12 @@ type ReplayConfig struct {
 // Ingest modes for ReplayConfig.Mode and the load generator.
 const (
 	ModeJSON   = "json"
-	ModeBinary = "binary"
 	ModeStream = "stream"
 )
 
 func (c ReplayConfig) withDefaults() ReplayConfig {
 	if c.Mode == "" {
-		if c.Binary {
-			c.Mode = ModeBinary
-		} else {
-			c.Mode = ModeJSON
-		}
+		c.Mode = ModeJSON
 	}
 	if len(c.Schemes) == 0 {
 		c.Schemes = schemes.SchemeNames
@@ -266,7 +255,7 @@ func runOffline(cfg ReplayConfig, name string, bg []*stats.Series) (*sim.Result,
 }
 
 // runOnline creates a recording session over HTTP, streams the demand
-// ticks as telemetry batches (retrying on 429 backpressure), waits for
+// ticks as telemetry batches (retrying on backpressure), waits for
 // the horizon, and collects the result.
 func runOnline(cfg ReplayConfig, name string, demand [][]float64, mgr *Manager, base string) (*sim.Result, error) {
 	id := "replay-" + name
@@ -286,42 +275,23 @@ func runOnline(cfg ReplayConfig, name string, demand [][]float64, mgr *Manager, 
 		return nil, fmt.Errorf("create session: HTTP %d: %s", code, body)
 	}
 
-	switch cfg.Mode {
-	case ModeStream:
+	if cfg.Mode == ModeStream {
 		if err := streamDemand(base, id, demand, cfg.BatchSize); err != nil {
 			return nil, err
 		}
-	default:
-		var enc wire.Encoder
+	} else {
 		for start := 0; start < len(demand); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(demand) {
-				end = len(demand)
+			end := min(start+cfg.BatchSize, len(demand))
+			var req TelemetryRequest
+			for _, u := range demand[start:end] {
+				req.Samples = append(req.Samples, TelemetrySample{U: u})
 			}
-			var (
-				url  string
-				body []byte
-				ct   string
-			)
-			if cfg.Mode == ModeBinary {
-				enc.Reset()
-				if err := enc.AppendSamples(id, demand[start:end]); err != nil {
-					return nil, err
-				}
-				url, body, ct = base+"/v1/ingest", enc.Frame(), "application/octet-stream"
-			} else {
-				var req TelemetryRequest
-				for _, u := range demand[start:end] {
-					req.Samples = append(req.Samples, TelemetrySample{U: u})
-				}
-				b, err := json.Marshal(req)
-				if err != nil {
-					return nil, err
-				}
-				url, body, ct = base+"/v1/sessions/"+id+"/telemetry", b, "application/json"
+			body, err := json.Marshal(req)
+			if err != nil {
+				return nil, err
 			}
 			for {
-				code, respBody, err := post(url, ct, body)
+				code, respBody, err := post(base+"/v1/sessions/"+id+"/telemetry", "application/json", body)
 				if err != nil {
 					return nil, err
 				}
@@ -359,7 +329,7 @@ func runOnline(cfg ReplayConfig, name string, demand [][]float64, mgr *Manager, 
 // streamDemand pushes the demand ticks through one persistent stream
 // connection, stop-and-wait: each batch frame is sent and its binary
 // ack awaited, retrying the frame on AckBackpressure exactly as the
-// POST paths retry 429. Any other non-OK ack is a hard error — a
+// JSON path retries 429. Any other non-OK ack is a hard error — a
 // replay must be lossless, so a silently dropped record would surface
 // as a physics mismatch anyway; failing here names the real cause.
 func streamDemand(base, id string, demand [][]float64, batch int) error {

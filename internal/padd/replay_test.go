@@ -10,11 +10,11 @@ import (
 // TestReplayMatchesOffline is the tentpole acceptance test: streaming
 // the offline engine's closed-loop demand through the daemon's HTTP
 // ingest path must reproduce the offline run — results, recordings and
-// level sequences — bit for bit, for all six schemes, through ALL
-// THREE ingest paths: per-session JSON POSTs, batched binary POSTs and
-// the persistent binary-acked stream.
+// level sequences — bit for bit, for all six schemes, through BOTH
+// ingest paths: per-session JSON POSTs and the persistent binary-acked
+// stream.
 func TestReplayMatchesOffline(t *testing.T) {
-	for _, mode := range []string{padd.ModeJSON, padd.ModeBinary, padd.ModeStream} {
+	for _, mode := range []string{padd.ModeJSON, padd.ModeStream} {
 		t.Run(mode, func(t *testing.T) {
 			report, err := padd.Replay(padd.ReplayConfig{
 				// Long enough for the virus's Phase-I charge plus spikes to

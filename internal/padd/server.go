@@ -2,16 +2,13 @@ package padd
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -30,7 +27,6 @@ const maxBodyBytes = 32 << 20
 //	GET    /v1/sessions/{id}             one session's status
 //	DELETE /v1/sessions/{id}             stop (drain) and remove a session
 //	POST   /v1/sessions/{id}/telemetry   ingest telemetry (202; 429 on full queue)
-//	POST   /v1/ingest                    batched binary ingest (wire frame, many sessions)
 //	POST   /v1/stream                    persistent streaming ingest (connection upgrade)
 //	POST   /v1/sessions/{id}/pause       hold the ingest queue until resume
 //	POST   /v1/sessions/{id}/resume      release a paused session
@@ -52,7 +48,6 @@ func NewServer(mgr *Manager) *Server {
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleStatus)
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/telemetry", s.handleTelemetry)
-	s.mux.HandleFunc("POST /v1/ingest", s.handleIngest)
 	s.mux.HandleFunc("POST /v1/stream", s.handleStream)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/pause", s.handlePause)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/resume", s.handleResume)
@@ -70,9 +65,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Connection timeouts of the daemon's HTTP listener. A client has
 // ReadHeaderTimeout to finish its request headers, and a keep-alive
 // connection idle for IdleTimeout is closed, so a peer that never
-// completes a request cannot hold a goroutine forever. Connections
-// upgraded to /v1/stream clear these deadlines and live until the
-// client hangs up.
+// completes a request cannot hold a goroutine forever. A connection
+// upgraded to /v1/stream keeps the idle limit: it is closed once no
+// frame has arrived for IdleTimeout.
 const (
 	ReadHeaderTimeout = 10 * time.Second
 	IdleTimeout       = 2 * time.Minute
@@ -129,8 +124,6 @@ type SessionStatus struct {
 	UptimeSeconds           float64 `json:"uptime_seconds"`
 	LastTelemetryAgeSeconds float64 `json:"last_telemetry_age_seconds"`
 }
-
-func statusOf(s *Session) SessionStatus { return s.Status() }
 
 // Status snapshots the session's public state.
 func (s *Session) Status() SessionStatus {
@@ -226,7 +219,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusCreated, statusOf(sess))
+	writeJSON(w, http.StatusCreated, sess.Status())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -234,7 +227,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID() < sessions[j].ID() })
 	out := make([]SessionStatus, 0, len(sessions))
 	for _, sess := range sessions {
-		out = append(out, statusOf(sess))
+		out = append(out, sess.Status())
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"sessions": out})
 }
@@ -250,7 +243,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) *Session {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if sess := s.session(w, r); sess != nil {
-		writeJSON(w, http.StatusOK, statusOf(sess))
+		writeJSON(w, http.StatusOK, sess.Status())
 	}
 }
 
@@ -262,7 +255,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	res := sess.Result()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"id":                s.sessionID(sess),
+		"id":                sess.ID(),
 		"ticks":             sess.metrics().Ticks,
 		"tripped":           res.Tripped,
 		"survival":          Duration{res.SurvivalTime},
@@ -271,8 +264,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		"mean_shed_ratio":   res.MeanShedRatio,
 	})
 }
-
-func (s *Server) sessionID(sess *Session) string { return sess.ID() }
 
 // TelemetryRequest is the ingest payload: consecutive samples, each one
 // control tick of per-server utilization in [0, 1].
@@ -304,7 +295,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	for i := range req.Samples {
 		samples[i] = req.Samples[i].U
 	}
-	s.mgr.noteFrame(false)
+	s.mgr.noteFrame()
 	if err := sess.Enqueue(samples); err != nil {
 		switch {
 		case errors.Is(err, ErrQueueFull):
@@ -324,91 +315,6 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		"accepted":    len(samples),
 		"queue_depth": sess.queueLen(),
 	})
-}
-
-// bodyPool recycles binary-ingest body buffers; at fleet rates the
-// frame read is the only per-request allocation worth worrying about.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// IngestReject describes one record the batched ingest endpoint could
-// not accept; the rest of the frame is unaffected.
-type IngestReject struct {
-	ID    string `json:"id"`
-	Error string `json:"error"`
-}
-
-// IngestResponse summarizes one binary frame's fate: per-record
-// accept/reject, never all-or-nothing.
-type IngestResponse struct {
-	Records  int            `json:"records"`
-	Accepted int            `json:"accepted_records"`
-	Samples  int            `json:"accepted_samples"`
-	Rejects  []IngestReject `json:"rejects,omitempty"`
-}
-
-// AckContentType is the binary ack/reject response encoding for the
-// batched ingest endpoint; clients opt in with "Accept:
-// application/x-pad-wire" and get one wire ack frame instead of a JSON
-// body, shaving the response-marshal allocations off the hot path.
-const AckContentType = "application/x-pad-wire"
-
-// handleIngest is the fleet ingest path: one wire frame carrying
-// telemetry for many sessions in a single POST. Records are routed,
-// validated and enqueued independently — a full queue on one session
-// rejects that record only. The response is 202 when anything was
-// accepted; an all-rejected frame maps to 429 (every rejection was
-// backpressure, client should retry whole) or 400 otherwise.
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bodyPool.Put(buf)
-	binaryAck := r.Header.Get("Accept") == AckContentType
-	if _, err := io.Copy(buf, http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad frame: %w", err))
-		return
-	}
-	fi := ingestPool.Get().(*frameIngest)
-	defer ingestPool.Put(fi)
-	s.mgr.ingestFrame(buf.Bytes(), fi)
-	if fi.headerOK {
-		s.mgr.noteFrame(true)
-	}
-
-	if binaryAck {
-		// One binary ack frame, encoded into the request-scoped scratch
-		// buffer; the HTTP status still carries the envelope verdict.
-		code := fi.httpStatus()
-		if fi.frameErr != nil {
-			code = http.StatusBadRequest
-		}
-		if code == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-		fi.ackBuf = fi.appendAck(fi.ackBuf[:0], 0)
-		w.Header().Set("Content-Type", AckContentType)
-		w.WriteHeader(code)
-		w.Write(fi.ackBuf) //nolint:errcheck // best-effort, like writeJSON
-		return
-	}
-
-	if fi.frameErr != nil {
-		// The frame went bad (at the header or mid-decode); everything
-		// before the corruption is already enqueued and stays accepted.
-		writeErr(w, http.StatusBadRequest, fi.frameErr)
-		return
-	}
-	resp := IngestResponse{Records: fi.records, Accepted: fi.accepted, Samples: fi.samples}
-	for i := range fi.rejects {
-		resp.Rejects = append(resp.Rejects, IngestReject{
-			ID:    string(fi.rejects[i].ID),
-			Error: fi.rejects[i].Err.Error(),
-		})
-	}
-	code := fi.httpStatus()
-	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeJSON(w, code, resp)
 }
 
 // StreamProtocol is the Upgrade token of the persistent ingest stream.
@@ -445,7 +351,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	// The stream lives until the client hangs up; no HTTP deadlines.
+	// The stream keeps the serving listener's idle limit, by net/http's
+	// rule: IdleTimeout, or ReadTimeout when that is zero; no limit when
+	// the result is not positive. serveStream re-arms it per frame.
+	var idle time.Duration
+	if hs, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
+		idle = hs.IdleTimeout
+		if idle == 0 {
+			idle = hs.ReadTimeout
+		}
+	}
 	conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort on a live socket
 	if _, err := brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " +
 		StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n"); err != nil {
@@ -456,7 +371,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		conn.Close()
 		return
 	}
-	s.mgr.ServeStream(hijackedConn{r: brw.Reader, Conn: conn}) //nolint:errcheck // connection-level errors end the stream
+	s.mgr.serveStream(hijackedConn{r: brw.Reader, Conn: conn}, idle) //nolint:errcheck // connection-level errors end the stream
 }
 
 func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {

@@ -181,9 +181,8 @@ func TestSoakConcurrentSessions(t *testing.T) {
 }
 
 // TestSoakFleet10k is the fleet soak: 10,000 resident sessions on one
-// manager, fed through ALL THREE ingest paths at once — a third of the
-// fleet gets per-session JSON POSTs, a third batched binary frames
-// carrying 64 sessions per POST, and a third persistent streams whose
+// manager, fed through BOTH ingest paths at once — half of the fleet
+// gets per-session JSON POSTs, the other half persistent streams whose
 // connections are forcibly dropped mid-stream with acks unread and then
 // reconnected (resending the unacked frames, at-least-once) — then a
 // bounded concurrent Shutdown drains every shard. The lossless-ingest
@@ -240,10 +239,9 @@ func TestSoakFleet10k(t *testing.T) {
 		flat[j] = 0.5
 	}
 
-	// A third of the fleet over JSON, sharded across posting goroutines.
+	// Half of the fleet over JSON, sharded across posting goroutines.
 	var wg sync.WaitGroup
-	jsonN := nSessions / 3
-	binHi := 2 * nSessions / 3
+	jsonN := nSessions / 2
 	const posters = 8
 	for p := 0; p < posters; p++ {
 		wg.Add(1)
@@ -265,61 +263,9 @@ func TestSoakFleet10k(t *testing.T) {
 			}
 		}(p)
 	}
-	// The middle third over binary frames, 64 sessions per POST.
-	for p := 0; p < posters; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var enc wire.Encoder
-			for lo := jsonN + p*perFrame; lo < binHi; lo += posters * perFrame {
-				hi := lo + perFrame
-				if hi > binHi {
-					hi = binHi
-				}
-				pending := ids[lo:hi]
-				for len(pending) > 0 {
-					enc.Reset()
-					for _, id := range pending {
-						if err := enc.AppendFlat(id, samples, servers, flat); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-					resp, err := http.Post(c.base+"/v1/ingest", "application/octet-stream",
-						bytes.NewReader(enc.Frame()))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					var ir padd.IngestResponse
-					err = json.NewDecoder(resp.Body).Decode(&ir)
-					resp.Body.Close()
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusTooManyRequests {
-						t.Errorf("ingest frame [%d,%d): HTTP %d, rejects %v", lo, hi, resp.StatusCode, ir.Rejects)
-						return
-					}
-					// Retry exactly the rejected records: a record is either
-					// queued (accepted) or rejected with its id echoed back,
-					// so resending rejects can't double-ingest.
-					next := pending[:0:0]
-					for _, rej := range ir.Rejects {
-						next = append(next, rej.ID)
-					}
-					pending = next
-					if len(pending) > 0 {
-						time.Sleep(time.Millisecond)
-					}
-				}
-			}
-		}(p)
-	}
 	// streamFrames pushes one frame of samples for the given sessions
 	// down a stream stop-and-wait, retrying exactly the queue-full
-	// rejects, mirroring the POST posters' 429 loops.
+	// rejects, mirroring the JSON posters' 429 loops.
 	streamFrames := func(sc *padd.StreamClient, pending []string) error {
 		var enc wire.Encoder
 		var a wire.Ack
@@ -358,7 +304,7 @@ func TestSoakFleet10k(t *testing.T) {
 		return nil
 	}
 
-	// The last third over persistent streams with forced mid-stream
+	// The other half over persistent streams with forced mid-stream
 	// disconnects: even chunks are acked normally; odd chunks are sent
 	// with acks deliberately unread, then the connection is cut and a
 	// reconnect resends them. Resent frames may duplicate (the server
@@ -376,7 +322,7 @@ func TestSoakFleet10k(t *testing.T) {
 			var enc wire.Encoder
 			var unacked [][2]int
 			ci := 0
-			for lo := binHi + p*perFrame; lo < nSessions; lo += posters * perFrame {
+			for lo := jsonN + p*perFrame; lo < nSessions; lo += posters * perFrame {
 				hi := lo + perFrame
 				if hi > nSessions {
 					hi = nSessions
@@ -432,8 +378,8 @@ func TestSoakFleet10k(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 
-	streamIDs := make(map[string]bool, nSessions-binHi)
-	for _, id := range ids[binHi:] {
+	streamIDs := make(map[string]bool, nSessions-jsonN)
+	for _, id := range ids[jsonN:] {
 		streamIDs[id] = true
 	}
 	for _, s := range mgr.List() {
@@ -490,7 +436,7 @@ func TestSoakFleet10k(t *testing.T) {
 		t.Errorf("shard samples = %d, want ≥ %d", shardSamples, nSessions*samples)
 	}
 
-	// The scrape must carry the fleet families with both formats counted.
+	// The scrape must carry the fleet families with both paths counted.
 	code, body := c.get("/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: HTTP %d", code)
@@ -499,7 +445,6 @@ func TestSoakFleet10k(t *testing.T) {
 	for _, want := range []string{
 		"padd_shard_sessions{shard=\"0\"}",
 		"padd_ingest_frames_total{format=\"json\"}",
-		"padd_ingest_frames_total{format=\"binary\"}",
 		"padd_ingest_batch_size_count",
 		"padd_stream_connections",
 		"padd_stream_frames_total{result=\"ok\"}",
@@ -559,63 +504,6 @@ func TestMaxSessions(t *testing.T) {
 	cfg := padd.SessionConfig{ID: "cap-2", Scheme: "PAD", Racks: 1, ServersPerRack: 2}
 	if code, body := c.post("/v1/sessions", cfg); code != http.StatusCreated {
 		t.Fatalf("create after delete: HTTP %d: %s", code, body)
-	}
-}
-
-// TestBinaryIngestErrors pins the batched endpoint's error envelope:
-// malformed frames are 400s, unknown sessions reject per record while
-// the rest of the frame lands, and a frame rejected entirely for
-// backpressure is a 429.
-func TestBinaryIngestErrors(t *testing.T) {
-	mgr := padd.NewManager()
-	defer mgr.Shutdown(context.Background())
-	srv := httptest.NewServer(padd.NewServer(mgr))
-	defer srv.Close()
-	c := &soakClient{t: t, base: srv.URL}
-
-	cfg := padd.SessionConfig{ID: "bin", Scheme: "PAD", Racks: 1, ServersPerRack: 2, QueueDepth: 1, Paused: true}
-	if code, body := c.post("/v1/sessions", cfg); code != http.StatusCreated {
-		t.Fatalf("create: HTTP %d: %s", code, body)
-	}
-
-	postFrame := func(frame []byte) (int, padd.IngestResponse) {
-		t.Helper()
-		resp, err := http.Post(c.base+"/v1/ingest", "application/octet-stream", bytes.NewReader(frame))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var ir padd.IngestResponse
-		json.NewDecoder(resp.Body).Decode(&ir)
-		return resp.StatusCode, ir
-	}
-
-	if code, _ := postFrame([]byte("not a frame")); code != http.StatusBadRequest {
-		t.Errorf("garbage frame: HTTP %d, want 400", code)
-	}
-
-	var enc wire.Encoder
-	enc.AppendFlat("bin", 1, 2, []float64{0.5, 0.5})
-	enc.AppendFlat("ghost", 1, 2, []float64{0.5, 0.5})
-	code, ir := postFrame(enc.Frame())
-	if code != http.StatusAccepted || ir.Accepted != 1 || len(ir.Rejects) != 1 || ir.Rejects[0].ID != "ghost" {
-		t.Errorf("mixed frame: HTTP %d, resp %+v", code, ir)
-	}
-
-	// The queue (depth 1, paused) is now full: an all-backpressure frame
-	// must map to 429.
-	enc.Reset()
-	enc.AppendFlat("bin", 1, 2, []float64{0.5, 0.5})
-	if code, ir = postFrame(enc.Frame()); code != http.StatusTooManyRequests {
-		t.Errorf("full-queue frame: HTTP %d (resp %+v), want 429", code, ir)
-	}
-
-	// A record whose shape doesn't match the session is a per-record
-	// reject with a 400 envelope when nothing else lands.
-	enc.Reset()
-	enc.AppendFlat("bin", 1, 5, []float64{0.5, 0.5, 0.5, 0.5, 0.5})
-	if code, ir = postFrame(enc.Frame()); code != http.StatusBadRequest || len(ir.Rejects) != 1 {
-		t.Errorf("wrong-shape frame: HTTP %d, resp %+v, want 400 with one reject", code, ir)
 	}
 }
 

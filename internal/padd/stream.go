@@ -2,7 +2,7 @@ package padd
 
 // Persistent streaming ingest: one long-lived connection per collector
 // carrying an unbounded sequence of data frames, acknowledged with
-// compact binary ack frames. The reader goroutine (the ServeStream
+// compact binary ack frames. The reader goroutine (the serveStream
 // caller) decodes each frame through the shared ingest core and hands
 // the pre-encoded ack to a writer goroutine over a bounded channel —
 // the in-flight window. When the window is full the reader stops
@@ -14,7 +14,9 @@ package padd
 import (
 	"bufio"
 	"io"
+	"net"
 	"sync"
+	"time"
 
 	"repro/internal/padd/wire"
 )
@@ -69,17 +71,16 @@ func (m *Manager) StreamConnections() int {
 	return len(m.streamConns)
 }
 
-// ServeStream runs one persistent ingest connection until the peer
-// hangs up, the stream goes malformed, or the manager shuts down. It is
-// the transport-agnostic core behind both the hijacked POST /v1/stream
-// upgrade and a raw TCP listener (padd -stream-addr). The caller's
+// serveStream runs one upgraded POST /v1/stream connection until the
+// peer hangs up, the stream goes malformed, no frame arrives within
+// idle (when idle > 0), or the manager shuts down. The caller's
 // goroutine is the per-connection reader; a second goroutine writes
 // acks. Every frame is acknowledged exactly once, in order; a frame
 // whose embedded payload goes syntactically bad is acked AckMalformed
 // (keeping the records that landed before the corruption) and the
 // connection is dropped, since a byte stream cannot resync past
 // corruption.
-func (m *Manager) ServeStream(conn io.ReadWriteCloser) error {
+func (m *Manager) serveStream(conn net.Conn, idle time.Duration) error {
 	if !m.registerStream(conn) {
 		conn.Close()
 		return ErrShuttingDown
@@ -117,10 +118,12 @@ func (m *Manager) ServeStream(conn io.ReadWriteCloser) error {
 	defer wg.Wait()
 	defer close(acks)
 
-	fi := ingestPool.Get().(*frameIngest)
-	defer ingestPool.Put(fi)
+	var fi frameIngest
 	sr := wire.NewStreamReader(conn)
 	for {
+		if idle > 0 {
+			conn.SetReadDeadline(time.Now().Add(idle)) //nolint:errcheck // a dead socket fails the read below
+		}
 		seq, frame, err := sr.Next()
 		if err == io.EOF {
 			return nil // clean hangup between frames
@@ -132,7 +135,7 @@ func (m *Manager) ServeStream(conn io.ReadWriteCloser) error {
 			return err
 		}
 		m.streamInflight.Add(1)
-		m.ingestFrame(frame, fi)
+		m.ingestFrame(frame, &fi)
 		status := fi.ackStatus()
 		m.noteStreamFrame(status)
 		// The ack must be encoded before the next sr.Next overwrites the

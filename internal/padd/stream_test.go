@@ -1,11 +1,12 @@
 package padd_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -99,60 +100,53 @@ func TestStreamIngest(t *testing.T) {
 }
 
 // TestStreamRejects pins the per-record NACK semantics on a live
-// stream: unknown sessions, shape mismatches and queue backpressure
-// come back as typed binary rejects without disturbing the connection,
-// and backpressure clears once the session drains.
+// stream: unknown sessions, shape mismatches, non-finite payloads and
+// queue backpressure come back as typed binary rejects without
+// disturbing the connection, a frame that partly lands acks what
+// landed, and backpressure clears once the session drains. The paused
+// session's depth-1 queue fills exactly once, on the mixed frame.
 func TestStreamRejects(t *testing.T) {
 	mgr, _, sc := streamFixture(t, padd.SessionConfig{
 		ID: "s1", Scheme: "Conv", Racks: 1, ServersPerRack: 2, QueueDepth: 1, Paused: true,
 	})
 
-	var a wire.Ack
-
-	// Unknown session: frame-level AckPartial would need an accepted
-	// record; a lone unknown record is neither backpressure nor drain.
-	if _, err := sc.Send(frameFor(t, "ghost", 1, 2, 0.5)); err != nil {
-		t.Fatal(err)
+	var enc wire.Encoder
+	for _, id := range []string{"s1", "ghost"} {
+		if err := enc.AppendFlat(id, 1, 2, []float64{0.5, 0.5}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := sc.ReadAck(&a); err != nil {
-		t.Fatal(err)
-	}
-	if a.Status != wire.AckPartial || a.Records != 0 || len(a.Rejects) != 1 ||
-		a.Rejects[0].Reason != wire.RejectUnknownSession || string(a.Rejects[0].ID) != "ghost" {
-		t.Fatalf("unknown-session ack: %+v", a)
-	}
-
-	// Shape mismatch.
-	if _, err := sc.Send(frameFor(t, "s1", 1, 5, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.ReadAck(&a); err != nil {
-		t.Fatal(err)
-	}
-	if a.Status != wire.AckPartial || len(a.Rejects) != 1 || a.Rejects[0].Reason != wire.RejectShape {
-		t.Fatalf("shape ack: %+v", a)
-	}
-
-	// Fill the depth-1 queue of the paused session, then hit backpressure.
+	mixed := enc.Frame()
 	good := frameFor(t, "s1", 1, 2, 0.5)
-	if _, err := sc.Send(good); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.ReadAck(&a); err != nil {
-		t.Fatal(err)
-	}
-	if a.Status != wire.AckOK {
-		t.Fatalf("fill ack: %+v", a)
-	}
-	if _, err := sc.Send(good); err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.ReadAck(&a); err != nil {
-		t.Fatal(err)
-	}
-	if a.Status != wire.AckBackpressure || len(a.Rejects) != 1 ||
-		a.Rejects[0].Reason != wire.RejectQueueFull || string(a.Rejects[0].ID) != "s1" {
-		t.Fatalf("backpressure ack: %+v", a)
+
+	for _, c := range []struct {
+		name             string
+		frame            []byte
+		status           byte
+		records, samples uint32
+		reason           byte // of the frame's one reject
+		id               string
+	}{
+		// A lone unknown record is neither backpressure nor drain, so it
+		// acks AckPartial with nothing accepted.
+		{"unknown session", frameFor(t, "ghost", 1, 2, 0.5), wire.AckPartial, 0, 0, wire.RejectUnknownSession, "ghost"},
+		{"shape mismatch", frameFor(t, "s1", 1, 5, 0.5), wire.AckPartial, 0, 0, wire.RejectShape, "s1"},
+		{"non-finite", frameFor(t, "s1", 1, 2, math.NaN()), wire.AckPartial, 0, 0, wire.RejectNonFinite, "s1"},
+		{"mixed frame", mixed, wire.AckPartial, 1, 1, wire.RejectUnknownSession, "ghost"},
+		{"queue full", good, wire.AckBackpressure, 0, 0, wire.RejectQueueFull, "s1"},
+	} {
+		if _, err := sc.Send(c.frame); err != nil {
+			t.Fatal(err)
+		}
+		var a wire.Ack
+		if err := sc.ReadAck(&a); err != nil {
+			t.Fatal(err)
+		}
+		if a.Status != c.status || a.Records != c.records || a.Samples != c.samples || len(a.Rejects) != 1 ||
+			a.Rejects[0].Reason != c.reason || string(a.Rejects[0].ID) != c.id {
+			t.Fatalf("%s: ack %+v, want status %d, %d records, %d samples, one reject (%d, %q)",
+				c.name, a, c.status, c.records, c.samples, c.reason, c.id)
+		}
 	}
 
 	// The 429-equivalent is per-frame, not a stalled stream: resume the
@@ -162,6 +156,7 @@ func TestStreamRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Resume()
+	var a wire.Ack
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, err := sc.Send(good); err != nil {
@@ -330,6 +325,77 @@ func TestStreamShutdownHangsUp(t *testing.T) {
 	}
 }
 
+// TestStreamIdleTimeout: an upgraded stream keeps the idle limit of the
+// http.Server that accepted it. A silent peer is hung up on and
+// unregistered once no frame has arrived for IdleTimeout, while a peer
+// that keeps sending inside the limit keeps getting acks.
+func TestStreamIdleTimeout(t *testing.T) {
+	mgr := padd.NewManager()
+	t.Cleanup(func() { mgr.Shutdown(context.Background()) })
+	srv := httptest.NewUnstartedServer(padd.NewServer(mgr))
+	srv.Config.IdleTimeout = 150 * time.Millisecond
+	srv.Start()
+	t.Cleanup(srv.Close)
+	if _, err := mgr.Create(padd.SessionConfig{
+		ID: "s1", Scheme: "Conv", Racks: 1, ServersPerRack: 2, QueueDepth: 64,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	silent, err := padd.DialStream(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	busy, err := padd.DialStream(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+
+	frame := frameFor(t, "s1", 1, 2, 0.5)
+	var a wire.Ack
+	for start := time.Now(); time.Since(start) < 600*time.Millisecond; time.Sleep(50 * time.Millisecond) {
+		if _, err := busy.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := busy.ReadAck(&a); err != nil {
+			t.Fatalf("busy stream dropped after %v: %v", time.Since(start), err)
+		}
+		if a.Status != wire.AckOK {
+			t.Fatalf("busy stream ack: %+v", a)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for mgr.StreamConnections() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d stream connections, want only the busy one", mgr.StreamConnections())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := silent.ReadAck(&a); err == nil {
+		t.Error("silent stream still readable after its idle limit")
+	}
+}
+
+// TestDialStreamIPv6DefaultPort: a bracketed IPv6 host without a port
+// dials port 80, as any other host does, instead of failing to parse.
+func TestDialStreamIPv6DefaultPort(t *testing.T) {
+	ln, err := net.Listen("tcp", "[::1]:0")
+	if err != nil {
+		t.Skipf("no IPv6 loopback: %v", err)
+	}
+	ln.Close()
+	sc, err := padd.DialStream("http://[::1]")
+	if err == nil {
+		sc.Close()
+	}
+	var addrErr *net.AddrError
+	if errors.As(err, &addrErr) {
+		t.Fatalf("DialStream(http://[::1]): %v", err)
+	}
+}
+
 // TestStreamMetricsFamilies checks the stream families appear on the
 // scrape with real traffic counted.
 func TestStreamMetricsFamilies(t *testing.T) {
@@ -359,79 +425,6 @@ func TestStreamMetricsFamilies(t *testing.T) {
 		if !strings.Contains(text, w) {
 			t.Errorf("metrics missing %q", w)
 		}
-	}
-}
-
-// TestIngestBinaryAck pins the POST /v1/ingest binary-ack opt-in: with
-// Accept: application/x-pad-wire the response body is one wire ack
-// frame carrying the same verdict the JSON envelope would.
-func TestIngestBinaryAck(t *testing.T) {
-	mgr := padd.NewManager()
-	defer mgr.Shutdown(context.Background())
-	srv := httptest.NewServer(padd.NewServer(mgr))
-	defer srv.Close()
-	if _, err := mgr.Create(padd.SessionConfig{
-		ID: "b1", Scheme: "Conv", Racks: 1, ServersPerRack: 2, QueueDepth: 1, Paused: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	postAck := func(frame []byte) (int, wire.Ack) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/ingest", bytes.NewReader(frame))
-		req.Header.Set("Accept", padd.AckContentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != padd.AckContentType {
-			t.Fatalf("Content-Type %q, want %q", ct, padd.AckContentType)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var a wire.Ack
-		if err := wire.DecodeAck(body, &a); err != nil {
-			t.Fatalf("response is not an ack frame: %v", err)
-		}
-		return resp.StatusCode, a
-	}
-
-	var enc wire.Encoder
-	enc.AppendFlat("b1", 1, 2, []float64{0.5, 0.5})
-	enc.AppendFlat("ghost", 1, 2, []float64{0.5, 0.5})
-	code, a := postAck(enc.Frame())
-	if code != http.StatusAccepted || a.Status != wire.AckPartial || a.Records != 1 ||
-		a.Samples != 1 || len(a.Rejects) != 1 || string(a.Rejects[0].ID) != "ghost" ||
-		a.Rejects[0].Reason != wire.RejectUnknownSession {
-		t.Errorf("mixed frame: HTTP %d ack %+v", code, a)
-	}
-
-	// Queue (depth 1, paused) is full: 429 + AckBackpressure.
-	enc.Reset()
-	enc.AppendFlat("b1", 1, 2, []float64{0.5, 0.5})
-	if code, a = postAck(enc.Frame()); code != http.StatusTooManyRequests || a.Status != wire.AckBackpressure {
-		t.Errorf("full-queue frame: HTTP %d ack %+v, want 429 AckBackpressure", code, a)
-	}
-
-	// Garbage frame: 400 + AckMalformed.
-	if code, a = postAck([]byte("not a frame")); code != http.StatusBadRequest || a.Status != wire.AckMalformed {
-		t.Errorf("garbage frame: HTTP %d ack %+v, want 400 AckMalformed", code, a)
-	}
-
-	// Without the Accept header the JSON envelope is unchanged.
-	enc.Reset()
-	enc.AppendFlat("ghost", 1, 2, []float64{0.5, 0.5})
-	resp, err := http.Post(srv.URL+"/v1/ingest", "application/octet-stream", bytes.NewReader(enc.Frame()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !bytes.Contains(body, []byte(`"rejects"`)) {
-		t.Errorf("JSON envelope missing rejects: %s", body)
 	}
 }
 

@@ -26,27 +26,6 @@ type StreamClient struct {
 	env  []byte // reusable envelope scratch
 }
 
-// NewStreamClient wraps an established stream connection (the upgrade
-// handshake, if any, must already be complete).
-func NewStreamClient(rw io.ReadWriteCloser) *StreamClient {
-	return &StreamClient{
-		conn: rw,
-		bw:   bufio.NewWriterSize(rw, 64<<10),
-		ar:   wire.NewAckReader(rw),
-	}
-}
-
-// newStreamClientBuffered is NewStreamClient for a connection whose
-// read side already has a buffered reader (bytes may have been read
-// ahead during the handshake).
-func newStreamClientBuffered(rw io.ReadWriteCloser, br *bufio.Reader) *StreamClient {
-	return &StreamClient{
-		conn: rw,
-		bw:   bufio.NewWriterSize(rw, 64<<10),
-		ar:   wire.NewAckReader(br),
-	}
-}
-
 // DialStream connects to a padd daemon's base URL (http://host:port)
 // and upgrades POST /v1/stream into a persistent ingest stream.
 func DialStream(base string) (*StreamClient, error) {
@@ -58,8 +37,8 @@ func DialStream(base string) (*StreamClient, error) {
 		return nil, fmt.Errorf("padd: stream dial: scheme %q not supported", u.Scheme)
 	}
 	host := u.Host
-	if !strings.Contains(host, ":") {
-		host += ":80"
+	if u.Port() == "" {
+		host = net.JoinHostPort(u.Hostname(), "80")
 	}
 	conn, err := net.Dial("tcp", host)
 	if err != nil {
@@ -85,7 +64,12 @@ func DialStream(base string) (*StreamClient, error) {
 		return nil, fmt.Errorf("padd: stream upgrade: HTTP %d: %s",
 			resp.StatusCode, strings.TrimSpace(string(body)))
 	}
-	return newStreamClientBuffered(conn, br), nil
+	// Acks are read through br: it may hold bytes read past the 101.
+	return &StreamClient{
+		conn: conn,
+		bw:   bufio.NewWriterSize(conn, 64<<10),
+		ar:   wire.NewAckReader(br),
+	}, nil
 }
 
 // Send buffers one wire frame as the next data frame and returns its

@@ -1,7 +1,8 @@
 // Package wire is padd's batched binary telemetry frame: a
 // length-prefixed, versioned format carrying many (session, samples)
-// records per HTTP POST, replacing one JSON document per session for
-// fleet-scale ingest.
+// records per frame, replacing one JSON document per session for
+// fleet-scale ingest. Frames travel inside the persistent stream's
+// envelopes (stream.go), one frame per envelope.
 //
 // Frame layout (all integers little-endian):
 //
@@ -56,7 +57,8 @@ const (
 	// MaxSamples and MaxServers bound one record's shape (uint16 fields).
 	MaxSamples = 1<<16 - 1
 	MaxServers = 1<<16 - 1
-	// MaxFrameLen bounds a whole frame; mirrors padd's HTTP body cap.
+	// MaxFrameLen bounds a whole frame, and so a stream envelope's
+	// payload; it equals padd's cap on a JSON request body.
 	MaxFrameLen = 32 << 20
 
 	magic0 = 'P'
