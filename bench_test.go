@@ -214,11 +214,13 @@ func BenchmarkVDEBAllocate(b *testing.B) {
 	for i := range socs {
 		socs[i] = float64(i%10)/10 + 0.05
 	}
+	out := make([]units.Watts, len(socs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = ctrl.Allocate(socs, 12_000)
+		ctrl.AllocateInto(out, socs, 12_000)
 	}
+	benchSink = out
 }
 
 func BenchmarkAttackStep(b *testing.B) {

@@ -113,17 +113,6 @@ func TestRackCabinetPreset(t *testing.T) {
 	}
 }
 
-func TestTestbedUPSPreset(t *testing.T) {
-	ups := NewTestbedUPS()
-	const load = units.Watts(800.0 / 3)
-	// Spot-check sustained delivery for the first minute of the rated 10.
-	for i := 0; i < 60; i++ {
-		if got := ups.Discharge(load, time.Second); got < load {
-			t.Fatalf("testbed UPS failed at %ds (delivered %v)", i, got)
-		}
-	}
-}
-
 func TestMicroDEBPreset(t *testing.T) {
 	// The paper's example: 0.35 Wh shaves 0.5 s of current sharing on a
 	// 5 kW rack. Our μDEB must deliver ~2.5 kW for 0.5 s from 0.35 Wh.

@@ -8,8 +8,7 @@ import (
 
 // Presets reproducing the storage hardware named in the paper's
 // methodology: the Facebook Open-Compute V1 rack battery cabinet the
-// evaluation assumes (50 s autonomy at full rack load, LVD-protected), and
-// the YUASA UPS units of the scaled-down testbed (800 W for 10 minutes).
+// evaluation assumes (50 s autonomy at full rack load, LVD-protected).
 
 // RackCabinetAutonomy is the full-load autonomy of the evaluated rack
 // battery cabinet.
@@ -26,20 +25,6 @@ func NewRackCabinet(fullLoad units.Watts) *LVD {
 		// Recharge in roughly 15 minutes of full headroom: cabinets are
 		// built for cyclic peak-shaving duty, not trickle standby.
 		MaxCharge: units.Watts(float64(cap_) / 900),
-	})
-	return NewLVD(b, 0.05, 0.20)
-}
-
-// NewTestbedUPS builds one YUASA-style UPS unit from the scaled-down
-// hardware platform: the three-unit set totals 800 W for 10 minutes, so
-// one unit carries a third of that.
-func NewTestbedUPS() *LVD {
-	const load = units.Watts(800.0 / 3)
-	cap_ := SizeForAutonomy(load, 10*time.Minute, 0, 0)
-	b := MustKiBaM(KiBaMConfig{
-		Capacity:     cap_,
-		MaxDischarge: load * 3,
-		MaxCharge:    units.Watts(float64(cap_) / (4 * 3600)),
 	})
 	return NewLVD(b, 0.05, 0.20)
 }

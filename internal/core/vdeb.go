@@ -38,9 +38,10 @@ func NewVDEBController(pIdeal units.Watts) (*VDEBController, error) {
 	return &VDEBController{PIdeal: pIdeal}, nil
 }
 
-// Allocate distributes the pool-wide shave demand pShave across racks
-// given their battery SOCs (in [0,1]). It returns per-rack discharge
-// assignments with:
+// AllocateInto distributes the pool-wide shave demand pShave across racks
+// given their battery SOCs (in [0,1]), writing per-rack discharge
+// assignments into out, which must have len(socs) entries; it returns
+// out. The assignments have:
 //
 //   - every assignment in [0, PIdeal],
 //   - total = min(pShave, n·PIdeal) up to rounding, and
@@ -52,14 +53,10 @@ func NewVDEBController(pIdeal units.Watts) (*VDEBController, error) {
 // proportional pass over-allocating whenever any rack saturates. We
 // decrement by the full Pideal actually assigned, which is the evident
 // intent (total conservation).
-func (c *VDEBController) Allocate(socs []float64, pShave units.Watts) []units.Watts {
-	return c.AllocateInto(make([]units.Watts, len(socs)), socs, pShave)
-}
-
-// AllocateInto is Allocate writing its assignments into out, which must
-// have len(socs) entries; it returns out. The controller reuses an
-// internal sort scratch across calls, so a caller that also reuses out
-// allocates nothing on the periodic refresh path.
+//
+// The controller reuses an internal sort scratch across calls, so a
+// caller that also reuses out allocates nothing on the periodic refresh
+// path.
 func (c *VDEBController) AllocateInto(out []units.Watts, socs []float64, pShave units.Watts) []units.Watts {
 	n := len(socs)
 	if len(out) != n {
@@ -128,17 +125,4 @@ func (c *VDEBController) AllocateInto(out []units.Watts, socs []float64, pShave 
 		}
 	}
 	return out
-}
-
-// PoolSOC returns the pool-mean SOC, the "vDEB level" input of the
-// security policy.
-func PoolSOC(socs []float64) float64 {
-	if len(socs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range socs {
-		s += x
-	}
-	return s / float64(len(socs))
 }

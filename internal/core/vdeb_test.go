@@ -26,6 +26,10 @@ func sumW(ws []units.Watts) units.Watts {
 	return s
 }
 
+func alloc(c *VDEBController, socs []float64, pShave units.Watts) []units.Watts {
+	return c.AllocateInto(make([]units.Watts, len(socs)), socs, pShave)
+}
+
 func TestVDEBControllerValidation(t *testing.T) {
 	if _, err := NewVDEBController(0); err == nil {
 		t.Error("zero Pideal should fail")
@@ -38,7 +42,7 @@ func TestVDEBControllerValidation(t *testing.T) {
 func TestAllocateProportionalToSOC(t *testing.T) {
 	c := mustController(t, 1000)
 	socs := []float64{0.8, 0.4, 0.2} // no cap binds for small demand
-	out := c.Allocate(socs, 700)
+	out := alloc(c, socs, 700)
 	// Proportional: 0.8/1.4, 0.4/1.4, 0.2/1.4 of 700.
 	want := []float64{400, 200, 100}
 	for i, w := range want {
@@ -52,7 +56,7 @@ func TestAllocateConservesTotal(t *testing.T) {
 	c := mustController(t, 500)
 	socs := []float64{0.9, 0.7, 0.1, 0.05}
 	for _, demand := range []units.Watts{100, 400, 900, 1500, 1999} {
-		out := c.Allocate(socs, demand)
+		out := alloc(c, socs, demand)
 		want := demand
 		if cap_ := units.Watts(len(socs)) * 500; want > cap_ {
 			want = cap_
@@ -67,7 +71,7 @@ func TestAllocateRespectsPIdealCap(t *testing.T) {
 	c := mustController(t, 300)
 	socs := []float64{0.95, 0.1, 0.1}
 	// Proportional share of rack 0 would be 0.95/1.15×800 ≈ 660 > 300.
-	out := c.Allocate(socs, 800)
+	out := alloc(c, socs, 800)
 	if out[0] != 300 {
 		t.Fatalf("high-SOC rack alloc = %v, want capped 300", out[0])
 	}
@@ -85,7 +89,7 @@ func TestAllocateRespectsPIdealCap(t *testing.T) {
 func TestAllocateSaturatedPoolEvenUsage(t *testing.T) {
 	c := mustController(t, 200)
 	socs := []float64{0.9, 0.5, 0.1}
-	out := c.Allocate(socs, 10_000) // >> 3×200
+	out := alloc(c, socs, 10_000) // >> 3×200
 	for i, w := range out {
 		if w != 200 {
 			t.Errorf("saturated alloc[%d] = %v, want even 200", i, w)
@@ -96,13 +100,13 @@ func TestAllocateSaturatedPoolEvenUsage(t *testing.T) {
 func TestAllocateProtectsDrainedRacks(t *testing.T) {
 	c := mustController(t, 1000)
 	socs := []float64{0.9, 0.9, 0.0}
-	out := c.Allocate(socs, 1000)
+	out := alloc(c, socs, 1000)
 	if out[2] != 0 {
 		t.Fatalf("drained rack assigned %v, want 0", out[2])
 	}
 	// Low-SOC racks always discharge no more than high-SOC racks.
 	socs = []float64{0.9, 0.3, 0.6}
-	out = c.Allocate(socs, 900)
+	out = alloc(c, socs, 900)
 	if !(out[0] >= out[2] && out[2] >= out[1]) {
 		t.Fatalf("allocation not SOC-ordered: %v for socs %v", out, socs)
 	}
@@ -110,20 +114,20 @@ func TestAllocateProtectsDrainedRacks(t *testing.T) {
 
 func TestAllocateZeroCases(t *testing.T) {
 	c := mustController(t, 100)
-	if out := c.Allocate(nil, 100); len(out) != 0 {
+	if out := alloc(c, nil, 100); len(out) != 0 {
 		t.Error("no racks should return empty allocation")
 	}
-	out := c.Allocate([]float64{0.5, 0.5}, 0)
+	out := alloc(c, []float64{0.5, 0.5}, 0)
 	if sumW(out) != 0 {
 		t.Error("zero demand should allocate nothing")
 	}
-	out = c.Allocate([]float64{0.5, 0.5}, -100)
+	out = alloc(c, []float64{0.5, 0.5}, -100)
 	if sumW(out) != 0 {
 		t.Error("negative demand should allocate nothing")
 	}
 	// All racks empty but demand positive (and below saturation): nothing
 	// to give.
-	out = c.Allocate([]float64{0, 0, 0}, 100)
+	out = alloc(c, []float64{0, 0, 0}, 100)
 	if sumW(out) != 0 {
 		t.Errorf("empty pool allocated %v", sumW(out))
 	}
@@ -143,7 +147,7 @@ func TestAllocatePropertyInvariants(t *testing.T) {
 			socs[i] = float64(r) / 255
 		}
 		demand := units.Watts(demandRaw)
-		out := c.Allocate(socs, demand)
+		out := alloc(c, socs, demand)
 		var total units.Watts
 		for i, w := range out {
 			if w < 0 || w > 250+1e-9 {
@@ -173,7 +177,7 @@ func TestAllocateBalancesSOCOverTime(t *testing.T) {
 	energy := 100_000.0 // joules per unit SOC
 	spread0 := stats.StdDev(socs)
 	for step := 0; step < 200; step++ {
-		out := c.Allocate(socs, 600)
+		out := alloc(c, socs, 600)
 		for i, w := range out {
 			socs[i] -= float64(w) * 1.0 / energy // 1 s ticks
 			if socs[i] < 0 {
@@ -184,14 +188,5 @@ func TestAllocateBalancesSOCOverTime(t *testing.T) {
 	spread1 := stats.StdDev(socs)
 	if spread1 >= spread0*0.6 {
 		t.Fatalf("SOC spread did not shrink: %v -> %v", spread0, spread1)
-	}
-}
-
-func TestPoolSOC(t *testing.T) {
-	if got := PoolSOC(nil); got != 0 {
-		t.Errorf("PoolSOC(nil) = %v", got)
-	}
-	if got := PoolSOC([]float64{0.2, 0.6}); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("PoolSOC = %v, want 0.4", got)
 	}
 }

@@ -66,31 +66,12 @@ func cachedBackground(key bgKey, build func() ([]*stats.Series, error)) ([]*stat
 	return e.series, e.err
 }
 
-// ResetBackgroundCache drops every cached background trace. Long-lived
-// processes that sweep many disjoint configurations can call it between
-// sweeps to release the memory; results are unaffected because the
-// generators are deterministic.
-func ResetBackgroundCache() {
-	bgCache.mu.Lock()
-	bgCache.m = nil
-	bgCache.mu.Unlock()
-}
-
 func cachedTraceBackground(servers int, horizon, step time.Duration, seed uint64, surge bool) ([]*stats.Series, error) {
 	return cachedBackground(
 		bgKey{kind: "trace", servers: servers, horizon: horizon, step: step, seed: seed, surge: surge},
 		func() ([]*stats.Series, error) {
 			return traceBackground(servers, horizon, step, seed, surge)
 		})
-}
-
-func cachedRampBackground(servers int, lo, hi float64, horizon time.Duration, seed uint64) []*stats.Series {
-	out, _ := cachedBackground(
-		bgKey{kind: "ramp", servers: servers, lo: lo, hi: hi, horizon: horizon, seed: seed},
-		func() ([]*stats.Series, error) {
-			return rampBackground(servers, lo, hi, horizon, seed), nil
-		})
-	return out
 }
 
 func cachedBurstyRampBackground(servers int, lo, hi float64, horizon time.Duration,

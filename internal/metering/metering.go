@@ -66,9 +66,6 @@ func NewMeter(interval time.Duration, noise1s units.Watts, seed uint64) (*Meter,
 	}, nil
 }
 
-// Interval returns the meter's integration interval.
-func (m *Meter) Interval() time.Duration { return m.interval }
-
 // Record feeds the meter dt of load at power p and returns any intervals
 // completed during the step (usually zero or one; more if dt spans
 // multiple intervals, in which case the power is attributed uniformly).

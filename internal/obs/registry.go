@@ -135,22 +135,6 @@ func (f *Family) Value(label string) float64 {
 	return f.at(label).value
 }
 
-// Observe records one histogram observation.
-func (f *Family) Observe(label string, v float64) {
-	f.reg.mu.Lock()
-	defer f.reg.mu.Unlock()
-	s := f.at(label)
-	s.sum += v
-	s.total++
-	for i, b := range f.bounds {
-		if v <= b {
-			s.counts[i]++
-			return
-		}
-	}
-	s.counts[len(f.bounds)]++
-}
-
 // SetHistogram installs a histogram snapshot maintained elsewhere:
 // per-bucket (non-cumulative) counts — the final entry being the +Inf
 // bucket — plus the sum and total. counts must have len(bounds)+1

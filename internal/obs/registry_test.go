@@ -18,9 +18,7 @@ func TestRegistryExposition(t *testing.T) {
 	jobs.Add("fast", 1)
 	jobs.Add("slow", 5)
 	lat := reg.Histogram("latency_seconds", "Job latency.", "", []float64{0.1, 1})
-	lat.Observe("", 0.05)
-	lat.Observe("", 0.5)
-	lat.Observe("", 3)
+	lat.SetHistogram("", []uint64{1, 1, 1}, 3.55, 3)
 
 	var buf bytes.Buffer
 	if err := reg.Write(&buf); err != nil {

@@ -26,11 +26,6 @@ type Options struct {
 	// GOMAXPROCS. Session CRUD and ingest on different shards never
 	// contend on a lock.
 	Shards int
-	// ShardWorkers is the worker-pool size per shard. Default 1 —
-	// with one shard per core, one worker each saturates the machine
-	// while keeping each session's engine single-threaded by
-	// construction.
-	ShardWorkers int
 	// MaxSessions caps resident sessions fleet-wide; 0 means
 	// unlimited. Past the cap, Create returns ErrSessionLimit so a
 	// runaway load generator degrades into 503s instead of an OOM.
@@ -40,9 +35,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.ShardWorkers <= 0 {
-		o.ShardWorkers = 1
 	}
 	return o
 }
@@ -89,7 +81,7 @@ func NewManagerWith(opts Options) *Manager {
 	opts = opts.withDefaults()
 	m := &Manager{opts: opts, shards: make([]*shard, opts.Shards)}
 	for i := range m.shards {
-		m.shards[i] = newShard(opts.ShardWorkers, &m.det)
+		m.shards[i] = newShard(&m.det)
 	}
 	return m
 }

@@ -67,7 +67,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // connection idle for IdleTimeout is closed, so a peer that never
 // completes a request cannot hold a goroutine forever. A connection
 // upgraded to /v1/stream keeps the idle limit: it is closed once no
-// frame has arrived for IdleTimeout.
+// frame has arrived, or an ack write has not completed, for
+// IdleTimeout.
 const (
 	ReadHeaderTimeout = 10 * time.Second
 	IdleTimeout       = 2 * time.Minute
@@ -353,7 +354,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	// The stream keeps the serving listener's idle limit, by net/http's
 	// rule: IdleTimeout, or ReadTimeout when that is zero; no limit when
-	// the result is not positive. serveStream re-arms it per frame.
+	// the result is not positive. serveStream re-arms it per frame read
+	// and per ack write.
 	var idle time.Duration
 	if hs, ok := r.Context().Value(http.ServerContextKey).(*http.Server); ok {
 		idle = hs.IdleTimeout

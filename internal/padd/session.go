@@ -110,7 +110,7 @@ type sessionMetrics struct {
 }
 
 // Session is one online PDU control loop: a sim.Stepper plus a bounded
-// telemetry queue, executed by its shard's worker pool. All engine
+// telemetry queue, executed by its shard's worker. All engine
 // state is confined to whichever executor holds the state machine's
 // running slot; the outside world sees the mutex-guarded snapshot, the
 // event ring and the atomic ingest counters.
@@ -497,10 +497,10 @@ func (s *Session) beginStop() {
 }
 
 // Stop drains the queued telemetry, finalizes the session and waits
-// for it. Idempotent; safe to call concurrently. Normally a shard
-// worker performs the drain; if none claims the session (the pool is
+// for it. Idempotent; safe to call concurrently. Normally the shard
+// worker performs the drain; if it does not claim the session (it is
 // saturated or already torn down), Stop claims the actor itself and
-// drains inline, so Stop never depends on pool liveness.
+// drains inline, so Stop never depends on worker liveness.
 func (s *Session) Stop() {
 	s.beginStop()
 	t := time.NewTicker(time.Millisecond)

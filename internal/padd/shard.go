@@ -11,7 +11,7 @@ import (
 const coasterResolution = 10 * time.Millisecond
 
 // shard is one slice of the fleet: a session map under its own mutex,
-// a run queue drained by a small fixed worker pool, and one coaster
+// a run queue drained by one worker goroutine, and one coaster
 // goroutine pacing the shard's wall-clock sessions. Sessions are
 // routed to shards by FNV hash of their id, so CRUD and ingest on
 // different shards never touch the same lock.
@@ -39,7 +39,10 @@ type shard struct {
 	stopOnce sync.Once
 }
 
-func newShard(workers int, det *detectionStats) *shard {
+// newShard starts the shard's worker and coaster. One worker per shard:
+// with one shard per core, one worker each saturates the machine while
+// keeping each session's engine single-threaded by construction.
+func newShard(det *detectionStats) *shard {
 	sh := &shard{
 		sessions: make(map[string]*Session),
 		det:      det,
@@ -47,10 +50,8 @@ func newShard(workers int, det *detectionStats) *shard {
 		wcQuit:   make(chan struct{}),
 	}
 	sh.runCond = sync.NewCond(&sh.runMu)
-	for i := 0; i < workers; i++ {
-		sh.workers.Add(1)
-		go sh.worker()
-	}
+	sh.workers.Add(1)
+	go sh.worker()
 	go sh.coaster()
 	return sh
 }
@@ -91,7 +92,7 @@ func (sh *shard) worker() {
 	}
 }
 
-// stopWorkers shuts the pool and coaster down after the queued work
+// stopWorkers shuts the worker and coaster down after the queued work
 // drains. Idempotent.
 func (sh *shard) stopWorkers() {
 	sh.stopOnce.Do(func() {

@@ -72,13 +72,13 @@ func (m *Manager) StreamConnections() int {
 }
 
 // serveStream runs one upgraded POST /v1/stream connection until the
-// peer hangs up, the stream goes malformed, no frame arrives within
-// idle (when idle > 0), or the manager shuts down. The caller's
-// goroutine is the per-connection reader; a second goroutine writes
-// acks. Every frame is acknowledged exactly once, in order; a frame
-// whose embedded payload goes syntactically bad is acked AckMalformed
-// (keeping the records that landed before the corruption) and the
-// connection is dropped, since a byte stream cannot resync past
+// peer hangs up, the stream goes malformed, no frame arrives or no ack
+// write completes within idle (when idle > 0), or the manager shuts
+// down. The caller's goroutine is the per-connection reader; a second
+// goroutine writes acks. Every frame is acknowledged exactly once, in
+// order; a frame whose embedded payload goes syntactically bad is acked
+// AckMalformed (keeping the records that landed before the corruption)
+// and the connection is dropped, since a byte stream cannot resync past
 // corruption.
 func (m *Manager) serveStream(conn net.Conn, idle time.Duration) error {
 	if !m.registerStream(conn) {
@@ -91,6 +91,9 @@ func (m *Manager) serveStream(conn net.Conn, idle time.Duration) error {
 	// Ack writer: drains the window channel, batching flushes (flush
 	// only when no more acks are queued). On a write error it keeps
 	// draining so the reader never blocks, and the connection dies.
+	// Each write gets the idle limit too: a peer that keeps sending but
+	// stops reading acks would otherwise park this writer, and the
+	// reader behind the full window, until it hangs up.
 	acks := make(chan *[]byte, streamWindow)
 	writeFailed := make(chan struct{})
 	var wg sync.WaitGroup
@@ -101,6 +104,9 @@ func (m *Manager) serveStream(conn net.Conn, idle time.Duration) error {
 		failed := false
 		for b := range acks {
 			if !failed {
+				if idle > 0 {
+					conn.SetWriteDeadline(time.Now().Add(idle)) //nolint:errcheck // a dead socket fails the write below
+				}
 				_, err := bw.Write(*b)
 				if err == nil && len(acks) == 0 {
 					err = bw.Flush()

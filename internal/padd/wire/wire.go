@@ -96,14 +96,6 @@ func (e *Encoder) Reset() {
 // Records reports how many records the frame holds so far.
 func (e *Encoder) Records() int { return int(e.records) }
 
-// Len reports the encoded frame size in bytes so far (header included).
-func (e *Encoder) Len() int {
-	if len(e.buf) == 0 {
-		return 0
-	}
-	return len(e.buf)
-}
-
 func (e *Encoder) header() {
 	if len(e.buf) != 0 {
 		return
@@ -270,9 +262,6 @@ func (d *Decoder) Reset(frame []byte) error {
 	d.left = int(records)
 	return nil
 }
-
-// Remaining reports how many records are left to decode.
-func (d *Decoder) Remaining() int { return d.left }
 
 // Next decodes the next record into rec. It returns io.EOF after the
 // last record — at which point the whole frame must have been consumed,

@@ -75,9 +75,6 @@ func NewCluster(racks, serversPerRack, slotsPerServer int, policy Policy, seed u
 	}, nil
 }
 
-// Servers reports the number of servers.
-func (c *Cluster) Servers() int { return len(c.used) }
-
 // RackOf returns the rack hosting server s.
 func (c *Cluster) RackOf(server int) int { return server / c.spr }
 
@@ -311,11 +308,4 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		res.Servers = append(res.Servers, s)
 	}
 	return res, nil
-}
-
-// CampaignCost prices a campaign: probe VMs are billed for a minimum
-// interval each (perProbeUSD), the classic economics of co-residency
-// hunting.
-func CampaignCost(res *CampaignResult, perProbeUSD float64) float64 {
-	return float64(res.Probes) * perProbeUSD
 }

@@ -225,13 +225,6 @@ func TestCampaignDeterminism(t *testing.T) {
 	}
 }
 
-func TestCampaignCost(t *testing.T) {
-	res := &CampaignResult{Probes: 120}
-	if got := CampaignCost(res, 0.05); got != 6 {
-		t.Fatalf("cost = %v, want 6", got)
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	if PackLowestID.String() != "pack" || SpreadLeastLoaded.String() != "spread" ||
 		RandomFit.String() != "random" {

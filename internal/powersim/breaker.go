@@ -1,7 +1,6 @@
 package powersim
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -86,17 +85,6 @@ func (b *Breaker) instantMultiple() float64 {
 		return 6
 	}
 	return b.InstantMultiple
-}
-
-// Validate reports a configuration error, if any.
-func (b *Breaker) Validate() error {
-	if b.Rated <= 0 {
-		return fmt.Errorf("powersim: breaker rating must be positive, got %v", b.Rated)
-	}
-	if b.TripHeat < 0 || b.InstantMultiple < 0 || b.CoolTau < 0 {
-		return fmt.Errorf("powersim: breaker trip parameters must be non-negative")
-	}
-	return nil
 }
 
 // Step advances the breaker by dt carrying the given load and reports

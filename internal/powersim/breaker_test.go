@@ -163,15 +163,3 @@ func TestBreakerCooling(t *testing.T) {
 		t.Fatalf("heat did not decay: %v -> %v", h1, h2)
 	}
 }
-
-func TestBreakerValidate(t *testing.T) {
-	if err := (&Breaker{}).Validate(); err == nil {
-		t.Error("zero rating should fail validation")
-	}
-	if err := (&Breaker{Rated: 100, TripHeat: -1}).Validate(); err == nil {
-		t.Error("negative trip heat should fail validation")
-	}
-	if err := NewBreaker(100).Validate(); err != nil {
-		t.Errorf("default breaker should validate: %v", err)
-	}
-}

@@ -1,94 +1,12 @@
 package powersim
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/units"
-)
-
-// PDU models an intelligent power distribution unit: a breaker-protected
-// feed with per-outlet soft power limits that downstream racks are asked
-// to respect (the iPDU budget-enforcing capability the paper's vDEB
-// controller builds on). Soft limits do not physically clamp current —
-// enforcement is the power-management scheme's job — but the PDU records
-// violations and its breaker reacts to the real aggregate draw.
-type PDU struct {
-	breaker    *Breaker
-	softLimits []units.Watts
-
-	violations int
-	peakDraw   units.Watts
-}
-
-// NewPDU builds a PDU with the given breaker and number of outlets.
-// Outlet soft limits default to an equal share of the breaker rating.
-func NewPDU(breaker *Breaker, outlets int) (*PDU, error) {
-	if err := breaker.Validate(); err != nil {
-		return nil, err
-	}
-	if outlets <= 0 {
-		return nil, fmt.Errorf("powersim: PDU needs at least one outlet, got %d", outlets)
-	}
-	limits := make([]units.Watts, outlets)
-	share := breaker.Rated / units.Watts(outlets)
-	for i := range limits {
-		limits[i] = share
-	}
-	return &PDU{breaker: breaker, softLimits: limits}, nil
-}
-
-// Outlets reports the number of outlets.
-func (p *PDU) Outlets() int { return len(p.softLimits) }
-
-// SetSoftLimit assigns the soft power limit of outlet i.
-func (p *PDU) SetSoftLimit(i int, limit units.Watts) error {
-	if i < 0 || i >= len(p.softLimits) {
-		return fmt.Errorf("powersim: outlet %d out of range [0,%d)", i, len(p.softLimits))
-	}
-	if limit < 0 {
-		return fmt.Errorf("powersim: soft limit must be non-negative, got %v", limit)
-	}
-	p.softLimits[i] = limit
-	return nil
-}
-
-// SoftLimit returns the soft power limit of outlet i.
-func (p *PDU) SoftLimit(i int) units.Watts { return p.softLimits[i] }
-
-// Budget returns the PDU's total power budget (the breaker rating).
-func (p *PDU) Budget() units.Watts { return p.breaker.Rated }
-
-// Step advances the PDU by dt carrying the given per-outlet draws and
-// reports whether the feed breaker is tripped. It also counts soft-limit
-// violations (one per violating outlet per step).
-func (p *PDU) Step(draws []units.Watts, dt time.Duration) (tripped bool, total units.Watts) {
-	for i, d := range draws {
-		total += d
-		if i < len(p.softLimits) && d > p.softLimits[i] {
-			p.violations++
-		}
-	}
-	if total > p.peakDraw {
-		p.peakDraw = total
-	}
-	return p.breaker.Step(total, dt), total
-}
-
-// Breaker exposes the feed breaker.
-func (p *PDU) Breaker() *Breaker { return p.breaker }
-
-// Violations reports the cumulative count of soft-limit violations.
-func (p *PDU) Violations() int { return p.violations }
-
-// PeakDraw reports the highest aggregate draw observed.
-func (p *PDU) PeakDraw() units.Watts { return p.peakDraw }
+import "repro/internal/units"
 
 // OversubscriptionPlan captures the paper's two-stage provisioning model
 // (eqs. 1–2): n racks of nameplate Pr behind a PDU whose budget is only a
-// fraction of n·Pr, with per-rack scaling factors λ that cap the utility
-// share of each rack's draw. The gap pᵢ − λᵢ·Pr is what local batteries
-// must shave.
+// fraction of n·Pr. Every rack gets the same scaling factor λ = Ratio,
+// which caps the utility share of its draw; the gap pᵢ − λ·Pr is what
+// local batteries must shave.
 type OversubscriptionPlan struct {
 	// RackNameplate is Pr, the peak power of one rack.
 	RackNameplate units.Watts
@@ -96,38 +14,6 @@ type OversubscriptionPlan struct {
 	Racks int
 	// Ratio is PPDU/(n·Pr), in (0, 1].
 	Ratio float64
-	// Lambda are the per-rack scaling factors; empty means equal shares of
-	// the PDU budget.
-	Lambda []float64
-}
-
-// Validate reports a configuration error, if any.
-func (o OversubscriptionPlan) Validate() error {
-	if o.RackNameplate <= 0 {
-		return fmt.Errorf("powersim: rack nameplate must be positive, got %v", o.RackNameplate)
-	}
-	if o.Racks <= 0 {
-		return fmt.Errorf("powersim: plan needs at least one rack, got %d", o.Racks)
-	}
-	if o.Ratio <= 0 || o.Ratio > 1 {
-		return fmt.Errorf("powersim: oversubscription ratio must be in (0,1], got %v", o.Ratio)
-	}
-	if len(o.Lambda) != 0 && len(o.Lambda) != o.Racks {
-		return fmt.Errorf("powersim: plan has %d lambdas for %d racks", len(o.Lambda), o.Racks)
-	}
-	sum := 0.0
-	for i, l := range o.Lambda {
-		if l < 0 || l > 1 {
-			return fmt.Errorf("powersim: lambda[%d]=%v out of [0,1]", i, l)
-		}
-		sum += l
-	}
-	// Eq. 2: Σ λᵢ·Pr ≤ PPDU.
-	if len(o.Lambda) != 0 && sum*float64(o.RackNameplate) > float64(o.PDUBudget())*(1+1e-9) {
-		return fmt.Errorf("powersim: Σλ·Pr = %v exceeds PDU budget %v",
-			units.Watts(sum*float64(o.RackNameplate)), o.PDUBudget())
-	}
-	return nil
 }
 
 // PDUBudget returns PPDU = ratio·n·Pr.
@@ -135,39 +21,8 @@ func (o OversubscriptionPlan) PDUBudget() units.Watts {
 	return units.Watts(o.Ratio * float64(o.Racks) * float64(o.RackNameplate))
 }
 
-// RackBudget returns λᵢ·Pr, the utility-power budget of rack i.
+// RackBudget returns λ·Pr, the utility-power budget of rack i (the same
+// for every rack).
 func (o OversubscriptionPlan) RackBudget(i int) units.Watts {
-	if len(o.Lambda) == 0 {
-		return units.Watts(o.Ratio * float64(o.RackNameplate))
-	}
-	return units.Watts(o.Lambda[i] * float64(o.RackNameplate))
-}
-
-// RequiredShaving returns how much of a rack's demand exceeds its budget —
-// the battery share bᵢ ≥ pᵢ − λᵢ·Pr demanded by eq. 1 — or 0 when demand
-// fits.
-func (o OversubscriptionPlan) RequiredShaving(i int, demand units.Watts) units.Watts {
-	over := demand - o.RackBudget(i)
-	if over < 0 {
-		return 0
-	}
-	return over
-}
-
-// Build materializes the plan into a PDU: one breaker at the PDU budget,
-// one outlet per rack with soft limit λᵢ·Pr.
-func (o OversubscriptionPlan) Build() (*PDU, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	pdu, err := NewPDU(NewBreaker(o.PDUBudget()), o.Racks)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < o.Racks; i++ {
-		if err := pdu.SetSoftLimit(i, o.RackBudget(i)); err != nil {
-			return nil, err
-		}
-	}
-	return pdu, nil
+	return units.Watts(o.Ratio * float64(o.RackNameplate))
 }

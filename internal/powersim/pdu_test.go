@@ -3,95 +3,12 @@ package powersim
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/units"
 )
 
-func TestNewPDUDefaults(t *testing.T) {
-	pdu, err := NewPDU(NewBreaker(4000), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pdu.Outlets() != 4 {
-		t.Fatalf("Outlets = %d", pdu.Outlets())
-	}
-	for i := 0; i < 4; i++ {
-		if pdu.SoftLimit(i) != 1000 {
-			t.Fatalf("default soft limit[%d] = %v, want equal share 1000", i, pdu.SoftLimit(i))
-		}
-	}
-	if pdu.Budget() != 4000 {
-		t.Fatalf("Budget = %v", pdu.Budget())
-	}
-}
-
-func TestNewPDUValidation(t *testing.T) {
-	if _, err := NewPDU(NewBreaker(0), 4); err == nil {
-		t.Error("bad breaker should fail")
-	}
-	if _, err := NewPDU(NewBreaker(100), 0); err == nil {
-		t.Error("zero outlets should fail")
-	}
-}
-
-func TestSetSoftLimit(t *testing.T) {
-	pdu, _ := NewPDU(NewBreaker(4000), 2)
-	if err := pdu.SetSoftLimit(0, 1500); err != nil {
-		t.Fatal(err)
-	}
-	if pdu.SoftLimit(0) != 1500 {
-		t.Fatal("soft limit not set")
-	}
-	if err := pdu.SetSoftLimit(5, 100); err == nil {
-		t.Error("out-of-range outlet should fail")
-	}
-	if err := pdu.SetSoftLimit(0, -1); err == nil {
-		t.Error("negative limit should fail")
-	}
-}
-
-func TestPDUStepCountsViolationsAndPeak(t *testing.T) {
-	pdu, _ := NewPDU(NewBreaker(4000), 2)
-	pdu.Step([]units.Watts{1500, 800}, time.Second) // outlet 0 violates its 2000... no
-	// Default soft limits are 2000 each; make them tight.
-	pdu.SetSoftLimit(0, 1000)
-	pdu.SetSoftLimit(1, 1000)
-	_, total := pdu.Step([]units.Watts{1500, 800}, time.Second)
-	if total != 2300 {
-		t.Fatalf("total = %v", total)
-	}
-	if pdu.Violations() != 1 {
-		t.Fatalf("violations = %d, want 1", pdu.Violations())
-	}
-	pdu.Step([]units.Watts{1200, 1100}, time.Second)
-	if pdu.Violations() != 3 {
-		t.Fatalf("violations = %d, want 3", pdu.Violations())
-	}
-	if pdu.PeakDraw() != 2300 {
-		t.Fatalf("peak = %v, want 2300", pdu.PeakDraw())
-	}
-}
-
-func TestPDUBreakerTripsOnAggregate(t *testing.T) {
-	pdu, _ := NewPDU(NewBreaker(2000), 2)
-	tripped := false
-	for i := 0; i < 100 && !tripped; i++ {
-		tripped, _ = pdu.Step([]units.Watts{2000, 2000}, 100*time.Millisecond)
-	}
-	if !tripped {
-		t.Fatal("PDU breaker should trip on sustained 2x aggregate overload")
-	}
-	if !pdu.Breaker().Tripped() {
-		t.Fatal("breaker state should reflect the trip")
-	}
-}
-
 func TestOversubscriptionPlanBudgets(t *testing.T) {
 	plan := OversubscriptionPlan{RackNameplate: 5210, Racks: 22, Ratio: 0.65}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	wantPDU := units.Watts(0.65 * 22 * 5210)
 	if got := plan.PDUBudget(); math.Abs(float64(got-wantPDU)) > 1e-9 {
 		t.Fatalf("PDUBudget = %v, want %v", got, wantPDU)
@@ -99,71 +16,5 @@ func TestOversubscriptionPlanBudgets(t *testing.T) {
 	wantRack := units.Watts(0.65 * 5210)
 	if got := plan.RackBudget(3); math.Abs(float64(got-wantRack)) > 1e-9 {
 		t.Fatalf("RackBudget = %v, want %v", got, wantRack)
-	}
-}
-
-func TestOversubscriptionPlanLambda(t *testing.T) {
-	plan := OversubscriptionPlan{
-		RackNameplate: 1000, Racks: 2, Ratio: 0.8,
-		Lambda: []float64{0.9, 0.7},
-	}
-	if err := plan.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.RackBudget(0); got != 900 {
-		t.Fatalf("RackBudget(0) = %v", got)
-	}
-	if got := plan.RackBudget(1); got != 700 {
-		t.Fatalf("RackBudget(1) = %v", got)
-	}
-}
-
-func TestOversubscriptionPlanValidation(t *testing.T) {
-	bad := []OversubscriptionPlan{
-		{RackNameplate: 0, Racks: 2, Ratio: 0.5},
-		{RackNameplate: 100, Racks: 0, Ratio: 0.5},
-		{RackNameplate: 100, Racks: 2, Ratio: 0},
-		{RackNameplate: 100, Racks: 2, Ratio: 1.5},
-		{RackNameplate: 100, Racks: 2, Ratio: 0.5, Lambda: []float64{0.5}},
-		{RackNameplate: 100, Racks: 2, Ratio: 0.5, Lambda: []float64{0.5, 1.5}},
-		// Σλ·Pr = 190 > PPDU = 100: violates eq. 2.
-		{RackNameplate: 100, Racks: 2, Ratio: 0.5, Lambda: []float64{0.9, 1.0}},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("case %d should fail validation: %+v", i, p)
-		}
-	}
-}
-
-func TestRequiredShaving(t *testing.T) {
-	plan := OversubscriptionPlan{RackNameplate: 1000, Racks: 4, Ratio: 0.7}
-	if got := plan.RequiredShaving(0, 600); got != 0 {
-		t.Fatalf("under budget should need 0 shaving, got %v", got)
-	}
-	if got := plan.RequiredShaving(0, 900); got != 200 {
-		t.Fatalf("RequiredShaving = %v, want 200", got)
-	}
-}
-
-func TestPlanBuild(t *testing.T) {
-	plan := OversubscriptionPlan{RackNameplate: 1000, Racks: 3, Ratio: 0.6}
-	pdu, err := plan.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pdu.Outlets() != 3 {
-		t.Fatalf("outlets = %d", pdu.Outlets())
-	}
-	if got := pdu.Budget(); math.Abs(float64(got-1800)) > 1e-9 {
-		t.Fatalf("budget = %v", got)
-	}
-	for i := 0; i < 3; i++ {
-		if got := pdu.SoftLimit(i); math.Abs(float64(got-600)) > 1e-9 {
-			t.Fatalf("soft limit[%d] = %v", i, got)
-		}
-	}
-	if _, err := (OversubscriptionPlan{}).Build(); err == nil {
-		t.Error("invalid plan should not build")
 	}
 }

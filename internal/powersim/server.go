@@ -87,27 +87,6 @@ func (c PowerCoef) Power(util float64) units.Watts {
 	return c.idle + units.Watts(c.span*delivered*c.scale)
 }
 
-// Throughput returns the fraction of demanded work completed at the given
-// frequency cap: 1 when demand fits under the cap, freq/util when it
-// saturates.
-func (m ServerModel) Throughput(util, freq float64) float64 {
-	util = clamp01(util)
-	freq = clampFreq(freq)
-	if util <= 0 {
-		return 1
-	}
-	return min(util, freq) / util
-}
-
-// UtilizationFor inverts Power at full frequency: the utilization that
-// draws p. It clamps to [0,1].
-func (m ServerModel) UtilizationFor(p units.Watts) float64 {
-	if m.Peak == m.Idle {
-		return 0
-	}
-	return clamp01(float64(p-m.Idle) / float64(m.Peak-m.Idle))
-}
-
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

@@ -55,51 +55,6 @@ func TestDVFSExponentOverride(t *testing.T) {
 	}
 }
 
-func TestThroughput(t *testing.T) {
-	cases := []struct {
-		util, freq, want float64
-	}{
-		{0.5, 1, 1},   // demand fits
-		{0.5, 0.5, 1}, // exactly fits
-		{1, 0.8, 0.8}, // saturated
-		{0.9, 0.6, 0.6 / 0.9},
-		{0, 0.5, 1}, // idle server completes "all" of nothing
-	}
-	for _, c := range cases {
-		if got := DL585G5.Throughput(c.util, c.freq); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Throughput(%v, %v) = %v, want %v", c.util, c.freq, got, c.want)
-		}
-	}
-}
-
-func TestThroughputNeverExceedsOne(t *testing.T) {
-	f := func(u, fr float64) bool {
-		if math.IsNaN(u) || math.IsNaN(fr) {
-			return true
-		}
-		got := DL585G5.Throughput(u, fr)
-		return got >= 0 && got <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUtilizationForInvertsPower(t *testing.T) {
-	for _, u := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		p := DL585G5.Power(u, 1)
-		if got := DL585G5.UtilizationFor(p); math.Abs(got-u) > 1e-12 {
-			t.Errorf("UtilizationFor(Power(%v)) = %v", u, got)
-		}
-	}
-	if got := DL585G5.UtilizationFor(10000); got != 1 {
-		t.Errorf("UtilizationFor above peak should clamp to 1, got %v", got)
-	}
-	if got := DL585G5.UtilizationFor(0); got != 0 {
-		t.Errorf("UtilizationFor below idle should clamp to 0, got %v", got)
-	}
-}
-
 func TestFrequencyFloor(t *testing.T) {
 	// Absurd frequency requests clamp instead of zeroing the machine.
 	p := DL585G5.Power(1, 0)
@@ -169,20 +124,10 @@ func refPower(m ServerModel, util, freq float64) units.Watts {
 	return m.Idle + units.Watts(float64(m.Peak-m.Idle)*delivered*scale)
 }
 
-// refThroughput is Throughput written with math.Min.
-func refThroughput(util, freq float64) float64 {
-	util = clamp01(util)
-	freq = clampFreq(freq)
-	if util <= 0 {
-		return 1
-	}
-	return math.Min(util, freq) / util
-}
-
-// TestPowerMinExact pins the builtin min in PowerCoef.Power and
-// Throughput to the math.Min reference bit for bit over every pairing of
-// edge operands. The −0 idle model carries a −0 delivered term through to
-// the result, so a signed-zero flip would show in the output bits.
+// TestPowerMinExact pins the builtin min in PowerCoef.Power to the
+// math.Min reference bit for bit over every pairing of edge operands.
+// The −0 idle model carries a −0 delivered term through to the result,
+// so a signed-zero flip would show in the output bits.
 func TestPowerMinExact(t *testing.T) {
 	models := []ServerModel{DL585G5, {Idle: units.Watts(math.Copysign(0, -1)), Peak: 1}}
 	for _, m := range models {
@@ -192,10 +137,6 @@ func TestPowerMinExact(t *testing.T) {
 				if got, want := pc.Power(u), refPower(m, u, f); !sameFloat(float64(got), float64(want)) {
 					t.Errorf("%+v: PowerCoef(%v).Power(%v) = %v (%#x), math.Min ref %v (%#x)",
 						m, f, u, got, math.Float64bits(float64(got)), want, math.Float64bits(float64(want)))
-				}
-				if got, want := m.Throughput(u, f), refThroughput(u, f); !sameFloat(got, want) {
-					t.Errorf("Throughput(%v, %v) = %v (%#x), math.Min ref %v (%#x)",
-						u, f, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
 		}

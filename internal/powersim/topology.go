@@ -97,23 +97,3 @@ func (t Topology) AnnualLossKWh(load units.Watts) float64 {
 	const hoursPerYear = 8760
 	return float64(t.ConversionLoss(load)) * hoursPerYear / 1000
 }
-
-// PSUEfficiency models a server power supply's load-dependent efficiency
-// (an 80-PLUS-style curve): poor at light load, peaking near half load.
-// fraction is the PSU load as a fraction of its rating.
-func PSUEfficiency(fraction float64) float64 {
-	switch {
-	case fraction <= 0:
-		return 0
-	case fraction < 0.1:
-		// Light load: efficiency climbs steeply from ~70%.
-		return 0.70 + 1.5*fraction
-	case fraction < 0.5:
-		return 0.85 + 0.175*(fraction-0.1)
-	case fraction <= 1:
-		// Slight droop past the 50% sweet spot.
-		return 0.92 - 0.03*(fraction-0.5)
-	default:
-		return 0.90
-	}
-}

@@ -77,35 +77,3 @@ func TestTopologyStrings(t *testing.T) {
 		t.Error("unknown topology should be lossless")
 	}
 }
-
-func TestPSUEfficiencyCurve(t *testing.T) {
-	if PSUEfficiency(0) != 0 {
-		t.Error("no load, no efficiency")
-	}
-	if PSUEfficiency(-0.5) != 0 {
-		t.Error("negative load should be 0")
-	}
-	// Monotone rise to the 50% sweet spot, gentle droop after.
-	if !(PSUEfficiency(0.05) < PSUEfficiency(0.2)) {
-		t.Error("efficiency should rise from light load")
-	}
-	if !(PSUEfficiency(0.2) < PSUEfficiency(0.5)) {
-		t.Error("efficiency should peak near half load")
-	}
-	if !(PSUEfficiency(0.5) > PSUEfficiency(1.0)) {
-		t.Error("efficiency should droop past the sweet spot")
-	}
-	for _, f := range []float64{0.01, 0.1, 0.3, 0.5, 0.8, 1.0, 1.5} {
-		e := PSUEfficiency(f)
-		if e < 0.5 || e > 1 {
-			t.Errorf("PSUEfficiency(%v) = %v out of plausible range", f, e)
-		}
-	}
-	// The curve is continuous at its breakpoints (within a percent).
-	pairs := [][2]float64{{0.0999, 0.1001}, {0.4999, 0.5001}}
-	for _, p := range pairs {
-		if d := PSUEfficiency(p[1]) - PSUEfficiency(p[0]); d > 0.01 || d < -0.01 {
-			t.Errorf("discontinuity at %v: %v", p[0], d)
-		}
-	}
-}

@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -84,48 +83,6 @@ type Progress struct {
 	ETA time.Duration
 }
 
-// jobLatencyBounds bucket per-job wall time: sweeps mix sub-second unit
-// runs with multi-minute survival simulations.
-var jobLatencyBounds = []float64{
-	0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300,
-}
-
-// Metrics instruments a pool's sweeps through an obs.Registry. One
-// Metrics value may be shared by every pool in a process; the counters
-// then aggregate across sweeps.
-type Metrics struct {
-	completed, failed, queued, latency *obs.Family
-}
-
-// NewMetrics declares the runner metric families on reg.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{
-		completed: reg.Counter("runner_jobs_completed_total", "Sweep jobs finished successfully.", ""),
-		failed:    reg.Counter("runner_jobs_failed_total", "Sweep jobs that returned an error or panicked.", ""),
-		queued:    reg.Gauge("runner_queue_depth", "Sweep jobs accepted but not yet finished.", ""),
-		latency:   reg.Histogram("runner_job_seconds", "Wall-clock run time per sweep job.", "", jobLatencyBounds),
-	}
-}
-
-func (m *Metrics) enqueue(n int) {
-	if m != nil {
-		m.queued.Add("", float64(n))
-	}
-}
-
-func (m *Metrics) record(err error, elapsed time.Duration) {
-	if m == nil {
-		return
-	}
-	m.queued.Add("", -1)
-	if err != nil {
-		m.failed.Add("", 1)
-	} else {
-		m.completed.Add("", 1)
-	}
-	m.latency.Observe("", elapsed.Seconds())
-}
-
 // Pool bounds how a sweep executes.
 type Pool struct {
 	// Workers is the number of concurrent goroutines. 0 (or negative)
@@ -137,9 +94,6 @@ type Pool struct {
 	// Calls are serialized; the callback must not invoke the pool
 	// reentrantly.
 	OnProgress func(Progress)
-	// Metrics, when non-nil, counts jobs and observes per-job latency as
-	// the sweep executes (registry access is internally synchronized).
-	Metrics *Metrics
 }
 
 func (p Pool) workers() int {
@@ -158,12 +112,10 @@ func Map[T any](pool Pool, jobs []Job[T]) []Result[T] {
 	if len(jobs) == 0 {
 		return results
 	}
-	pool.Metrics.enqueue(len(jobs))
 	start := time.Now()
 	var mu sync.Mutex // guards done and serializes OnProgress
 	done := 0
 	finish := func(i int) {
-		pool.Metrics.record(results[i].Err, results[i].Elapsed)
 		if pool.OnProgress == nil {
 			return
 		}

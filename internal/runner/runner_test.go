@@ -1,7 +1,6 @@
 package runner_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/schemes"
 	"repro/internal/sim"
@@ -301,43 +299,6 @@ func TestSimRunsAreIsolated(t *testing.T) {
 		}
 		if !reflect.DeepEqual(parallel[i], sequential[i]) {
 			t.Errorf("run %d: parallel result differs from sequential rerun", i)
-		}
-	}
-}
-
-// TestPoolMetrics checks the sweep instrumentation: completed/failed
-// counters, a drained queue-depth gauge and one latency observation per
-// job, aggregated across worker counts and across sweeps sharing the
-// Metrics value. Run under -race in CI this doubles as the concurrency
-// check on the registry.
-func TestPoolMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	m := runner.NewMetrics(reg)
-	jobs := make([]runner.Job[int], 8)
-	for i := range jobs {
-		i := i
-		jobs[i] = runner.Job[int]{Key: fmt.Sprintf("j%d", i), Run: func() (int, error) {
-			if i%4 == 3 {
-				return 0, errors.New("boom")
-			}
-			return i, nil
-		}}
-	}
-	for _, workers := range []int{1, 4} {
-		runner.Map(runner.Pool{Workers: workers, Metrics: m}, jobs)
-	}
-	var buf bytes.Buffer
-	if err := reg.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range []string{
-		"runner_jobs_completed_total 12\n",
-		"runner_jobs_failed_total 4\n",
-		"runner_queue_depth 0\n",
-		"runner_job_seconds_count 16\n",
-	} {
-		if !strings.Contains(buf.String(), line) {
-			t.Fatalf("missing %q in exposition:\n%s", line, buf.String())
 		}
 	}
 }

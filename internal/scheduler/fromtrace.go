@@ -35,19 +35,3 @@ func OutageImpairments(rack, serversPerRack int, from, to time.Duration) []Impai
 	}
 	return out
 }
-
-// CappingImpairments builds impairments slowing every server of a rack to
-// the given factor over a window — the footprint of sustained DVFS
-// capping.
-func CappingImpairments(rack, serversPerRack int, from, to time.Duration, factor float64) []Impairment {
-	out := make([]Impairment, 0, serversPerRack)
-	for s := 0; s < serversPerRack; s++ {
-		out = append(out, Impairment{
-			Server:      rack*serversPerRack + s,
-			From:        from,
-			To:          to,
-			SpeedFactor: factor,
-		})
-	}
-	return out
-}

@@ -47,18 +47,6 @@ func TestOutageImpairments(t *testing.T) {
 	}
 }
 
-func TestCappingImpairments(t *testing.T) {
-	imp := CappingImpairments(0, 5, 0, time.Minute, 0.8)
-	if len(imp) != 5 {
-		t.Fatalf("impairments = %d", len(imp))
-	}
-	for _, im := range imp {
-		if im.SpeedFactor != 0.8 {
-			t.Fatal("factor wrong")
-		}
-	}
-}
-
 func TestJobLevelImpactOfAnOutage(t *testing.T) {
 	// The service-level story behind Figure 16: the same workload run
 	// with and without a rack outage window — the outage costs restarts

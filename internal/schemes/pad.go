@@ -1,8 +1,6 @@
 package schemes
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -42,10 +40,6 @@ func NewPAD(opts Options) *PAD {
 
 // Name implements sim.Scheme.
 func (s *PAD) Name() string { return "PAD" }
-
-// SetMonitoringTau overrides the capping monitor's smoothing constant
-// (ablation knob).
-func (s *PAD) SetMonitoringTau(tau time.Duration) { s.gov.Tau = tau }
 
 // Level implements sim.LevelReporter.
 func (s *PAD) Level() core.Level {

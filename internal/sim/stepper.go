@@ -272,9 +272,6 @@ func (st *Stepper) TotalServers() int { return st.totalServers }
 // Tick returns the configured simulation step.
 func (st *Stepper) Tick() time.Duration { return st.cfg.Tick }
 
-// Scheme returns the scheme under control.
-func (st *Stepper) Scheme() Scheme { return st.scheme }
-
 // ComputeDemand steps the attack controller on last tick's observation
 // and fills the coming tick's per-server utilization demand from the
 // background trace and the virus. The returned slice is owned by the

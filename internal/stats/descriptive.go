@@ -54,15 +54,6 @@ func MinMax(xs []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It returns 0 for an empty
 // slice. The input is not modified.
@@ -87,9 +78,6 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // CDF is an empirical cumulative distribution function built from samples.
 type CDF struct {
@@ -124,67 +112,3 @@ func (c *CDF) Quantile(q float64) float64 {
 
 // Len reports the number of samples.
 func (c *CDF) Len() int { return len(c.sorted) }
-
-// Points returns (x, P(X<=x)) pairs suitable for plotting, sampled at every
-// distinct value.
-func (c *CDF) Points() (xs, ps []float64) {
-	for i, x := range c.sorted {
-		if i > 0 && x == c.sorted[i-1] {
-			xs[len(xs)-1] = x
-			ps[len(ps)-1] = float64(i+1) / float64(len(c.sorted))
-			continue
-		}
-		xs = append(xs, x)
-		ps = append(ps, float64(i+1)/float64(len(c.sorted)))
-	}
-	return xs, ps
-}
-
-// Histogram counts samples into uniform bins over [lo, hi].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with n uniform bins spanning [lo, hi].
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram needs hi > lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records one sample. Out-of-range samples clamp into the edge bins.
-func (h *Histogram) Add(x float64) {
-	n := len(h.Counts)
-	i := int(float64(n) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= n {
-		i = n - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total reports the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}

@@ -58,12 +58,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{9, 1, 5}); got != 5 {
-		t.Fatalf("Median = %v, want 5", got)
-	}
-}
-
 func TestCDFMonotone(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := raw[:0]
@@ -113,65 +107,6 @@ func TestCDFQuantile(t *testing.T) {
 	}
 	if got := c.Quantile(1); got != 50 {
 		t.Fatalf("Quantile(1) = %v, want 50", got)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	xs, ps := c.Points()
-	if len(xs) != 3 || len(ps) != 3 {
-		t.Fatalf("Points lengths = %d, %d; want 3, 3", len(xs), len(ps))
-	}
-	if xs[1] != 2 || ps[1] != 0.75 {
-		t.Fatalf("Points[1] = (%v, %v); want (2, 0.75)", xs[1], ps[1])
-	}
-	if ps[2] != 1 {
-		t.Fatalf("final probability = %v; want 1", ps[2])
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.9, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// -1, 0, 1.9 land in bin 0; 10 and 42 clamp into bin 4 alongside 9.9.
-	if h.Counts[0] != 3 {
-		t.Errorf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 3 {
-		t.Errorf("bin 4 = %d, want 3", h.Counts[4])
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.Fraction(0); got != 3.0/8 {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero bins": func() { NewHistogram(0, 1, 0) },
-		"hi<=lo":    func() { NewHistogram(1, 1, 4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1.5, 2.5, -1}); got != 3 {
-		t.Fatalf("Sum = %v", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the deterministic random number generator and the
-// small numerical toolkit (descriptive statistics, CDFs, histograms,
-// time-series helpers) used by the simulator and the experiment harness.
+// small numerical toolkit (descriptive statistics, CDFs, time-series
+// helpers) used by the simulator and the experiment harness.
 //
 // Everything random in the repository flows from stats.RNG seeded
 // explicitly, so every experiment is reproducible bit-for-bit.
@@ -103,19 +103,6 @@ func (r *RNG) Norm(mean, stddev float64) float64 {
 // normal has parameters mu and sigma.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Norm(mu, sigma))
-}
-
-// Exp returns an exponentially distributed value with the given rate
-// (events per unit). The mean is 1/rate.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("stats: Exp with non-positive rate")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
 }
 
 // Poisson returns a Poisson-distributed count with the given mean, using

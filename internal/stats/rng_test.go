@@ -108,31 +108,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := NewRNG(8)
-	const n = 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Exp(2)
-		if v < 0 {
-			t.Fatalf("Exp returned negative %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.02 {
-		t.Fatalf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestExpPanicsOnBadRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exp(0) should panic")
-		}
-	}()
-	NewRNG(1).Exp(0)
-}
-
 func TestPoissonMean(t *testing.T) {
 	r := NewRNG(9)
 	for _, mean := range []float64{0.5, 3, 12, 50} {

@@ -38,11 +38,6 @@ func (s *Series) Append(v float64) { s.Values = append(s.Values, v) }
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 
-// Duration reports the time span covered by the samples.
-func (s *Series) Duration() time.Duration {
-	return time.Duration(len(s.Values)) * s.Step
-}
-
 // At returns the sample covering offset t (zero beyond the end).
 func (s *Series) At(t time.Duration) float64 {
 	i := int(t / s.Step)
@@ -79,79 +74,12 @@ func (s *Series) Max() float64 {
 // Mean returns the mean sample value.
 func (s *Series) Mean() float64 { return Mean(s.Values) }
 
-// Downsample returns a new series with step multiplied by factor where each
-// output sample is the mean of factor consecutive input samples. A final
-// partial window is averaged over the samples it has.
-func (s *Series) Downsample(factor int) *Series {
-	if factor <= 0 {
-		panic("stats: downsample factor must be positive")
-	}
-	out := NewSeries(s.Step * time.Duration(factor))
-	for i := 0; i < len(s.Values); i += factor {
-		end := i + factor
-		if end > len(s.Values) {
-			end = len(s.Values)
-		}
-		out.Append(Mean(s.Values[i:end]))
-	}
-	return out
-}
-
-// MovingAverage returns a new series of the same step where each sample is
-// the mean of the trailing window of the given number of samples
-// (including the current one).
-func (s *Series) MovingAverage(window int) *Series {
-	if window <= 0 {
-		panic("stats: moving average window must be positive")
-	}
-	out := NewSeries(s.Step)
-	sum := 0.0
-	for i, v := range s.Values {
-		sum += v
-		if i >= window {
-			sum -= s.Values[i-window]
-		}
-		n := window
-		if i+1 < window {
-			n = i + 1
-		}
-		out.Append(sum / float64(n))
-	}
-	return out
-}
-
 // Scale returns a new series with every value multiplied by k.
 func (s *Series) Scale(k float64) *Series {
 	out := NewSeries(s.Step)
 	out.Values = make([]float64, len(s.Values))
 	for i, v := range s.Values {
 		out.Values[i] = v * k
-	}
-	return out
-}
-
-// AddSeries returns the pointwise sum of a and b, which must share a step.
-// The result has the length of the longer input; the shorter is treated as
-// zero beyond its end.
-func AddSeries(a, b *Series) *Series {
-	if a.Step != b.Step {
-		panic("stats: cannot add series with different steps")
-	}
-	n := len(a.Values)
-	if len(b.Values) > n {
-		n = len(b.Values)
-	}
-	out := NewSeries(a.Step)
-	out.Values = make([]float64, n)
-	for i := 0; i < n; i++ {
-		var av, bv float64
-		if i < len(a.Values) {
-			av = a.Values[i]
-		}
-		if i < len(b.Values) {
-			bv = b.Values[i]
-		}
-		out.Values[i] = av + bv
 	}
 	return out
 }

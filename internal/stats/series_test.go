@@ -19,9 +19,6 @@ func TestSeriesBasics(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.Duration() != 3*time.Second {
-		t.Fatalf("Duration = %v", s.Duration())
-	}
 	if s.At(1500*time.Millisecond) != 2 {
 		t.Fatalf("At(1.5s) = %v, want 2", s.At(1500*time.Millisecond))
 	}
@@ -71,46 +68,6 @@ func TestSeriesInterp(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	s := newTestSeries(time.Second, 1, 3, 5, 7, 9)
-	d := s.Downsample(2)
-	if d.Step != 2*time.Second {
-		t.Fatalf("step = %v", d.Step)
-	}
-	want := []float64{2, 6, 9} // last window is partial
-	if len(d.Values) != len(want) {
-		t.Fatalf("len = %d, want %d", len(d.Values), len(want))
-	}
-	for i, w := range want {
-		if d.Values[i] != w {
-			t.Errorf("value[%d] = %v, want %v", i, d.Values[i], w)
-		}
-	}
-}
-
-func TestDownsamplePreservesMean(t *testing.T) {
-	s := NewSeries(time.Second)
-	r := NewRNG(99)
-	for i := 0; i < 1000; i++ { // multiple of factor so no partial window
-		s.Append(r.Float64())
-	}
-	d := s.Downsample(10)
-	if math.Abs(d.Mean()-s.Mean()) > 1e-12 {
-		t.Fatalf("downsample changed mean: %v vs %v", d.Mean(), s.Mean())
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	s := newTestSeries(time.Second, 2, 4, 6, 8)
-	m := s.MovingAverage(2)
-	want := []float64{2, 3, 5, 7}
-	for i, w := range want {
-		if m.Values[i] != w {
-			t.Errorf("MA[%d] = %v, want %v", i, m.Values[i], w)
-		}
-	}
-}
-
 func TestScale(t *testing.T) {
 	s := newTestSeries(time.Second, 1, 2)
 	k := s.Scale(3)
@@ -120,43 +77,4 @@ func TestScale(t *testing.T) {
 	if s.Values[0] != 1 {
 		t.Fatal("Scale mutated the receiver")
 	}
-}
-
-func TestAddSeries(t *testing.T) {
-	a := newTestSeries(time.Second, 1, 2, 3)
-	b := newTestSeries(time.Second, 10, 20)
-	sum := AddSeries(a, b)
-	want := []float64{11, 22, 3}
-	for i, w := range want {
-		if sum.Values[i] != w {
-			t.Errorf("sum[%d] = %v, want %v", i, sum.Values[i], w)
-		}
-	}
-}
-
-func TestAddSeriesStepMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddSeries with mismatched steps should panic")
-		}
-	}()
-	AddSeries(NewSeries(time.Second), NewSeries(2*time.Second))
-}
-
-func TestMovingAveragePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MovingAverage(0) should panic")
-		}
-	}()
-	NewSeries(time.Second).MovingAverage(0)
-}
-
-func TestDownsamplePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Downsample(0) should panic")
-		}
-	}()
-	NewSeries(time.Second).Downsample(0)
 }

@@ -87,48 +87,3 @@ func ClusterSeries(tr *Trace, step time.Duration) (*stats.Series, error) {
 	}
 	return out, nil
 }
-
-// RackAssignment maps machines onto racks of the given size, in machine-ID
-// order: machine m lives in rack m/serversPerRack. Machines beyond
-// racks×serversPerRack are dropped (the paper evaluates 22 racks × 10
-// servers from a 220-machine trace).
-type RackAssignment struct {
-	Racks          int
-	ServersPerRack int
-}
-
-// RackSeries aggregates machine utilization into per-rack mean utilization
-// series under the assignment.
-func RackSeries(tr *Trace, step time.Duration, asg RackAssignment) ([]*stats.Series, error) {
-	if asg.Racks <= 0 || asg.ServersPerRack <= 0 {
-		return nil, fmt.Errorf("trace: invalid rack assignment %+v", asg)
-	}
-	per, err := MachineSeries(tr, step)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*stats.Series, asg.Racks)
-	n := 0
-	if len(per) > 0 {
-		n = per[0].Len()
-	}
-	for r := range out {
-		out[r] = stats.NewSeries(step)
-		out[r].Values = make([]float64, n)
-	}
-	for m, s := range per {
-		r := m / asg.ServersPerRack
-		if r >= asg.Racks {
-			break
-		}
-		for i, v := range s.Values {
-			out[r].Values[i] += v
-		}
-	}
-	for r := range out {
-		for i := range out[r].Values {
-			out[r].Values[i] /= float64(asg.ServersPerRack)
-		}
-	}
-	return out, nil
-}

@@ -82,49 +82,6 @@ func TestClusterSeries(t *testing.T) {
 	}
 }
 
-func TestRackSeries(t *testing.T) {
-	tr := &Trace{Machines: 4, Tasks: []Task{
-		{Start: 0, End: 10 * time.Second, Machine: 0, CPURate: 0.2},
-		{Start: 0, End: 10 * time.Second, Machine: 1, CPURate: 0.4},
-		{Start: 0, End: 10 * time.Second, Machine: 2, CPURate: 1.0},
-		{Start: 0, End: 10 * time.Second, Machine: 3, CPURate: 0.6},
-	}}
-	racks, err := RackSeries(tr, 10*time.Second, RackAssignment{Racks: 2, ServersPerRack: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(racks) != 2 {
-		t.Fatalf("rack count = %d", len(racks))
-	}
-	if got := racks[0].Values[0]; math.Abs(got-0.3) > 1e-12 {
-		t.Fatalf("rack 0 = %v, want 0.3", got)
-	}
-	if got := racks[1].Values[0]; math.Abs(got-0.8) > 1e-12 {
-		t.Fatalf("rack 1 = %v, want 0.8", got)
-	}
-}
-
-func TestRackSeriesDropsExtraMachines(t *testing.T) {
-	tr := &Trace{Machines: 5, Tasks: []Task{
-		{Start: 0, End: 10 * time.Second, Machine: 4, CPURate: 1.0},
-		{Start: 0, End: 10 * time.Second, Machine: 0, CPURate: 0.5},
-	}}
-	racks, err := RackSeries(tr, 10*time.Second, RackAssignment{Racks: 2, ServersPerRack: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Machine 4 would be rack 2, which doesn't exist: dropped silently.
-	if got := racks[0].Values[0]; math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("rack 0 = %v, want 0.25", got)
-	}
-}
-
-func TestRackSeriesValidation(t *testing.T) {
-	if _, err := RackSeries(&Trace{Machines: 1}, time.Second, RackAssignment{}); err == nil {
-		t.Fatal("empty assignment should fail")
-	}
-}
-
 func TestMachineSeriesOutOfRangeMachine(t *testing.T) {
 	tr := &Trace{Machines: 1, Tasks: []Task{
 		{Start: 0, End: time.Second, Machine: 3, CPURate: 0.5},

@@ -69,6 +69,25 @@ func TestGenerateValidTrace(t *testing.T) {
 	}
 }
 
+func TestGenerateTaskDurations(t *testing.T) {
+	tr, err := Generate(SynthConfig{Machines: 50, Horizon: 24 * time.Hour, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	durs := make([]float64, len(tr.Tasks))
+	for i, task := range tr.Tasks {
+		durs[i] = (task.End - task.Start).Seconds()
+	}
+	// The generator targets 20-minute tasks with a heavy tail.
+	mean := stats.Mean(durs)
+	if mean < (5*time.Minute).Seconds() || mean > time.Hour.Seconds() {
+		t.Fatalf("mean task duration = %vs, want in [5 min, 1 h]", mean)
+	}
+	if p95 := stats.Percentile(durs, 95); p95 <= mean {
+		t.Fatalf("heavy-tailed durations: p95 %vs should exceed the mean %vs", p95, mean)
+	}
+}
+
 func TestGenerateHitsMeanUtilization(t *testing.T) {
 	cfg := SynthConfig{Machines: 60, Horizon: 48 * time.Hour, Seed: 11, MeanUtilization: 0.45}
 	tr, err := Generate(cfg)

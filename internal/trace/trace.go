@@ -27,9 +27,6 @@ type Task struct {
 	CPURate float64
 }
 
-// Duration returns the task's run time.
-func (t Task) Duration() time.Duration { return t.End - t.Start }
-
 // Validate reports a malformed task.
 func (t Task) Validate() error {
 	if t.End <= t.Start {

@@ -1,5 +1,5 @@
 // Package units defines physical quantity types used throughout the
-// simulator: power, energy, charge, voltage and current.
+// simulator: power and energy.
 //
 // All quantities are float64 wrappers. Wrapping them in named types makes
 // unit errors (adding Watts to WattHours, say) a compile-time problem
@@ -27,15 +27,6 @@ type Joules float64
 // WattHours is energy in watt-hours (1 Wh = 3600 J).
 type WattHours float64
 
-// Volts is electrical potential.
-type Volts float64
-
-// Amps is electrical current.
-type Amps float64
-
-// AmpHours is electrical charge in amp-hours.
-type AmpHours float64
-
 // JoulesPerWattHour converts between the two energy units.
 const JoulesPerWattHour = 3600.0
 
@@ -58,23 +49,6 @@ func (j Joules) Over(d time.Duration) Watts {
 		return 0
 	}
 	return Watts(float64(j) / s)
-}
-
-// Current returns the current drawn at voltage v by power p.
-// It returns 0 for non-positive voltages.
-func (p Watts) Current(v Volts) Amps {
-	if v <= 0 {
-		return 0
-	}
-	return Amps(float64(p) / float64(v))
-}
-
-// Power returns the power delivered by current i at voltage v.
-func (i Amps) Power(v Volts) Watts { return Watts(float64(i) * float64(v)) }
-
-// Charge returns the charge moved by current i over duration d.
-func (i Amps) Charge(d time.Duration) AmpHours {
-	return AmpHours(float64(i) * d.Hours())
 }
 
 // String implements fmt.Stringer with an auto-scaled unit.
@@ -109,17 +83,6 @@ func (wh WattHours) String() string {
 	default:
 		return fmt.Sprintf("%.4gWh", float64(wh))
 	}
-}
-
-// Clamp returns p limited to the closed interval [lo, hi].
-func (p Watts) Clamp(lo, hi Watts) Watts {
-	if p < lo {
-		return lo
-	}
-	if p > hi {
-		return hi
-	}
-	return p
 }
 
 // Max returns the larger of a and b.

@@ -67,44 +67,6 @@ func TestEnergyPowerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCurrentAndPower(t *testing.T) {
-	i := Watts(480).Current(48)
-	if i != 10 {
-		t.Fatalf("480W at 48V = %vA, want 10", i)
-	}
-	if p := i.Power(48); p != 480 {
-		t.Fatalf("round trip power = %v, want 480W", p)
-	}
-	if got := Watts(480).Current(0); got != 0 {
-		t.Fatalf("zero volts should yield 0 A, got %v", got)
-	}
-	if got := Watts(480).Current(-12); got != 0 {
-		t.Fatalf("negative volts should yield 0 A, got %v", got)
-	}
-}
-
-func TestCharge(t *testing.T) {
-	got := Amps(2).Charge(30 * time.Minute)
-	if got != 1 {
-		t.Fatalf("2A for 30min = %vAh, want 1", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	cases := []struct{ p, lo, hi, want Watts }{
-		{5, 0, 10, 5},
-		{-5, 0, 10, 0},
-		{15, 0, 10, 10},
-		{10, 0, 10, 10},
-		{0, 0, 10, 0},
-	}
-	for _, c := range cases {
-		if got := c.p.Clamp(c.lo, c.hi); got != c.want {
-			t.Errorf("(%v).Clamp(%v,%v) = %v, want %v", c.p, c.lo, c.hi, got, c.want)
-		}
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if Max(3, 7) != 7 || Max(7, 3) != 7 {
 		t.Error("Max wrong")
@@ -142,22 +104,5 @@ func TestEnergyStrings(t *testing.T) {
 	}
 	if s := WattHours(7200).String(); s != "7.2kWh" {
 		t.Errorf("7200 Wh renders as %q", s)
-	}
-}
-
-func TestClampPropertyWithinBounds(t *testing.T) {
-	f := func(p, a, b float64) bool {
-		if math.IsNaN(p) || math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		lo, hi := Watts(a), Watts(b)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		got := Watts(p).Clamp(lo, hi)
-		return got >= lo && got <= hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -17,7 +17,6 @@ package virus
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -103,20 +102,4 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("virus: jitter %v out of [0,1)", p.Jitter)
 	}
 	return nil
-}
-
-// EffectivePeak returns the average utilization a spike of the given width
-// actually achieves, accounting for the first-order ramp: a spike narrower
-// than the ramp time barely registers. (Mean of 1−e^(−t/τ) over [0, w].)
-func (p Profile) EffectivePeak(width time.Duration) float64 {
-	if width <= 0 {
-		return 0
-	}
-	tau := p.RampTime.Seconds()
-	if tau == 0 {
-		return p.PeakFraction
-	}
-	w := width.Seconds()
-	frac := 1 - tau/w*(1-math.Exp(-w/tau))
-	return p.PeakFraction * frac
 }

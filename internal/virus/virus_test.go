@@ -52,40 +52,6 @@ func TestProfileOrderingMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestEffectivePeakRampAttenuation(t *testing.T) {
-	// A 1 s spike: CPU virus nearly reaches peak; IO virus falls well short.
-	cpu := CPUIntensive.EffectivePeak(time.Second)
-	io := IOIntensive.EffectivePeak(time.Second)
-	if cpu < 0.9*CPUIntensive.PeakFraction {
-		t.Errorf("CPU 1s effective peak %v too low", cpu)
-	}
-	if io > 0.75*IOIntensive.PeakFraction {
-		t.Errorf("IO 1s effective peak %v should be strongly attenuated", io)
-	}
-	// Wider spikes approach the nominal peak for every profile.
-	for _, p := range Profiles() {
-		narrow := p.EffectivePeak(500 * time.Millisecond)
-		wide := p.EffectivePeak(4 * time.Second)
-		if wide <= narrow {
-			t.Errorf("%s: wider spike should be more effective (%v vs %v)",
-				p.Name, wide, narrow)
-		}
-		if wide > p.PeakFraction {
-			t.Errorf("%s: effective peak %v above nominal", p.Name, wide)
-		}
-	}
-	if got := CPUIntensive.EffectivePeak(0); got != 0 {
-		t.Errorf("zero-width spike should be 0, got %v", got)
-	}
-}
-
-func TestEffectivePeakZeroRamp(t *testing.T) {
-	p := Profile{Name: "x", PeakFraction: 0.8, SustainFraction: 0.5}
-	if got := p.EffectivePeak(time.Second); got != 0.8 {
-		t.Fatalf("zero-ramp effective peak = %v, want 0.8", got)
-	}
-}
-
 func TestAttackConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Profile: Profile{}},
