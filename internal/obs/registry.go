@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -148,72 +149,118 @@ func (f *Family) SetHistogram(label string, counts []uint64, sum float64, total 
 	s.total = total
 }
 
+// flushAt is the buffered exposition size at which Write hands the
+// text to its writer.
+const flushAt = 64 << 10
+
+// expo renders exposition text into one reused buffer with strconv
+// appends, flushing it to w whenever a series leaves it at flushAt
+// bytes or more.
+type expo struct {
+	w    io.Writer
+	buf  []byte
+	pair []byte // the current series' label set, `{label="value"}`, or empty
+	pre  []byte // the current histogram series' bucket-line prefix
+	err  error
+}
+
+// flush hands the buffered text to w and empties the buffer; after a
+// failed write it only empties it.
+func (e *expo) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// sample appends one `name<suffix><labels> ` line head.
+func (e *expo) sample(name, suffix string) {
+	e.buf = append(e.buf, name...)
+	e.buf = append(e.buf, suffix...)
+	e.buf = append(e.buf, e.pair...)
+	e.buf = append(e.buf, ' ')
+}
+
 // Write renders the full text exposition.
 func (r *Registry) Write(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	e := &expo{w: w, buf: make([]byte, 0, flushAt+flushAt/8)}
 	for _, f := range r.families {
-		if err := f.write(w); err != nil {
-			return err
+		f.write(e)
+		if e.err != nil {
+			return e.err
 		}
 	}
-	return nil
+	e.flush()
+	return e.err
 }
 
-func (f *Family) write(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
-		return err
-	}
+func (f *Family) write(e *expo) {
+	e.buf = append(e.buf, "# HELP "+f.name+" "+f.help+"\n# TYPE "+f.name+" "+f.kind.String()+"\n"...)
 	labels := make([]string, 0, len(f.series))
 	for l := range f.series {
 		labels = append(labels, l)
 	}
 	sort.Strings(labels)
+	var les []string
+	if f.kind == histogramKind {
+		les = f.leLabels()
+	}
 	for _, l := range labels {
 		s := f.series[l]
+		e.pair = e.pair[:0]
+		if f.label != "" {
+			e.pair = append(e.pair, '{')
+			e.pair = append(e.pair, f.label...)
+			e.pair = append(e.pair, '=')
+			e.pair = strconv.AppendQuote(e.pair, l)
+			e.pair = append(e.pair, '}')
+		}
 		if f.kind == histogramKind {
-			if err := f.writeHistogram(w, l, s); err != nil {
-				return err
-			}
-			continue
-		}
-		var err error
-		if f.label == "" {
-			_, err = fmt.Fprintf(w, "%s %g\n", f.name, s.value)
+			f.writeHistogram(e, les, s)
 		} else {
-			_, err = fmt.Fprintf(w, "%s{%s=%q} %g\n", f.name, f.label, l, s.value)
+			e.sample(f.name, "")
+			e.buf = strconv.AppendFloat(e.buf, s.value, 'g', -1, 64)
+			e.buf = append(e.buf, '\n')
 		}
-		if err != nil {
-			return err
+		if len(e.buf) >= flushAt {
+			e.flush()
 		}
 	}
-	return nil
 }
 
-func (f *Family) writeHistogram(w io.Writer, label string, s *series) error {
+// leLabels formats the family's bucket bounds as bucket-line tails,
+// `le="0.1"} `, ending with the +Inf bucket's.
+func (f *Family) leLabels() []string {
+	les := make([]string, 0, len(f.bounds)+1)
+	for _, b := range f.bounds {
+		les = append(les, "le="+strconv.Quote(strconv.FormatFloat(b, 'g', -1, 64))+"} ")
+	}
+	return append(les, `le="+Inf"} `)
+}
+
+func (f *Family) writeHistogram(e *expo, les []string, s *series) {
 	// Bucket lines carry the family label first, then le — the exact
 	// layout the padd exposition always used.
-	bucketPre := f.name + "_bucket{"
-	labels := "" // suffix for the _sum/_count lines
-	if f.label != "" {
-		lv := fmt.Sprintf("%s=%q", f.label, label)
-		bucketPre += lv + ","
-		labels = "{" + lv + "}"
+	e.pre = append(e.pre[:0], f.name...)
+	e.pre = append(e.pre, "_bucket{"...)
+	if len(e.pair) > 0 {
+		e.pre = append(e.pre, e.pair[1:len(e.pair)-1]...)
+		e.pre = append(e.pre, ',')
 	}
 	cum := uint64(0)
-	for i, b := range f.bounds {
+	for i, le := range les {
 		cum += s.counts[i]
-		if _, err := fmt.Fprintf(w, "%sle=%q} %d\n", bucketPre, fmt.Sprintf("%g", b), cum); err != nil {
-			return err
-		}
+		e.buf = append(e.buf, e.pre...)
+		e.buf = append(e.buf, le...)
+		e.buf = strconv.AppendUint(e.buf, cum, 10)
+		e.buf = append(e.buf, '\n')
 	}
-	cum += s.counts[len(f.bounds)]
-	if _, err := fmt.Fprintf(w, "%sle=\"+Inf\"} %d\n", bucketPre, cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", f.name, labels, s.sum); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, labels, s.total)
-	return err
+	e.sample(f.name, "_sum")
+	e.buf = strconv.AppendFloat(e.buf, s.sum, 'g', -1, 64)
+	e.buf = append(e.buf, '\n')
+	e.sample(f.name, "_count")
+	e.buf = strconv.AppendUint(e.buf, s.total, 10)
+	e.buf = append(e.buf, '\n')
 }

@@ -218,3 +218,45 @@ func BenchmarkSessionCreate(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sessions/sec")
 }
+
+// BenchmarkMetricsScrape is one GET /metrics render at the perfbench
+// fleet's scale: 2000 PAD 2×4 sessions without series recording, each
+// ticked a few times so every family carries live values. One op is
+// one full exposition written to io.Discard.
+func BenchmarkMetricsScrape(b *testing.B) {
+	const sessions, ticks = 2000, 3
+	mgr := padd.NewManagerWith(padd.Options{})
+	defer mgr.Shutdown(context.Background())
+	batch := make([][]float64, ticks)
+	for i := range batch {
+		batch[i] = benchFlat()
+	}
+	ss := make([]*padd.Session, sessions)
+	for i := range ss {
+		s, err := mgr.Create(padd.SessionConfig{
+			ID: fmt.Sprintf("scrape-%04d", i), Scheme: "PAD", Racks: 2, ServersPerRack: 4,
+			DisableSeries: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Enqueue(batch); err != nil {
+			b.Fatal(err)
+		}
+		ss[i] = s
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, s := range ss {
+		for s.Status().Ticks < ticks {
+			if time.Now().After(deadline) {
+				b.Fatalf("%s: stuck at %d/%d ticks", s.ID(), s.Status().Ticks, ticks)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mgr.WriteMetrics(io.Discard)
+	}
+}

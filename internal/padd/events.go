@@ -33,19 +33,19 @@ type Event struct {
 	Detail string `json:"detail"`
 }
 
-// eventRing is a fixed-capacity event log: the newest entries win,
-// overwriting the oldest. Safe for one writer and many readers.
+// eventRing is a bounded event log: the newest size entries win,
+// overwriting the oldest. Its buffer grows on demand, doubling up to
+// size, so a session that logs a handful of events never pays for the
+// full bound. Safe for one writer and many readers.
 type eventRing struct {
 	mu   sync.Mutex
 	buf  []Event
+	size int    // maximum entries retained
 	next uint64 // sequence number of the next event
 }
 
-func newEventRing(capacity int) *eventRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &eventRing{buf: make([]Event, 0, capacity)}
+func newEventRing(size int) *eventRing {
+	return &eventRing{size: max(size, 1)}
 }
 
 // add appends an event, assigning its sequence number.
@@ -54,11 +54,16 @@ func (r *eventRing) add(e Event) {
 	defer r.mu.Unlock()
 	e.Seq = r.next
 	r.next++
-	if len(r.buf) < cap(r.buf) {
+	if len(r.buf) < r.size {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Event, len(r.buf), min(max(4, 2*len(r.buf)), r.size))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
 		r.buf = append(r.buf, e)
 		return
 	}
-	r.buf[int(e.Seq)%cap(r.buf)] = e
+	r.buf[e.Seq%uint64(r.size)] = e
 }
 
 // list returns the retained events in chronological order, optionally
@@ -68,14 +73,14 @@ func (r *eventRing) list(since uint64) []Event {
 	defer r.mu.Unlock()
 	out := make([]Event, 0, len(r.buf))
 	start := uint64(0)
-	if r.next > uint64(cap(r.buf)) {
-		start = r.next - uint64(cap(r.buf))
+	if r.next > uint64(r.size) {
+		start = r.next - uint64(r.size)
 	}
 	if since > start {
 		start = since
 	}
 	for seq := start; seq < r.next; seq++ {
-		out = append(out, r.buf[int(seq)%cap(r.buf)])
+		out = append(out, r.buf[seq%uint64(r.size)])
 	}
 	return out
 }

@@ -45,6 +45,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/padd/wire"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -88,7 +91,9 @@ type SessionConfig struct {
 	// Scheme is the power-management scheme (Conv, PS, PSPC, uDEB,
 	// vDEB, PAD). Empty selects PAD.
 	Scheme string `json:"scheme,omitempty"`
-	// Racks and ServersPerRack shape the cluster. 0 selects 22×10.
+	// Racks and ServersPerRack shape the cluster. 0 selects 22×10. A
+	// session has at most wire.MaxServers (65535) servers, the most one
+	// stream record carries.
 	Racks          int `json:"racks,omitempty"`
 	ServersPerRack int `json:"servers_per_rack,omitempty"`
 	// Tick is the control interval one telemetry sample advances. 0
@@ -103,10 +108,13 @@ type SessionConfig struct {
 	// MicroFraction sizes the μDEB banks (uDEB/PAD schemes) as a
 	// fraction of the rack battery energy. 0 selects 0.01.
 	MicroFraction float64 `json:"micro_fraction,omitempty"`
-	// QueueDepth bounds the ingest queue in telemetry batches; a full
-	// queue answers 429. 0 selects 64.
+	// QueueDepth is the maximum number of telemetry batches the ingest
+	// queue holds, grown on demand; a full queue answers 429. 0 selects
+	// 64; at most 4096.
 	QueueDepth int `json:"queue_depth,omitempty"`
-	// EventLog is the event ring capacity. 0 selects 512.
+	// EventLog is the maximum number of events the session's log
+	// retains, grown on demand; older events are overwritten. 0 selects
+	// 512; at most 65536.
 	EventLog int `json:"event_log,omitempty"`
 	// MeterInterval is the power-metering integration interval feeding
 	// the CUSUM anomaly detector. 0 selects 5s; negative disables
@@ -123,7 +131,7 @@ type SessionConfig struct {
 	// behind GET /v1/sessions/{id}/series (SOC, level, shed watts,
 	// breaker margin, queue depth at raw/10s/1m resolutions). Recording
 	// is on by default and allocation-free on the publish path; the
-	// gate exists for fleets dense enough that ~50KB of rings per
+	// gate exists for fleets dense enough that ~58KB of rings per
 	// session matters more than per-session trajectories.
 	DisableSeries bool `json:"disable_series,omitempty"`
 	// Record keeps the engine's full time-series recording (replay and
@@ -164,17 +172,33 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	return c
 }
 
+// Upper bounds on a session's configured sizes, so that no single
+// create request can ask for more memory than a fleet can give it.
+// maxQueueDepth is about 7 minutes of backlog at one sample per batch
+// and the default 100ms tick; a loop that far behind must push back,
+// not buffer. maxEventLog matches the engine tracer's default ring.
+const (
+	maxQueueDepth = 4096
+	maxEventLog   = obs.DefaultCapacity
+)
+
 // Validate reports a configuration error, if any, beyond what
-// sim.Config.Validate covers.
+// sim.Config.Validate covers. Bounds are checked on the defaulted
+// config.
 func (c SessionConfig) Validate() error {
+	c = c.withDefaults()
 	if c.ID != "" && !validID(c.ID) {
 		return fmt.Errorf("padd: session id %q must match [A-Za-z0-9_.-]{1,64}", c.ID)
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("padd: queue depth must be non-negative, got %d", c.QueueDepth)
+	if c.Racks > 0 && c.ServersPerRack > 0 && c.Racks > wire.MaxServers/c.ServersPerRack {
+		return fmt.Errorf("padd: racks × servers_per_rack (%d × %d) exceeds %d servers",
+			c.Racks, c.ServersPerRack, wire.MaxServers)
 	}
-	if c.EventLog < 0 {
-		return fmt.Errorf("padd: event log capacity must be non-negative, got %d", c.EventLog)
+	if c.QueueDepth < 0 || c.QueueDepth > maxQueueDepth {
+		return fmt.Errorf("padd: queue_depth must be in [0, %d], got %d", maxQueueDepth, c.QueueDepth)
+	}
+	if c.EventLog < 0 || c.EventLog > maxEventLog {
+		return fmt.Errorf("padd: event_log must be in [0, %d], got %d", maxEventLog, c.EventLog)
 	}
 	return nil
 }

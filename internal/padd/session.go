@@ -121,8 +121,9 @@ type Session struct {
 	st     *sim.Stepper
 	shard  *shard
 
-	// Bounded ingest queue: a fixed ring of flatBatch slots guarded by
-	// qmu, plus the pause/stop flags that gate it.
+	// Bounded ingest queue: a ring of flatBatch slots guarded by qmu
+	// that grows on demand up to cfg.QueueDepth, plus the pause/stop
+	// flags that gate it.
 	qmu      sync.Mutex
 	queue    []flatBatch
 	qhead    int
@@ -219,7 +220,6 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 		scheme:  scheme,
 		st:      st,
 		shard:   sh,
-		queue:   make([]flatBatch, cfg.QueueDepth),
 		paused:  cfg.Paused,
 		done:    make(chan struct{}),
 		events:  newEventRing(cfg.EventLog),
@@ -326,9 +326,12 @@ func (s *Session) EnqueueFlat(u []float64, samples int) error {
 		return ErrStopping
 	}
 	if s.qcount == len(s.queue) {
-		s.qmu.Unlock()
-		s.rejected.Add(1)
-		return ErrQueueFull
+		if len(s.queue) == s.cfg.QueueDepth {
+			s.qmu.Unlock()
+			s.rejected.Add(1)
+			return ErrQueueFull
+		}
+		s.growQueue()
 	}
 	s.queue[(s.qhead+s.qcount)%len(s.queue)] = flatBatch{u: u, samples: samples}
 	s.qcount++
@@ -345,6 +348,16 @@ func (s *Session) EnqueueFlat(u []float64, samples int) error {
 		s.schedule()
 	}
 	return nil
+}
+
+// growQueue doubles the full ingest queue's slots, up to QueueDepth,
+// keeping the queued batches in FIFO order from slot 0. Called with qmu
+// held.
+func (s *Session) growQueue() {
+	q := make([]flatBatch, min(max(2, 2*len(s.queue)), s.cfg.QueueDepth))
+	n := copy(q, s.queue[s.qhead:])
+	copy(q[n:], s.queue[:s.qhead])
+	s.queue, s.qhead = q, 0
 }
 
 // queueLen reports the current ingest queue depth.
