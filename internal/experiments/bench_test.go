@@ -6,9 +6,11 @@ import (
 )
 
 // benchSweep is a multi-figure sweep: the attack-effectiveness sweep
-// (Fig8A: 5 node counts × 2 oversubscription ratios) plus the
-// throughput-vs-width sweep (Fig16B: 6 schemes × 3 widths), 28 runs in
-// all — enough independent jobs to keep a pool busy.
+// (Fig8A: 3 profiles × 4 node counts × 4 overshoot limits, 48 runs)
+// plus the throughput-vs-width sweep (Fig16B: 4 schemes × 5 widths, 20
+// attacked runs, and one attack-free reference run per scheme) —
+// enough independent jobs to keep a pool busy. The references are
+// memoized process-wide, so only the first iteration simulates them.
 func benchSweep(b *testing.B, workers int) {
 	p := Params{Quick: true, Workers: workers}
 	for i := 0; i < b.N; i++ {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/stats"
@@ -35,39 +34,11 @@ type bgKey struct {
 	burstBoost float64
 }
 
-// bgEntry carries the singleflight for one key: the first caller builds
-// under the Once while latecomers for the same key block only on that
-// entry, not on the whole cache.
-type bgEntry struct {
-	once   sync.Once
-	series []*stats.Series
-	err    error
-}
-
-var bgCache struct {
-	mu sync.Mutex
-	m  map[bgKey]*bgEntry
-}
-
-// cachedBackground returns the series for key, building them at most
-// once per process via build.
-func cachedBackground(key bgKey, build func() ([]*stats.Series, error)) ([]*stats.Series, error) {
-	bgCache.mu.Lock()
-	if bgCache.m == nil {
-		bgCache.m = make(map[bgKey]*bgEntry)
-	}
-	e := bgCache.m[key]
-	if e == nil {
-		e = &bgEntry{}
-		bgCache.m[key] = e
-	}
-	bgCache.mu.Unlock()
-	e.once.Do(func() { e.series, e.err = build() })
-	return e.series, e.err
-}
+// bgCache builds each distinct background once per process.
+var bgCache memo[bgKey, []*stats.Series]
 
 func cachedTraceBackground(servers int, horizon, step time.Duration, seed uint64, surge bool) ([]*stats.Series, error) {
-	return cachedBackground(
+	return bgCache.get(
 		bgKey{kind: "trace", servers: servers, horizon: horizon, step: step, seed: seed, surge: surge},
 		func() ([]*stats.Series, error) {
 			return traceBackground(servers, horizon, step, seed, surge)
@@ -76,7 +47,7 @@ func cachedTraceBackground(servers int, horizon, step time.Duration, seed uint64
 
 func cachedBurstyRampBackground(servers int, lo, hi float64, horizon time.Duration,
 	seed uint64, burstEvery, burstLen time.Duration, burstBoost float64) []*stats.Series {
-	out, _ := cachedBackground(
+	out, _ := bgCache.get(
 		bgKey{
 			kind: "burstyRamp", servers: servers, lo: lo, hi: hi, horizon: horizon, seed: seed,
 			burstEvery: burstEvery, burstLen: burstLen, burstBoost: burstBoost,
@@ -88,7 +59,7 @@ func cachedBurstyRampBackground(servers int, lo, hi float64, horizon time.Durati
 }
 
 func cachedFlatNoisyBackground(servers int, mean float64, horizon time.Duration, seed uint64) []*stats.Series {
-	out, _ := cachedBackground(
+	out, _ := bgCache.get(
 		bgKey{kind: "flatNoisy", servers: servers, lo: mean, hi: mean, horizon: horizon, seed: seed},
 		func() ([]*stats.Series, error) {
 			return flatNoisyBackground(servers, mean, horizon, seed), nil
@@ -97,7 +68,7 @@ func cachedFlatNoisyBackground(servers int, mean float64, horizon time.Duration,
 }
 
 func cachedFineNoisyBackground(servers int, mean float64, horizon time.Duration, seed uint64) []*stats.Series {
-	out, _ := cachedBackground(
+	out, _ := bgCache.get(
 		bgKey{kind: "fineNoisy", servers: servers, lo: mean, hi: mean, horizon: horizon, seed: seed},
 		func() ([]*stats.Series, error) {
 			return fineNoisyBackground(servers, mean, horizon, seed), nil

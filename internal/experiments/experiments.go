@@ -13,9 +13,10 @@
 // background utilization series) come from a process-wide cache keyed
 // by the full generator argument tuple (see bgcache.go): each distinct
 // background is built once — even when jobs request it concurrently —
-// and shared read-only by every run that needs it. Everything mutable
-// (schemes, attack controllers, battery stores) is created inside each
-// job.
+// and shared read-only by every run that needs it. Figure 16's
+// attack-free reference throughputs are memoized the same way (see
+// memo.go and fig16.go). Everything mutable (schemes, attack
+// controllers, battery stores) is created inside each job.
 package experiments
 
 import (

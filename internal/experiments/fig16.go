@@ -29,79 +29,109 @@ type Fig16Result struct {
 // fig16Schemes are the four schemes the paper plots.
 func fig16Schemes() []string { return []string{"PS", "PSPC", "Conv", "PAD"} }
 
-// fig16Run measures cluster throughput over an attack window, normalized
-// against the same cluster with no attack. Breakers stay live: outage is
-// exactly the throughput cost the conventional designs pay.
-func fig16Run(p Params, key, name string, width time.Duration, perMinute float64) (float64, error) {
+// fig16Config is the attack-free cluster Figure 16 measures. Breakers
+// stay live: outage is exactly the throughput cost the conventional
+// designs pay. Apart from key, which the run only echoes, it depends on
+// the scheme, the seed and Quick alone.
+func fig16Config(p Params, key, name string) sim.Config {
 	racks := scaleInt(p, 12, 6)
 	const spr = 10
 	horizon := scaleDur(p, 30*time.Minute, 8*time.Minute)
-	tick := 200 * time.Millisecond
-	bg := cachedFlatNoisyBackground(racks*spr, 0.60, horizon, p.seed()+31)
-
 	// Batteries start pre-stressed (a tenth the standard cabinet: the
 	// attack window follows a day of heavy shaving duty) and tripped
 	// feeds are restored after two minutes of operator recovery, so the
 	// throughput cost of each design's failures scales with how often the
 	// attack defeats it.
-	base := sim.Config{
+	cfg := sim.Config{
 		Key:            key,
 		Racks:          racks,
 		ServersPerRack: spr,
-		Tick:           tick,
+		Tick:           200 * time.Millisecond,
 		Duration:       horizon,
-		Background:     bg,
+		Background:     cachedFlatNoisyBackground(racks*spr, 0.60, horizon, p.seed()+31),
 		BatteryFactory: smallCabinet,
 		RestoreAfter:   2 * time.Minute,
 	}
 	if needsMicro(name) {
-		base.MicroDEBFactory = microFactory(defaultMicroFraction)
+		cfg.MicroDEBFactory = microFactory(defaultMicroFraction)
 	}
-	ref, err := sim.Run(base, schemeByName(name, schemes.Options{}))
-	if err != nil {
-		return 0, err
+	return cfg
+}
+
+// fig16RefKey is everything a scheme's attack-free reference run
+// depends on.
+type fig16RefKey struct {
+	scheme string
+	seed   uint64
+	quick  bool
+}
+
+// fig16Refs memoizes the reference throughputs, so that a process
+// drawing both charts simulates each scheme's reference once.
+var fig16Refs memo[fig16RefKey, float64]
+
+// fig16Reference returns the scheme's throughput on the Figure 16
+// cluster with no attack, the denominator of every point.
+func fig16Reference(p Params, name string) (float64, error) {
+	ref, err := fig16Refs.get(fig16RefKey{name, p.seed(), p.Quick}, func() (float64, error) {
+		res, err := sim.Run(fig16Config(p, "fig16/"+name+"/reference", name), schemeByName(name, schemes.Options{}))
+		if err != nil {
+			return 0, err
+		}
+		return res.Throughput, nil
+	})
+	if err == nil && ref == 0 {
+		err = fmt.Errorf("experiments: reference throughput is zero")
 	}
-	attacked := base
-	attacked.Attacks = []sim.AttackSpec{attackSpec(4, virus.Config{
+	return ref, err
+}
+
+// fig16Attacked returns the scheme's throughput on the Figure 16
+// cluster under a four-node CPU attack firing spikes of the given width
+// and rate.
+func fig16Attacked(p Params, key, name string, width time.Duration, perMinute float64) (float64, error) {
+	cfg := fig16Config(p, key, name)
+	cfg.Attacks = []sim.AttackSpec{attackSpec(4, virus.Config{
 		Profile:         virus.CPUIntensive,
 		PrepDuration:    5 * time.Second,
-		MaxPhaseI:       horizon / 6,
+		MaxPhaseI:       cfg.Duration / 6,
 		SpikeWidth:      width,
 		SpikesPerMinute: perMinute,
 		Seed:            p.seed(),
 	})}
-	if needsMicro(name) {
-		attacked.MicroDEBFactory = microFactory(defaultMicroFraction)
-	}
-	res, err := sim.Run(attacked, schemeByName(name, schemes.Options{}))
+	res, err := sim.Run(cfg, schemeByName(name, schemes.Options{}))
 	if err != nil {
 		return 0, err
 	}
-	if ref.Throughput == 0 {
-		return 0, fmt.Errorf("experiments: reference throughput is zero")
-	}
-	return res.Throughput / ref.Throughput, nil
+	return res.Throughput, nil
 }
 
-// Fig16A reproduces Figure 16(A): normalized data-center throughput vs
-// attack rate (spike duty cycle 16–50%).
-func Fig16A(p Params) (*Fig16Result, error) {
-	rates := []float64{0.16, 0.20, 0.25, 0.33, 0.50}
-	const width = 2 * time.Second
-	tbl := report.NewTable(
-		"Figure 16A — normalized throughput vs attack rate",
-		"Scheme", "AttackRate", "Throughput")
-	out := &Fig16Result{}
+// fig16Attack is one point of a Figure 16 sweep.
+type fig16Attack struct {
+	key       string // the job key's last element, e.g. "rate=0.16"
+	width     time.Duration
+	perMinute float64
+}
+
+// fig16Sweep measures every scheme under every attack, normalized by
+// the scheme's reference throughput, scheme-major. The jobs are one
+// reference per scheme beside the attacked runs, so no attacked run
+// waits on a reference.
+func fig16Sweep(p Params, fig string, attacks []fig16Attack) ([]float64, error) {
+	names := fig16Schemes()
 	var jobs []runner.Job[float64]
-	for _, name := range fig16Schemes() {
-		for _, rate := range rates {
-			key := fmt.Sprintf("fig16a/%s/rate=%.2f", name, rate)
+	for _, name := range names {
+		jobs = append(jobs, runner.Job[float64]{
+			Key: fig + "/" + name + "/reference",
+			Run: func() (float64, error) { return fig16Reference(p, name) },
+		})
+	}
+	for _, name := range names {
+		for _, a := range attacks {
+			key := fig + "/" + name + "/" + a.key
 			jobs = append(jobs, runner.Job[float64]{
 				Key: key,
-				Run: func() (float64, error) {
-					perMinute := rate * 60 / width.Seconds()
-					return fig16Run(p, key, name, width, perMinute)
-				},
+				Run: func() (float64, error) { return fig16Attacked(p, key, name, a.width, a.perMinute) },
 			})
 		}
 	}
@@ -109,6 +139,30 @@ func Fig16A(p Params) (*Fig16Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	refs, out := thpts[:len(names)], thpts[len(names):]
+	for i := range out {
+		out[i] /= refs[i/len(attacks)]
+	}
+	return out, nil
+}
+
+// Fig16A reproduces Figure 16(A): normalized data-center throughput vs
+// attack rate (spike duty cycle 16–50%).
+func Fig16A(p Params) (*Fig16Result, error) {
+	rates := []float64{0.16, 0.20, 0.25, 0.33, 0.50}
+	const width = 2 * time.Second
+	attacks := make([]fig16Attack, len(rates))
+	for i, rate := range rates {
+		attacks[i] = fig16Attack{fmt.Sprintf("rate=%.2f", rate), width, rate * 60 / width.Seconds()}
+	}
+	thpts, err := fig16Sweep(p, "fig16a", attacks)
+	if err != nil {
+		return nil, err
+	}
+	tbl := report.NewTable(
+		"Figure 16A — normalized throughput vs attack rate",
+		"Scheme", "AttackRate", "Throughput")
+	out := &Fig16Result{}
 	k := 0
 	for _, name := range fig16Schemes() {
 		for _, rate := range rates {
@@ -129,26 +183,18 @@ func Fig16B(p Params) (*Fig16Result, error) {
 		200 * time.Millisecond, 300 * time.Millisecond, 400 * time.Millisecond,
 		500 * time.Millisecond, 600 * time.Millisecond,
 	}
+	attacks := make([]fig16Attack, len(widths))
+	for i, w := range widths {
+		attacks[i] = fig16Attack{fmt.Sprintf("width=%v", w), w, 20}
+	}
+	thpts, err := fig16Sweep(p, "fig16b", attacks)
+	if err != nil {
+		return nil, err
+	}
 	tbl := report.NewTable(
 		"Figure 16B — normalized throughput vs attack width",
 		"Scheme", "Width(s)", "Throughput")
 	out := &Fig16Result{}
-	var jobs []runner.Job[float64]
-	for _, name := range fig16Schemes() {
-		for _, w := range widths {
-			key := fmt.Sprintf("fig16b/%s/width=%v", name, w)
-			jobs = append(jobs, runner.Job[float64]{
-				Key: key,
-				Run: func() (float64, error) {
-					return fig16Run(p, key, name, w, 20)
-				},
-			})
-		}
-	}
-	thpts, err := runner.Collect(p.pool(), jobs)
-	if err != nil {
-		return nil, err
-	}
 	k := 0
 	for _, name := range fig16Schemes() {
 		for _, w := range widths {

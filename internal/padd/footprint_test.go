@@ -137,7 +137,11 @@ func heapAlloc() uint64 {
 // single create request can make the daemon reserve or later grow more
 // memory than a fleet can give it; before the bounds, each of the
 // oversized configs below ended the process with a fatal out-of-memory
-// error. Each rejection names its field and is a 400 over HTTP.
+// error. The meter interval is bounded against the tick: one tick
+// produces tick/meter_interval meter readings, and before the bound a
+// 10ns meter made one 100ms tick take a second and allocate 827 MB,
+// and a 1ns meter ended the process. Each rejection names its field
+// and is a 400 over HTTP. Each accepted config ticks once.
 func TestCreateRejectsOversizedConfig(t *testing.T) {
 	mgr := padd.NewManager()
 	defer mgr.Shutdown(context.Background())
@@ -153,6 +157,11 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 		{padd.SessionConfig{Racks: 256, ServersPerRack: 256}, "servers_per_rack"},
 		// The product is checked on the defaulted config: 22 racks.
 		{padd.SessionConfig{ServersPerRack: 2979}, "servers_per_rack"},
+		// So is the meter bound: a 100ms tick.
+		{padd.SessionConfig{MeterInterval: padd.Duration{Duration: time.Nanosecond}}, "meter_interval"},
+		{padd.SessionConfig{MeterInterval: padd.Duration{Duration: 10 * time.Nanosecond}}, "meter_interval"},
+		{padd.SessionConfig{MeterInterval: padd.Duration{Duration: time.Microsecond}}, "meter_interval"},
+		{padd.SessionConfig{MeterInterval: padd.Duration{Duration: 99900 * time.Nanosecond}}, "meter_interval"},
 	} {
 		_, err := mgr.Create(tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
@@ -167,11 +176,24 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 		{ID: "log", Scheme: "Conv", Racks: 1, ServersPerRack: 2, EventLog: 65536},
 		{ID: "queue", Scheme: "Conv", Racks: 1, ServersPerRack: 2, QueueDepth: 4096},
 		{ID: "servers", Scheme: "Conv", Racks: 3, ServersPerRack: 21845},
+		// 1000 meter readings per 100ms tick.
+		{ID: "meter", Racks: 2, ServersPerRack: 4, MeterInterval: padd.Duration{Duration: 100 * time.Microsecond}},
+		{ID: "coarse-tick", Racks: 2, ServersPerRack: 4, Tick: padd.Duration{Duration: time.Minute}},
+		{ID: "meter-off", Racks: 2, ServersPerRack: 4, MeterInterval: padd.Duration{Duration: -time.Nanosecond}},
 	} {
-		if _, err := mgr.Create(cfg); err != nil {
+		s, err := mgr.Create(cfg)
+		if err != nil {
 			t.Errorf("Create(%s) at the bound: %v", cfg.ID, err)
 			continue
 		}
+		u := make([]float64, cfg.Racks*cfg.ServersPerRack)
+		for i := range u {
+			u[i] = 0.9
+		}
+		if err := s.Enqueue([][]float64{u}); err != nil {
+			t.Fatal(err)
+		}
+		waitTicks(t, mgr, cfg.ID, 1)
 		if _, err := mgr.Delete(cfg.ID); err != nil {
 			t.Fatal(err)
 		}
@@ -183,6 +205,10 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 	if code, body := c.post("/v1/sessions", padd.SessionConfig{QueueDepth: 2147483648}); code != http.StatusBadRequest ||
 		!strings.Contains(string(body), "queue_depth") {
 		t.Fatalf("oversized create: HTTP %d: %s, want 400 naming queue_depth", code, body)
+	}
+	if code, body := c.post("/v1/sessions", map[string]string{"meter_interval": "1ns"}); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "meter_interval") {
+		t.Fatalf("1ns meter create: HTTP %d: %s, want 400 naming meter_interval", code, body)
 	}
 	client := http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(srv.URL + "/healthz")

@@ -118,7 +118,7 @@ type SessionConfig struct {
 	EventLog int `json:"event_log,omitempty"`
 	// MeterInterval is the power-metering integration interval feeding
 	// the CUSUM anomaly detector. 0 selects 5s; negative disables
-	// metering.
+	// metering. A tick may span at most 1000 intervals.
 	MeterInterval Duration `json:"meter_interval,omitempty"`
 	// WallClock ticks the session on real time: when telemetry is late
 	// the session coasts on the last known demand instead of stalling.
@@ -173,13 +173,17 @@ func (c SessionConfig) withDefaults() SessionConfig {
 }
 
 // Upper bounds on a session's configured sizes, so that no single
-// create request can ask for more memory than a fleet can give it.
-// maxQueueDepth is about 7 minutes of backlog at one sample per batch
-// and the default 100ms tick; a loop that far behind must push back,
-// not buffer. maxEventLog matches the engine tracer's default ring.
+// create request can ask for more memory or work than a fleet can give
+// it. maxQueueDepth is about 7 minutes of backlog at one sample per
+// batch and the default 100ms tick; a loop that far behind must push
+// back, not buffer. maxEventLog matches the engine tracer's default
+// ring. maxMeterReadingsPerTick bounds tick/meter_interval, the meter
+// readings one tick produces: it admits a 100µs meter at the default
+// tick, and the default 5s meter at ticks up to 83 minutes.
 const (
-	maxQueueDepth = 4096
-	maxEventLog   = obs.DefaultCapacity
+	maxQueueDepth           = 4096
+	maxEventLog             = obs.DefaultCapacity
+	maxMeterReadingsPerTick = 1000
 )
 
 // Validate reports a configuration error, if any, beyond what
@@ -199,6 +203,9 @@ func (c SessionConfig) Validate() error {
 	}
 	if c.EventLog < 0 || c.EventLog > maxEventLog {
 		return fmt.Errorf("padd: event_log must be in [0, %d], got %d", maxEventLog, c.EventLog)
+	}
+	if m := c.MeterInterval.Duration; m > 0 && c.Tick.Duration/m > maxMeterReadingsPerTick {
+		return fmt.Errorf("padd: meter_interval %v is under 1/%d of the %v tick", m, maxMeterReadingsPerTick, c.Tick.Duration)
 	}
 	return nil
 }

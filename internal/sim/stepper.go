@@ -91,6 +91,9 @@ type Stepper struct {
 
 	powerFull powersim.PowerCoef // frequency-1 power coefficients
 	tickS     float64            // cfg.Tick in seconds, for the energy sums
+	// capCoefs[i] is rack i's power coefficient at the last DVFS cap it
+	// ran under, rebuilt only when the cap changes.
+	capCoefs []capCoef
 
 	levelScheme LevelReporter
 	hasLevel    bool
@@ -120,6 +123,14 @@ type Stepper struct {
 	traceHeatHigh  []bool        // racks 0..n-1; index n is the cluster PDU
 	traceMargin    units.Watts
 	traceMarginSet bool
+}
+
+// capCoef is a capped rack's power coefficient and the frequency it was
+// built for. The zero value holds none: the apply kernel clamps every
+// frequency to at least 0.1, so a capped rack never runs at 0.
+type capCoef struct {
+	freq float64
+	pc   powersim.PowerCoef
 }
 
 // NewStepper validates cfg and builds a stepper positioned before the
@@ -228,6 +239,7 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	st.rackMicro = make([]units.Joules, cfg.Racks)
 	st.rackDark = make([]bool, cfg.Racks)
 	st.powerFull = cfg.Server.PowerCoef(1)
+	st.capCoefs = make([]capCoef, cfg.Racks)
 	st.tickS = cfg.Tick.Seconds()
 	st.topK = newTopKSelector(cfg.ServersPerRack)
 
@@ -405,13 +417,18 @@ func (st *Stepper) applyKernel(demandU []float64, act Action, i int) {
 	st.topK.markInto(order, demandU[base:base+cfg.ServersPerRack], shed)
 
 	// At full frequency the view kernel's per-server power is already
-	// this rack's; a capped rack re-evaluates at its own operating point,
-	// with one math.Pow per rack since every server shares the DVFS cap.
+	// this rack's; a capped rack re-evaluates at its own operating point.
+	// Every server shares the rack's DVFS cap, and PowerCoef is a pure
+	// function of it, so the coefficient (one math.Pow) is rebuilt only
+	// when the cap changes.
 	pw := st.serverPower[base : base+cfg.ServersPerRack]
 	if freq != 1 {
-		pc := cfg.Server.PowerCoef(freq)
+		c := &st.capCoefs[i]
+		if c.freq != freq {
+			c.freq, c.pc = freq, cfg.Server.PowerCoef(freq)
+		}
 		for s, u := range demandU[base : base+cfg.ServersPerRack] {
-			pw[s] = pc.Power(u)
+			pw[s] = c.pc.Power(u)
 		}
 	}
 	var power units.Watts

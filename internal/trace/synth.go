@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/stats"
@@ -129,7 +131,9 @@ func (c SynthConfig) utilizationEnvelope(t time.Duration) float64 {
 	return u
 }
 
-// Generate produces a synthetic trace from cfg.
+// Generate produces a synthetic trace from cfg, its tasks in start
+// order (ties in the order they were drawn), the order replay consumes
+// them in.
 //
 // The construction works backwards from utilization: job arrivals form a
 // non-homogeneous Poisson process whose rate keeps the expected number of
@@ -158,13 +162,32 @@ func Generate(cfg SynthConfig) (*Trace, error) {
 	durMu := math.Log(meanDur) - durSigma*durSigma/2
 
 	// Step through time in arrival slots (one minute) drawing a Poisson
-	// number of jobs per slot.
+	// number of jobs per slot; arrivals returns a slot's expected count.
 	const slot = time.Minute
-	for t := time.Duration(0); t < cfg.Horizon; t += slot {
+	arrivals := func(t time.Duration) float64 {
 		u := cfg.utilizationEnvelope(t)
 		targetTasks := u * float64(cfg.Machines) / meanRate
 		jobsPerSec := targetTasks / (meanDur * cfg.TasksPerJob)
-		n := arrivalRNG.Poisson(jobsPerSec * slot.Seconds())
+		return jobsPerSec * slot.Seconds()
+	}
+
+	// Allocate the tasks once. The arrival process expects jobs×perJob
+	// tasks, a job bringing 1 + Poisson(TasksPerJob-1); four standard
+	// deviations of that compound-Poisson count (its variance is under
+	// expected×(perJob+1)) cover the draw. A larger draw still fits, by
+	// append.
+	var jobs float64
+	for t := time.Duration(0); t < cfg.Horizon; t += slot {
+		jobs += max(arrivals(t), 0)
+	}
+	perJob := max(cfg.TasksPerJob, 1)
+	want := jobs * perJob
+	want += 4 * math.Sqrt(want*(perJob+1))
+	tr.Tasks = make([]Task, 0, int(want))
+
+	for t := time.Duration(0); t < cfg.Horizon; t += slot {
+		first := len(tr.Tasks)
+		n := arrivalRNG.Poisson(arrivals(t))
 		for j := 0; j < n; j++ {
 			start := t + time.Duration(arrivalRNG.Float64()*float64(slot))
 			nTasks := 1 + taskRNG.Poisson(cfg.TasksPerJob-1)
@@ -188,7 +211,12 @@ func Generate(cfg SynthConfig) (*Trace, error) {
 				})
 			}
 		}
+		// Every start drawn in this slot lies in [t, t+slot), so sorting
+		// each slot as it closes (stably, as replay expects) puts the
+		// whole trace in start order.
+		slices.SortStableFunc(tr.Tasks[first:], func(a, b Task) int {
+			return cmp.Compare(a.Start, b.Start)
+		})
 	}
-	tr.SortByStart()
 	return tr, nil
 }

@@ -10,7 +10,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -78,12 +77,4 @@ func (tr *Trace) Horizon() time.Duration {
 		}
 	}
 	return h
-}
-
-// SortByStart orders tasks by start offset (stable), the order replay
-// consumes them in.
-func (tr *Trace) SortByStart() {
-	sort.SliceStable(tr.Tasks, func(i, j int) bool {
-		return tr.Tasks[i].Start < tr.Tasks[j].Start
-	})
 }
