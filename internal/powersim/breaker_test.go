@@ -1,6 +1,8 @@
 package powersim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -161,5 +163,39 @@ func TestBreakerCooling(t *testing.T) {
 	h2 := b.Heat()
 	if h2 >= h1*0.5 {
 		t.Fatalf("heat did not decay: %v -> %v", h1, h2)
+	}
+}
+
+// TestBreakerHeatPinned pins the thermal accumulator at full precision
+// through heating, cooling, reheating and cooling again. Trips are
+// decided by heat reaching the threshold, and no CSV reports heat, so a
+// drift in the low bits of either the I²t gain or the cooling factor
+// would otherwise move no tested output. The bits are amd64-exact like
+// the experiment goldens: other architectures may fuse multiply-adds.
+func TestBreakerHeatPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bits were pinned on amd64; GOARCH=%s may fuse FMAs", runtime.GOARCH)
+	}
+	phases := []struct {
+		ticks int
+		load  units.Watts
+		want  uint64
+	}{
+		{20, 1500, 0x4004000000000000}, // heat 2.5
+		{600, 500, 0x40005fe6c5cdfcf6}, // one minute of cooling
+		{20, 1800, 0x401a1b78819f506b}, // reheated
+		{50, 900, 0x4019ad00af32e6af},  // cooling below rating
+	}
+	b := NewBreaker(1000)
+	for i, ph := range phases {
+		for k := 0; k < ph.ticks; k++ {
+			if b.Step(ph.load, 100*time.Millisecond) {
+				t.Fatalf("phase %d: breaker tripped", i)
+			}
+		}
+		if got := math.Float64bits(b.Heat()); got != ph.want {
+			t.Errorf("phase %d (%d ticks at %v): heat %v (%#016x), want %v (%#016x)",
+				i, ph.ticks, ph.load, b.Heat(), got, math.Float64frombits(ph.want), ph.want)
+		}
 	}
 }
