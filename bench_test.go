@@ -280,16 +280,6 @@ func BenchmarkAblationPIdeal(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationGovernor(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationGovernor(benchParams)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = r
-	}
-}
-
 func BenchmarkAblationDetectors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.AblationDetectors(benchParams)

@@ -42,11 +42,57 @@ type experiment struct {
 	run  func(experiments.Params, string) error
 }
 
+// all lists every experiment in run order; -only selects among them.
+var all = []experiment{
+	{"fig1", runFig1}, {"fig5", runFig5}, {"fig6", runFig6},
+	{"fig7", runFig7}, {"fig8a", runFig8A}, {"fig8b", runFig8B},
+	{"fig8c", runFig8C}, {"table1", runTable1}, {"fig12", runFig12},
+	{"fig13", runFig13}, {"fig14", runFig14}, {"fig15", runFig15},
+	{"fig16a", runFig16A}, {"fig16b", runFig16B}, {"fig17", runFig17},
+	{"ablations", runAblations},
+}
+
+// selectExperiments returns the experiments named in only, a
+// comma-separated, case-insensitive list, in run order; an empty list
+// selects them all. A name that matches no experiment is an error
+// listing the valid ones, so a misspelt or retired name cannot pass
+// having run nothing.
+func selectExperiments(only string) ([]experiment, error) {
+	selected := map[string]bool{}
+	for _, n := range strings.Split(only, ",") {
+		if n = strings.TrimSpace(strings.ToLower(n)); n != "" {
+			selected[n] = true
+		}
+	}
+	if len(selected) == 0 {
+		return all, nil
+	}
+	var run []experiment
+	valid := make([]string, len(all))
+	for i, e := range all {
+		valid[i] = e.name
+		if selected[e.name] {
+			run = append(run, e)
+			delete(selected, e.name)
+		}
+	}
+	if len(selected) > 0 {
+		unknown := make([]string, 0, len(selected))
+		for n := range selected {
+			unknown = append(unknown, n)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment %s; valid names: %s",
+			strings.Join(unknown, ", "), strings.Join(valid, ", "))
+	}
+	return run, nil
+}
+
 func main() {
 	var (
 		quick       = flag.Bool("quick", false, "run second-scale versions (shapes preserved)")
 		seed        = flag.Uint64("seed", 1, "random seed")
-		only        = flag.String("only", "", "comma-separated experiment names (fig5, table1, ...); empty runs all")
+		only        = flag.String("only", "", "comma-separated experiment names (fig5, table1, ..., ablations); empty runs all")
 		results     = flag.String("results", "results", "output directory for CSV artifacts")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker goroutines (1 = sequential)")
 		progress    = flag.Bool("progress", false, "report per-run progress and ETA on stderr")
@@ -58,6 +104,10 @@ func main() {
 	if *showVersion {
 		fmt.Println("experiments", version.String())
 		return
+	}
+	run, err := selectExperiments(*only)
+	if err != nil {
+		fatal(err)
 	}
 	logger, err := logFlags.Logger(os.Stderr)
 	if err != nil {
@@ -84,24 +134,7 @@ func main() {
 		fatal(err)
 	}
 
-	all := []experiment{
-		{"fig1", runFig1}, {"fig5", runFig5}, {"fig6", runFig6},
-		{"fig7", runFig7}, {"fig8a", runFig8A}, {"fig8b", runFig8B},
-		{"fig8c", runFig8C}, {"table1", runTable1}, {"fig12", runFig12},
-		{"fig13", runFig13}, {"fig14", runFig14}, {"fig15", runFig15},
-		{"fig16a", runFig16A}, {"fig16b", runFig16B}, {"fig17", runFig17},
-		{"ablations", runAblations},
-	}
-	selected := map[string]bool{}
-	for _, n := range strings.Split(*only, ",") {
-		if n = strings.TrimSpace(strings.ToLower(n)); n != "" {
-			selected[n] = true
-		}
-	}
-	for _, r := range all {
-		if len(selected) > 0 && !selected[r.name] {
-			continue
-		}
+	for _, r := range run {
 		start := time.Now()
 		logger.Debug("experiment starting", "name", r.name)
 		if err := r.run(p, *results); err != nil {
@@ -353,11 +386,8 @@ func runAblations(p experiments.Params, dir string) error {
 		run  func(experiments.Params) (*experiments.AblationResult, error)
 	}{
 		{"ablation_pideal", experiments.AblationPIdeal},
-		{"ablation_governor", experiments.AblationGovernor},
-		{"ablation_charging", experiments.AblationCharging},
 		{"ablation_detectors", experiments.AblationDetectors},
 		{"ablation_placement", experiments.AblationPlacement},
-		{"ablation_granularity", experiments.AblationGranularity},
 		{"ablation_economics", experiments.AblationEconomics},
 		{"ablation_jitter", experiments.AblationJitter},
 		{"ablation_topology", experiments.AblationTopology},

@@ -1,15 +1,38 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
-	"time"
+
+	"repro/internal/report"
 )
+
+// requireKnobMoves fails when every published row of an ablation is the
+// same once its leading knob columns are dropped: an ablation whose
+// numbers never change across its knob's range measures nothing. The
+// rows are the cells the CSV writes, so this judges the published
+// output, not full-precision internals.
+func requireKnobMoves(t *testing.T, tbl *report.Table, knobs int) {
+	t.Helper()
+	if len(tbl.Rows) < 2 {
+		t.Fatalf("%s: %d rows, want at least two knob settings", tbl.Title, len(tbl.Rows))
+	}
+	first := tbl.Rows[0][knobs:]
+	for _, row := range tbl.Rows[1:] {
+		if !slices.Equal(row[knobs:], first) {
+			return
+		}
+	}
+	t.Errorf("%s: every row reads %v across %v; the knob moves no output",
+		tbl.Title, first, tbl.Headers[:knobs])
+}
 
 func TestAblationPIdealTradeoff(t *testing.T) {
 	r, err := AblationPIdeal(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireKnobMoves(t, r.Table, 1)
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -27,53 +50,12 @@ func TestAblationPIdealTradeoff(t *testing.T) {
 	}
 }
 
-func TestAblationGovernorLatencyHurts(t *testing.T) {
-	r, err := AblationGovernor(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fast monitoring survives at least as long as 5-minute monitoring.
-	var fast, slow time.Duration
-	for _, pt := range r.Points {
-		if pt.X == 2 {
-			fast = pt.Survival
-		}
-		if pt.X == 300 {
-			slow = pt.Survival
-		}
-	}
-	if fast < slow {
-		t.Fatalf("2s monitoring (%v) should beat 5min monitoring (%v)", fast, slow)
-	}
-}
-
-func TestAblationChargingUnderAttack(t *testing.T) {
-	r, err := AblationCharging(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var online, offline time.Duration
-	for _, pt := range r.Points {
-		switch pt.Label {
-		case "online":
-			online = pt.Survival
-		case "offline":
-			offline = pt.Survival
-		}
-	}
-	if online == 0 || offline == 0 {
-		t.Fatal("missing points")
-	}
-	if online < offline {
-		t.Fatalf("online charging (%v) should not trail offline (%v)", online, offline)
-	}
-}
-
 func TestAblationDetectors(t *testing.T) {
 	r, err := AblationDetectors(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireKnobMoves(t, r.Table, 1)
 	if len(r.Points) != 3 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -101,6 +83,7 @@ func TestAblationPlacementCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireKnobMoves(t, r.Table, 2)
 	// Higher occupancy never makes the hunt cheaper for a given policy.
 	byPolicy := map[string]map[float64]float64{}
 	for _, pt := range r.Points {
@@ -121,6 +104,7 @@ func TestAblationTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireKnobMoves(t, r.Table, 1)
 	if len(r.Points) != 4 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -131,39 +115,12 @@ func TestAblationTopology(t *testing.T) {
 	}
 }
 
-func TestAblationGranularity(t *testing.T) {
-	r, err := AblationGranularity(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Points) != 2 {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-	// Both deployments must actually use their batteries and survive a
-	// comparable stretch: the granularities hold the same total energy.
-	for _, pt := range r.Points {
-		if pt.Extra <= 0 {
-			t.Errorf("%s: no battery energy used", pt.Label)
-		}
-		if pt.Survival <= 0 {
-			t.Errorf("%s: no survival recorded", pt.Label)
-		}
-	}
-	a, b := r.Points[0].Survival, r.Points[1].Survival
-	hi, lo := a, b
-	if lo > hi {
-		hi, lo = lo, hi
-	}
-	if float64(lo) < 0.5*float64(hi) {
-		t.Fatalf("granularities diverge implausibly: %v vs %v", a, b)
-	}
-}
-
 func TestAblationJitter(t *testing.T) {
 	r, err := AblationJitter(quick)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireKnobMoves(t, r.Table, 1)
 	if len(r.Points) != 3 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -175,5 +132,20 @@ func TestAblationJitter(t *testing.T) {
 	if heavy >= regular {
 		t.Fatalf("heavy jitter (%v flags) should evade the regular schedule's %v",
 			heavy, regular)
+	}
+}
+
+func TestAblationEconomics(t *testing.T) {
+	r, err := AblationEconomics(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireKnobMoves(t, r.Table, 1)
+	// μDEB hardware is priced per watt-hour, so a bigger bank costs more.
+	for i := 1; i < len(r.Points); i++ {
+		if r.Points[i].Extra <= r.Points[i-1].Extra {
+			t.Fatalf("%s costs %v, no more than %s at %v", r.Points[i].Label,
+				r.Points[i].Extra, r.Points[i-1].Label, r.Points[i-1].Extra)
+		}
 	}
 }

@@ -114,13 +114,6 @@ func TestWorkerCountCSVIdentity(t *testing.T) {
 			}
 			return r.Table, nil
 		}},
-		{"ablation_charging", func(p Params) (*report.Table, error) {
-			r, err := AblationCharging(p)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
 	}
 	for _, fig := range figures {
 		fig := fig

@@ -26,11 +26,6 @@ type Breaker struct {
 	// At a 2× overload the heat grows at 3/s, so TripHeat 10 trips in
 	// ~3.3 s. 0 selects 10.
 	TripHeat float64
-	// CoolTau is the exponential cooling time constant. 0 selects 300 s:
-	// the bimetal element of a molded-case breaker holds heat for
-	// minutes, which is why spike trains that individually look harmless
-	// accumulate toward a trip.
-	CoolTau time.Duration
 	// InstantMultiple is the magnetic instant-trip threshold as a multiple
 	// of Rated. 0 selects 6.
 	InstantMultiple float64
@@ -40,22 +35,25 @@ type Breaker struct {
 	trippedAt time.Duration
 	elapsed   time.Duration
 
-	// Cached per-dt cooling factor exp(-dt/CoolTau) (fixed-timestep
+	// Cached per-dt cooling factor exp(-dt/coolTau) (fixed-timestep
 	// kernel layer): the engine steps every breaker with one constant
-	// tick, so the exponential is computed once per (dt, tau) and reused
-	// bit-identically. CoolTau is an exported field callers may mutate
-	// between steps, so the slot also keys on the tau it was built for.
+	// tick, so the exponential is computed once per dt and reused
+	// bit-identically.
 	coolKey    fixedstep.Key
-	coolTauFor time.Duration
 	coolFactor float64
 }
 
-// coolFactorFor returns exp(-dt/CoolTau) for the current cooling
-// constant, recomputing only when dt or CoolTau changed.
+// coolTau is the thermal element's exponential cooling time constant:
+// the bimetal element of a molded-case breaker holds heat for minutes,
+// which is why spike trains that individually look harmless accumulate
+// toward a trip.
+const coolTau = 300 * time.Second
+
+// coolFactorFor returns exp(-dt/coolTau), recomputing only when dt
+// changed.
 func (b *Breaker) coolFactorFor(dt time.Duration) float64 {
-	if tau := b.coolTau(); !b.coolKey.Hit(dt) || b.coolTauFor != tau {
-		b.coolTauFor = tau
-		b.coolFactor = math.Exp(-dt.Seconds() / tau.Seconds())
+	if !b.coolKey.Hit(dt) {
+		b.coolFactor = math.Exp(-dt.Seconds() / coolTau.Seconds())
 	}
 	return b.coolFactor
 }
@@ -71,13 +69,6 @@ func (b *Breaker) tripHeat() float64 {
 		return 10
 	}
 	return b.TripHeat
-}
-
-func (b *Breaker) coolTau() time.Duration {
-	if b.CoolTau == 0 {
-		return 300 * time.Second
-	}
-	return b.CoolTau
 }
 
 func (b *Breaker) instantMultiple() float64 {

@@ -6,7 +6,6 @@
 package powersim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/units"
@@ -20,30 +19,19 @@ type ServerModel struct {
 	Idle units.Watts
 	// Peak is the full-utilization power draw (nameplate).
 	Peak units.Watts
-	// DVFSExponent relates frequency scaling to dynamic power:
-	// dynamic ∝ freq^DVFSExponent. 0 selects 2.4 (near-cubic voltage
-	// scaling tempered by uncore power).
-	DVFSExponent float64
 }
 
 // DL585G5 is the evaluated server model.
 var DL585G5 = ServerModel{Idle: 299, Peak: 521}
 
-// dvfsExponent returns the effective exponent.
-func (m ServerModel) dvfsExponent() float64 {
-	if m.DVFSExponent == 0 {
-		return 2.4
-	}
-	return m.DVFSExponent
-}
+// DVFSExponent relates frequency scaling to dynamic power:
+// dynamic ∝ freq^DVFSExponent, near-cubic voltage scaling tempered by
+// uncore power.
+const DVFSExponent = 2.4
 
-// Validate reports a configuration error, if any.
-func (m ServerModel) Validate() error {
-	if m.Idle < 0 || m.Peak <= 0 || m.Peak < m.Idle {
-		return fmt.Errorf("powersim: invalid server model idle=%v peak=%v", m.Idle, m.Peak)
-	}
-	return nil
-}
+// SleepPower is the draw of a server held in deep sleep by load
+// shedding.
+const SleepPower units.Watts = 20
 
 // Power returns the draw of a server running at demanded utilization
 // util ∈ [0,1] with its clock scaled to freq ∈ (0,1]. When demand exceeds
@@ -59,7 +47,7 @@ func (m ServerModel) Power(util, freq float64) units.Watts {
 // evaluation are bit-identical.
 type PowerCoef struct {
 	freq  float64 // clamped frequency
-	scale float64 // Pow(freq, dvfsExponent-1)
+	scale float64 // Pow(freq, DVFSExponent-1)
 	idle  units.Watts
 	span  float64 // float64(Peak - Idle)
 }
@@ -72,7 +60,7 @@ func (m ServerModel) PowerCoef(freq float64) PowerCoef {
 	// skips the call without changing a bit.
 	scale := 1.0
 	if f != 1 {
-		scale = math.Pow(f, m.dvfsExponent()-1)
+		scale = math.Pow(f, DVFSExponent-1)
 	}
 	return PowerCoef{freq: f, scale: scale, idle: m.Idle, span: float64(m.Peak - m.Idle)}
 }

@@ -47,35 +47,11 @@ func TestDVFSReducesPower(t *testing.T) {
 	}
 }
 
-func TestDVFSExponentOverride(t *testing.T) {
-	m := ServerModel{Idle: 100, Peak: 200, DVFSExponent: 1}
-	// Exponent 1: power tracks delivered work only.
-	if got := m.Power(1, 0.5); got != 150 {
-		t.Fatalf("Power = %v, want 150", got)
-	}
-}
-
 func TestFrequencyFloor(t *testing.T) {
 	// Absurd frequency requests clamp instead of zeroing the machine.
 	p := DL585G5.Power(1, 0)
 	if p <= DL585G5.Idle || p >= DL585G5.Peak {
 		t.Fatalf("floor-frequency power = %v, want between idle and peak", p)
-	}
-}
-
-func TestServerModelValidate(t *testing.T) {
-	bad := []ServerModel{
-		{Idle: -1, Peak: 100},
-		{Idle: 100, Peak: 0},
-		{Idle: 200, Peak: 100},
-	}
-	for _, m := range bad {
-		if err := m.Validate(); err == nil {
-			t.Errorf("Validate(%+v) should fail", m)
-		}
-	}
-	if err := DL585G5.Validate(); err != nil {
-		t.Errorf("DL585G5 should validate: %v", err)
 	}
 }
 
@@ -118,7 +94,7 @@ func refPower(m ServerModel, util, freq float64) units.Watts {
 	f := clampFreq(freq)
 	scale := 1.0
 	if f != 1 {
-		scale = math.Pow(f, m.dvfsExponent()-1)
+		scale = math.Pow(f, DVFSExponent-1)
 	}
 	delivered := math.Min(clamp01(util), f)
 	return m.Idle + units.Watts(float64(m.Peak-m.Idle)*delivered*scale)

@@ -1,8 +1,6 @@
 package schemes
 
 import (
-	"time"
-
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -75,11 +73,6 @@ func NewPSPC(opts Options) *PSPC {
 // Name implements sim.Scheme.
 func (s *PSPC) Name() string { return "PSPC" }
 
-// SetMonitoringTau overrides the capping monitor's smoothing constant
-// (ablation knob; the default models minutes-coarse utilization
-// monitoring).
-func (s *PSPC) SetMonitoringTau(tau time.Duration) { s.gov.Tau = tau }
-
 // PlanInto implements sim.Scheme.
 func (s *PSPC) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 	smoothed := s.gov.observe(view)
@@ -100,7 +93,7 @@ func (s *PSPC) PlanInto(view sim.ClusterView, acts []sim.Action) []sim.Action {
 		// Software capping reacts to monitored excess the battery cannot
 		// cover.
 		if smoothed[i]-v.Budget > v.BatteryMax {
-			desired[i] = s.opts.CapFreq
+			desired[i] = capFreq
 		}
 	}
 	applied := s.gov.submit(desired, view.Tick)

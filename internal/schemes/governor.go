@@ -16,14 +16,6 @@ import (
 // cites 100–300 ms for full-system capping). Battery and μDEB responses
 // are hardware-speed and bypass this governor entirely.
 type capGovernor struct {
-	// Tau is the monitoring smoothing constant. 0 selects 60 s:
-	// utilization-based power monitoring integrates over coarse windows
-	// (the paper cites minutes), which is precisely why sudden load jumps
-	// and hidden spikes beat software capping.
-	Tau time.Duration
-	// Delay is the actuation latency. 0 selects 300 ms.
-	Delay time.Duration
-
 	smoothed []float64     // per-rack smoothed demand, watts
 	obsOut   []units.Watts // reusable observe result, valid until next observe
 	// The actuation delay line is a ring of depth+1 reusable slots: a
@@ -37,36 +29,29 @@ type capGovernor struct {
 	zeros    []float64
 
 	// Cached per-tick EWMA weight (fixed-timestep kernel layer): alpha
-	// depends only on the constant tick and the smoothing constant, so it
-	// is derived once per run instead of one math.Exp per observe. Tau is
-	// settable between runs (SetMonitoringTau), so the slot re-keys on it.
+	// depends only on the constant tick, so it is derived once per run
+	// instead of one math.Exp per observe.
 	alphaKey fixedstep.Key
-	alphaTau time.Duration
 	alpha    float64
 }
 
-// alphaFor returns 1-exp(-tick/tau), recomputing only when the tick or
-// the smoothing constant changed.
+const (
+	// monitorTau is the monitoring smoothing constant: utilization-based
+	// power monitoring integrates over coarse windows (the paper cites
+	// minutes), which is precisely why sudden load jumps and hidden
+	// spikes beat software capping.
+	monitorTau = 60 * time.Second
+	// actuationDelay is the capping actuation latency.
+	actuationDelay = 300 * time.Millisecond
+)
+
+// alphaFor returns 1-exp(-tick/monitorTau), recomputing only when the
+// tick changed.
 func (g *capGovernor) alphaFor(tick time.Duration) float64 {
-	if tau := g.tau(); !g.alphaKey.Hit(tick) || g.alphaTau != tau {
-		g.alphaTau = tau
-		g.alpha = 1 - math.Exp(-tick.Seconds()/tau.Seconds())
+	if !g.alphaKey.Hit(tick) {
+		g.alpha = 1 - math.Exp(-tick.Seconds()/monitorTau.Seconds())
 	}
 	return g.alpha
-}
-
-func (g *capGovernor) tau() time.Duration {
-	if g.Tau == 0 {
-		return 60 * time.Second
-	}
-	return g.Tau
-}
-
-func (g *capGovernor) delay() time.Duration {
-	if g.Delay == 0 {
-		return 300 * time.Millisecond
-	}
-	return g.Delay
 }
 
 // observe updates the smoothed demand estimates and returns them. The
@@ -91,13 +76,13 @@ func (g *capGovernor) observe(view sim.ClusterView) []units.Watts {
 }
 
 // submit enqueues this tick's desired frequencies and returns the
-// frequencies that actually take effect now (decisions from Delay ago;
-// 0 entries mean uncapped). The returned slice is owned by the governor
-// and valid until the next submit call.
+// frequencies that actually take effect now (decisions from
+// actuationDelay ago; 0 entries mean uncapped). The returned slice is
+// owned by the governor and valid until the next submit call.
 func (g *capGovernor) submit(desired []float64, tick time.Duration) []float64 {
 	depth := 0
 	if tick > 0 {
-		depth = int(g.delay() / tick)
+		depth = int(actuationDelay / tick)
 	}
 	if len(g.ring) < depth+1 {
 		// First call (or a tick change mid-run, which never happens inside

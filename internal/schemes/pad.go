@@ -2,6 +2,7 @@ package schemes
 
 import (
 	"repro/internal/core"
+	"repro/internal/powersim"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -26,7 +27,7 @@ type PAD struct {
 // NewPAD builds the full defense.
 func NewPAD(opts Options) *PAD {
 	opts = opts.withDefaults()
-	saving := opts.Server.Power(0.5, 1) - opts.SleepPower
+	saving := powersim.DL585G5.Power(0.5, 1) - powersim.SleepPower
 	shedder, err := core.NewShedder(opts.ShedRatio, saving)
 	if err != nil {
 		panic(err) // defaults guarantee valid arguments
@@ -86,7 +87,7 @@ func (s *PAD) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action 
 	// In Level 3 the cap floor drops one step below normal operation
 	// (25% instead of 20%): the paper's emergency state accepts a little
 	// more performance loss to prevent an outage, which costs far more.
-	floor := s.opts.CapFreq
+	floor := capFreq
 	if level >= core.Level3 {
 		floor -= 0.05
 	}
@@ -104,8 +105,7 @@ func (s *PAD) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action 
 		}
 		covered := budget + units.Min(v.BatteryMax, s.opts.PIdeal)
 		if smoothed[i] > covered {
-			desired[i] = capFreqFor(s.opts.Server, s.opts.ServersPerRack,
-				smoothed[i], covered, floor)
+			desired[i] = capFreqFor(s.opts.ServersPerRack, smoothed[i], covered, floor)
 		}
 	}
 	applied := s.gov.submit(desired, view.Tick)

@@ -27,11 +27,9 @@ import (
 	"repro/internal/units"
 )
 
-// Options tune behaviour shared across schemes.
+// Options tune behaviour shared across schemes. Every scheme models the
+// engine's servers, powersim.DL585G5, sleeping at powersim.SleepPower.
 type Options struct {
-	// Server is the power model used for DVFS cap computations. Zero
-	// selects powersim.DL585G5.
-	Server powersim.ServerModel
 	// ServersPerRack is needed to translate shed power into server
 	// counts. 0 selects 10.
 	ServersPerRack int
@@ -41,44 +39,32 @@ type Options struct {
 	// OfflineThreshold is the SOC that triggers an offline recharge
 	// cycle. 0 selects 0.30.
 	OfflineThreshold float64
-	// CapFreq is the fixed DVFS cap PSPC applies under shortfall. 0
-	// selects 0.8 (the paper's 20% frequency decrease).
-	CapFreq float64
 	// PIdeal is the per-rack safe discharge bound Algorithm 1 enforces.
-	// 0 selects half the rack nameplate implied by Server and
-	// ServersPerRack.
+	// 0 selects half the rack nameplate implied by ServersPerRack.
 	PIdeal units.Watts
 	// ShedRatio is PAD's maximum shed fraction. 0 selects 0.03.
 	ShedRatio float64
-	// SleepPower is the per-server sleep draw used to size shedding
-	// savings. 0 selects 20 W.
-	SleepPower units.Watts
 	// Strict selects PAD's strict initial policy level for the
 	// [vDEB>0, μDEB==0] states.
 	Strict bool
 }
 
+// capFreq is the fixed DVFS cap PSPC applies under shortfall, and PAD's
+// capping floor outside Level 3: the paper's 20% frequency decrease.
+const capFreq = 0.8
+
 func (o Options) withDefaults() Options {
-	if o.Server == (powersim.ServerModel{}) {
-		o.Server = powersim.DL585G5
-	}
 	if o.ServersPerRack == 0 {
 		o.ServersPerRack = 10
 	}
 	if o.OfflineThreshold == 0 {
 		o.OfflineThreshold = 0.30
 	}
-	if o.CapFreq == 0 {
-		o.CapFreq = 0.8
-	}
 	if o.PIdeal == 0 {
-		o.PIdeal = o.Server.Peak * units.Watts(o.ServersPerRack) / 2
+		o.PIdeal = powersim.DL585G5.Peak * units.Watts(o.ServersPerRack) / 2
 	}
 	if o.ShedRatio == 0 {
 		o.ShedRatio = 0.03
-	}
-	if o.SleepPower == 0 {
-		o.SleepPower = 20
 	}
 	return o
 }
@@ -116,18 +102,15 @@ func (c *chargers) planCharge(i int, views []sim.RackView) units.Watts {
 
 // capFreqFor returns the DVFS frequency that brings a rack's draw from
 // demand down to target, using the aggregate server model: dynamic power
-// scales roughly as freq^exponent when servers saturate. The result is
-// clamped to [floor, 1]; realistic capping policies bound how deep they
-// will throttle production servers (PAD uses the same 20% bound as PSPC,
-// per the paper's performance-guarantee claim).
-func capFreqFor(model powersim.ServerModel, awakeServers int, demand, target units.Watts, floor float64) float64 {
-	if floor <= 0 || floor > 1 {
-		floor = 0.5
-	}
+// scales roughly as freq^powersim.DVFSExponent when servers saturate.
+// The result is clamped to [floor, 1]; realistic capping policies bound
+// how deep they will throttle production servers (PAD uses the same 20%
+// bound as PSPC, per the paper's performance-guarantee claim).
+func capFreqFor(awakeServers int, demand, target units.Watts, floor float64) float64 {
 	if target >= demand || demand <= 0 {
 		return 1
 	}
-	idle := model.Idle * units.Watts(awakeServers)
+	idle := powersim.DL585G5.Idle * units.Watts(awakeServers)
 	dyn := float64(demand - idle)
 	dynT := float64(target - idle)
 	if dyn <= 0 {
@@ -136,11 +119,7 @@ func capFreqFor(model powersim.ServerModel, awakeServers int, demand, target uni
 	if dynT <= 0 {
 		return floor
 	}
-	exp := model.DVFSExponent
-	if exp == 0 {
-		exp = 2.4
-	}
-	f := math.Pow(dynT/dyn, 1/exp)
+	f := math.Pow(dynT/dyn, 1/powersim.DVFSExponent)
 	if f < floor {
 		return floor
 	}

@@ -332,28 +332,23 @@ func TestSurvivalOrderingUnderAttack(t *testing.T) {
 }
 
 func TestCapFreqFor(t *testing.T) {
-	m := Options{}.withDefaults().Server
-	if got := capFreqFor(m, 10, 4000, 5000, 0.5); got != 1 {
+	if got := capFreqFor(10, 4000, 5000, 0.5); got != 1 {
 		t.Errorf("under target should not cap, got %v", got)
 	}
-	got := capFreqFor(m, 10, 5210, 4500, 0.5)
+	got := capFreqFor(10, 5210, 4500, 0.5)
 	if got >= 1 || got < 0.5 {
 		t.Errorf("cap out of range: %v", got)
 	}
 	// Deeper cuts need lower frequency.
-	if capFreqFor(m, 10, 5210, 4000, 0.5) >= got {
+	if capFreqFor(10, 5210, 4000, 0.5) >= got {
 		t.Error("deeper target should cap harder")
 	}
 	// Impossible targets floor at the configured bound.
-	if capFreqFor(m, 10, 5210, 100, 0.5) != 0.5 {
+	if capFreqFor(10, 5210, 100, 0.5) != 0.5 {
 		t.Error("impossible target should floor at 0.5")
 	}
-	if capFreqFor(m, 10, 5210, 100, 0.8) != 0.8 {
+	if capFreqFor(10, 5210, 100, 0.8) != 0.8 {
 		t.Error("impossible target should floor at 0.8")
-	}
-	// A degenerate floor falls back to the 0.5 default.
-	if capFreqFor(m, 10, 5210, 100, 0) != 0.5 {
-		t.Error("zero floor should default to 0.5")
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"repro/internal/battery"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/powersim"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/virus"
@@ -131,8 +130,6 @@ type Config struct {
 	// 22 racks × 10 servers.
 	Racks          int
 	ServersPerRack int
-	// Server is the per-server power model. Zero selects DL585G5.
-	Server powersim.ServerModel
 	// OversubscriptionRatio is PPDU/(n·Pr). 0 selects 0.75: with the
 	// DL585's high idle power, mean background load then fits with thin
 	// headroom while diurnal peaks and attacks must be shaved — the
@@ -145,8 +142,6 @@ type Config struct {
 	Tick time.Duration
 	// Duration is the simulated time span. Required.
 	Duration time.Duration
-	// SleepPower is the draw of a deep-sleeping server. 0 selects 20 W.
-	SleepPower units.Watts
 	// Background holds per-server utilization series (len must be
 	// Racks×ServersPerRack, or nil for an idle background). Series are
 	// interpolated at tick resolution.
@@ -204,9 +199,6 @@ func (c Config) withDefaults() Config {
 	if c.ServersPerRack == 0 {
 		c.ServersPerRack = 10
 	}
-	if c.Server == (powersim.ServerModel{}) {
-		c.Server = powersim.DL585G5
-	}
 	if c.OversubscriptionRatio == 0 {
 		c.OversubscriptionRatio = 0.75
 	}
@@ -215,9 +207,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Tick == 0 {
 		c.Tick = 100 * time.Millisecond
-	}
-	if c.SleepPower == 0 {
-		c.SleepPower = 20
 	}
 	if c.BatteryFactory == nil {
 		c.BatteryFactory = func(nameplate units.Watts) battery.Store {
@@ -235,9 +224,6 @@ func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Racks <= 0 || c.ServersPerRack <= 0 {
 		return fmt.Errorf("sim: cluster shape %dx%d invalid", c.Racks, c.ServersPerRack)
-	}
-	if err := c.Server.Validate(); err != nil {
-		return err
 	}
 	if c.OversubscriptionRatio <= 0 || c.OversubscriptionRatio > 1 {
 		return fmt.Errorf("sim: oversubscription ratio %v out of (0,1]", c.OversubscriptionRatio)

@@ -144,7 +144,7 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	}
 	cfg = cfg.withDefaults()
 
-	nameplate := cfg.Server.Peak * units.Watts(cfg.ServersPerRack)
+	nameplate := powersim.DL585G5.Peak * units.Watts(cfg.ServersPerRack)
 	plan := powersim.OversubscriptionPlan{
 		RackNameplate: nameplate,
 		Racks:         cfg.Racks,
@@ -238,7 +238,7 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 	st.rackGot = make([]units.Watts, cfg.Racks)
 	st.rackMicro = make([]units.Joules, cfg.Racks)
 	st.rackDark = make([]bool, cfg.Racks)
-	st.powerFull = cfg.Server.PowerCoef(1)
+	st.powerFull = powersim.DL585G5.PowerCoef(1)
 	st.capCoefs = make([]capCoef, cfg.Racks)
 	st.tickS = cfg.Tick.Seconds()
 	st.topK = newTopKSelector(cfg.ServersPerRack)
@@ -425,7 +425,7 @@ func (st *Stepper) applyKernel(demandU []float64, act Action, i int) {
 	if freq != 1 {
 		c := &st.capCoefs[i]
 		if c.freq != freq {
-			c.freq, c.pc = freq, cfg.Server.PowerCoef(freq)
+			c.freq, c.pc = freq, powersim.DL585G5.PowerCoef(freq)
 		}
 		for s, u := range demandU[base : base+cfg.ServersPerRack] {
 			pw[s] = c.pc.Power(u)
@@ -434,7 +434,7 @@ func (st *Stepper) applyKernel(demandU []float64, act Action, i int) {
 	var power units.Watts
 	for s, p := range pw {
 		if order[s] {
-			power += cfg.SleepPower
+			power += powersim.SleepPower
 			continue
 		}
 		power += p
@@ -584,7 +584,7 @@ func (st *Stepper) Advance(demandU []float64) error {
 			u := demandU[base+s]
 			demanded += u
 			if order[s] {
-				shedWatts += pw[s] - cfg.SleepPower
+				shedWatts += pw[s] - powersim.SleepPower
 				continue
 			}
 			delivered += minf(u, freq)
