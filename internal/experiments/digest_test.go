@@ -1,0 +1,125 @@
+package experiments
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"testing"
+	"time"
+
+	"repro/internal/attacksearch"
+	"repro/internal/schemes"
+	"repro/internal/sim"
+)
+
+// stepDigest steps a fresh stepper over cfg until it is done and chains
+// FNV-1a 64 over its state walk after every tick. Chaining every tick,
+// rather than hashing the final state, keeps a difference that heat
+// cooling or a full battery later erases: it still changed the walk of
+// the tick where it happened.
+func stepDigest(cfg sim.Config, scheme sim.Scheme) (digest uint64, ticks int, err error) {
+	st, err := sim.NewStepper(cfg, scheme)
+	if err != nil {
+		return 0, 0, err
+	}
+	h := fnv.New64a()
+	var walk []byte
+	for {
+		ok, err := st.Step()
+		if err != nil {
+			return 0, 0, err
+		}
+		if !ok {
+			break
+		}
+		walk = st.AppendState(walk[:0])
+		h.Write(walk)
+	}
+	return h.Sum64(), st.Ticks(), nil
+}
+
+// TestStepperDigests pins the chained per-tick digest of the engine's
+// whole state for runs that between them reach every branch of the
+// per-rack pass: DVFS-capped, shed, dark (tripped) and restored racks,
+// μDEB shaving and granted charge. The runs are:
+//   - the six corpus scenarios against all six schemes at their full
+//     horizon, without stopping at the first trip, so tripped racks stay
+//     dark;
+//   - one of them again with every rack shed early on, so dark racks
+//     carry shed marks from an earlier tick;
+//   - the capping PSPC and PAD runs TestResultPinned pins, and the PAD
+//     one again at its full horizon, where dark racks are capped or shed;
+//   - Figure 16's Conv run at its highest attack rate, whose tripped
+//     feeds are restored after two minutes.
+//
+// The rounded CSVs and the final Result miss a change that only moves
+// breaker heat, or one that cancels before a run ends; a per-tick digest
+// of the state walk does not. Regenerate with -update after an
+// intentional engine change.
+func TestStepperDigests(t *testing.T) {
+	skipOffAMD64(t)
+	var got bytes.Buffer
+	add := func(name string, cfg sim.Config, scheme sim.Scheme) {
+		t.Helper()
+		d, ticks, err := stepDigest(cfg, scheme)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&got, "%s %d %#016x\n", name, ticks, d)
+	}
+
+	scens, err := attacksearch.LoadCorpus("../attacksearch/testdata/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(scens) == 0 {
+		t.Fatal("empty corpus")
+	}
+	for _, scen := range scens {
+		bg := scen.Background()
+		for _, name := range schemes.SchemeNames {
+			cfg, scheme, err := scen.SimConfig(name, bg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(scen.Name+"/"+name, cfg, scheme)
+		}
+	}
+	cfg, conv, err := scens[0].SimConfig("Conv", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(scens[0].Name+"/Conv/shed-early", cfg, &shedEarly{Scheme: conv, ticks: 100})
+
+	p := Params{Quick: true}
+	for _, name := range []string{"PSPC", "PAD"} {
+		add("fig15/"+name+"/Dense/CPU", fig15DenseCPUConfig(p, name), schemeByName(name, schemes.Options{}))
+	}
+	cfg = fig15DenseCPUConfig(p, "PAD")
+	cfg.StopOnTrip = false
+	add("fig15/PAD/Dense/CPU/full", cfg, schemeByName("PAD", schemes.Options{}))
+	const key = "fig16a/Conv/rate=0.50"
+	add(key, fig16AttackedConfig(p, key, "Conv", 2*time.Second, 15), schemeByName("Conv", schemes.Options{}))
+
+	checkPinned(t, "stepper_digests.txt", got.Bytes())
+}
+
+// shedEarly sheds two servers of every rack for the run's first ticks
+// on top of its scheme's plan. Under Conv, racks the attack trips later
+// go dark unshed while holding shed marks from those early ticks, which
+// the dark-rack accounting must not read.
+type shedEarly struct {
+	sim.Scheme
+	ticks int
+}
+
+func (s *shedEarly) PlanInto(v sim.ClusterView, scratch []sim.Action) []sim.Action {
+	acts := s.Scheme.PlanInto(v, scratch)
+	if s.ticks > 0 {
+		s.ticks--
+		for i := range acts {
+			acts[i].ShedServers = 2
+		}
+	}
+	return acts
+}

@@ -86,10 +86,9 @@ func fig16Reference(p Params, name string) (float64, error) {
 	return ref, err
 }
 
-// fig16Attacked returns the scheme's throughput on the Figure 16
-// cluster under a four-node CPU attack firing spikes of the given width
-// and rate.
-func fig16Attacked(p Params, key, name string, width time.Duration, perMinute float64) (float64, error) {
+// fig16AttackedConfig is the Figure 16 cluster under a four-node CPU
+// attack firing spikes of the given width and rate.
+func fig16AttackedConfig(p Params, key, name string, width time.Duration, perMinute float64) sim.Config {
 	cfg := fig16Config(p, key, name)
 	cfg.Attacks = []sim.AttackSpec{attackSpec(4, virus.Config{
 		Profile:         virus.CPUIntensive,
@@ -99,6 +98,13 @@ func fig16Attacked(p Params, key, name string, width time.Duration, perMinute fl
 		SpikesPerMinute: perMinute,
 		Seed:            p.seed(),
 	})}
+	return cfg
+}
+
+// fig16Attacked returns the scheme's throughput on the Figure 16
+// cluster under attack.
+func fig16Attacked(p Params, key, name string, width time.Duration, perMinute float64) (float64, error) {
+	cfg := fig16AttackedConfig(p, key, name, width, perMinute)
 	res, err := sim.Run(cfg, schemeByName(name, schemes.Options{}))
 	if err != nil {
 		return 0, err
