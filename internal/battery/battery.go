@@ -39,9 +39,6 @@ type Store interface {
 	// SOC returns the total state of charge in [0, 1].
 	SOC() float64
 
-	// Capacity returns the nominal energy capacity.
-	Capacity() units.Joules
-
 	// MaxDischarge returns the rated maximum discharge power.
 	MaxDischarge() units.Watts
 

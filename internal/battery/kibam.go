@@ -346,9 +346,6 @@ func (b *KiBaM) AvailableSOC() float64 {
 	return min(1, max(0, b.y1/(b.c*float64(b.capacity))))
 }
 
-// Capacity implements Store.
-func (b *KiBaM) Capacity() units.Joules { return b.capacity }
-
 // MaxDischarge implements Store.
 func (b *KiBaM) MaxDischarge() units.Watts { return b.maxDischarge }
 

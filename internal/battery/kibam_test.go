@@ -57,14 +57,15 @@ func TestKiBaMInitialSOC(t *testing.T) {
 }
 
 func TestKiBaMEnergyConservationOnDischarge(t *testing.T) {
-	b := newTestKiBaM(t, KiBaMConfig{Capacity: 36000, MaxDischarge: 1000})
-	start := b.SOC() * float64(b.Capacity())
+	const capacity = 36000
+	b := newTestKiBaM(t, KiBaMConfig{Capacity: capacity, MaxDischarge: 1000})
+	start := b.SOC() * capacity
 	var delivered float64
 	for i := 0; i < 100; i++ {
 		got := b.Discharge(50, time.Second)
 		delivered += float64(got) * 1
 	}
-	end := b.SOC() * float64(b.Capacity())
+	end := b.SOC() * capacity
 	if math.Abs((start-end)-delivered) > 1e-6*start {
 		t.Fatalf("energy not conserved: stored dropped %v J, delivered %v J", start-end, delivered)
 	}
@@ -163,7 +164,8 @@ func TestKiBaMIdlePreservesTotalCharge(t *testing.T) {
 }
 
 func TestKiBaMChargeRefills(t *testing.T) {
-	b := newTestKiBaM(t, KiBaMConfig{Capacity: 36000, InitialSOC: 0.3, MaxCharge: 500})
+	const capacity = 36000
+	b := newTestKiBaM(t, KiBaMConfig{Capacity: capacity, InitialSOC: 0.3, MaxCharge: 500})
 	start := b.SOC()
 	var accepted float64
 	for i := 0; i < 60; i++ {
@@ -173,7 +175,7 @@ func TestKiBaMChargeRefills(t *testing.T) {
 	if b.SOC() <= start {
 		t.Fatal("charging did not raise SOC")
 	}
-	gained := (b.SOC() - start) * float64(b.Capacity())
+	gained := (b.SOC() - start) * capacity
 	if math.Abs(gained-accepted) > 1e-6*accepted {
 		t.Fatalf("charge energy mismatch: gained %v J, accepted %v J", gained, accepted)
 	}

@@ -70,9 +70,6 @@ func (l *LVD) Idle(dt time.Duration) {
 // SOC implements Store.
 func (l *LVD) SOC() float64 { return l.inner.SOC() }
 
-// Capacity implements Store.
-func (l *LVD) Capacity() units.Joules { return l.inner.Capacity() }
-
 // MaxDischarge implements Store. A disconnected battery cannot deliver.
 func (l *LVD) MaxDischarge() units.Watts {
 	if l.disconnected {

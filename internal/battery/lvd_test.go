@@ -87,9 +87,6 @@ func TestLVDParameterNormalization(t *testing.T) {
 func TestLVDPassThroughs(t *testing.T) {
 	inner := MustKiBaM(KiBaMConfig{Capacity: 36000, MaxDischarge: 777, MaxCharge: 55})
 	l := NewLVD(inner, 0.05, 0.20)
-	if l.Capacity() != inner.Capacity() {
-		t.Error("Capacity pass-through wrong")
-	}
 	if l.MaxDischarge() != 777 {
 		t.Error("MaxDischarge pass-through wrong")
 	}

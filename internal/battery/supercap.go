@@ -139,9 +139,6 @@ func (s *SuperCap) Idle(time.Duration) {}
 // SOC implements Store.
 func (s *SuperCap) SOC() float64 { return s.energy / float64(s.capacity) }
 
-// Capacity implements Store.
-func (s *SuperCap) Capacity() units.Joules { return s.capacity }
-
 // MaxDischarge implements Store.
 func (s *SuperCap) MaxDischarge() units.Watts { return s.maxPower }
 

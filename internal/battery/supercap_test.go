@@ -62,10 +62,11 @@ func TestSuperCapPowerRating(t *testing.T) {
 }
 
 func TestSuperCapChargeEfficiency(t *testing.T) {
-	sc := MustSuperCap(SuperCapConfig{Capacity: 1000, MaxPower: 1e6, InitialSOC: 0.001})
-	start := sc.SOC() * float64(sc.Capacity())
+	const capacity = 1000
+	sc := MustSuperCap(SuperCapConfig{Capacity: capacity, MaxPower: 1e6, InitialSOC: 0.001})
+	start := sc.SOC() * capacity
 	accepted := sc.Charge(100, time.Second)
-	stored := sc.SOC()*float64(sc.Capacity()) - start
+	stored := sc.SOC()*capacity - start
 	wantStored := float64(accepted) * 0.95
 	if math.Abs(stored-wantStored) > 1e-9 {
 		t.Fatalf("stored %v J from %v accepted, want %v", stored, accepted, wantStored)

@@ -82,6 +82,3 @@ func (u *MicroDEB) ShavedEnergy() units.Joules { return u.shavedEnergy }
 
 // Interventions reports how many ticks the ORing conducted.
 func (u *MicroDEB) Interventions() int { return u.interventions }
-
-// Capacity returns the bank's energy capacity.
-func (u *MicroDEB) Capacity() units.Joules { return u.bank.Capacity() }

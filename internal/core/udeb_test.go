@@ -119,10 +119,3 @@ func TestMicroDEBPartialShaveWhenPowerLimited(t *testing.T) {
 		t.Fatalf("power-limited shave = %v, want 5400", got)
 	}
 }
-
-func TestMicroDEBCapacity(t *testing.T) {
-	u := newTestMicroDEB(t, 1260, 5000)
-	if u.Capacity() != 1260 {
-		t.Fatalf("Capacity = %v", u.Capacity())
-	}
-}

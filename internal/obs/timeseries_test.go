@@ -245,15 +245,3 @@ func TestDefaultTiers(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkSeriesAppend prices the per-tick write path; it must be
-// allocation-free in steady state.
-func BenchmarkSeriesAppend(b *testing.B) {
-	s := NewSeries(DefaultTiers(100 * time.Millisecond)...)
-	s.Append(0.5) // warm the lazy ring allocation
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Append(float64(i&1023) / 1024)
-	}
-}

@@ -75,6 +75,27 @@ func (c PowerCoef) Power(util float64) units.Watts {
 	return c.idle + units.Watts(c.span*delivered*c.scale)
 }
 
+// FullPower evaluates the power model at full frequency, where
+// PowerCoef.Power's min of the clamped utilization with 1 and its ×1
+// scale are exact no-ops: idle + span·clamp01(util). The engine
+// evaluates every server at full frequency every tick, before planning;
+// TestFullPowerExact pins it bit for bit to PowerCoef(1).Power.
+type FullPower struct {
+	idle units.Watts
+	span float64 // float64(Peak - Idle)
+}
+
+// FullPower returns the model's full-frequency evaluator.
+func (m ServerModel) FullPower() FullPower {
+	return FullPower{idle: m.Idle, span: float64(m.Peak - m.Idle)}
+}
+
+// Power returns the full-frequency draw for one server's demanded
+// utilization.
+func (f FullPower) Power(util float64) units.Watts {
+	return f.idle + units.Watts(f.span*clamp01(util))
+}
+
 func clamp01(x float64) float64 {
 	if x < 0 {
 		return 0

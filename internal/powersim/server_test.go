@@ -118,3 +118,27 @@ func TestPowerMinExact(t *testing.T) {
 		}
 	}
 }
+
+// TestFullPowerExact pins FullPower to PowerCoef(1).Power bit for bit —
+// signed zeros included — over the edge operands and a 0..1 grid, for
+// the evaluated server and the −0-idle model whose −0 delivered term
+// would show a signed-zero flip in the result.
+func TestFullPowerExact(t *testing.T) {
+	us := append([]float64{
+		math.SmallestNonzeroFloat64 * 3, -math.SmallestNonzeroFloat64,
+		0x1p-1022 / 2, 1 - 0x1p-53, 1 + 0x1p-52, math.MaxFloat64,
+	}, edgeFloats...)
+	for k := 0; k <= 1000; k++ {
+		us = append(us, float64(k)/1000)
+	}
+	models := []ServerModel{DL585G5, {Idle: units.Watts(math.Copysign(0, -1)), Peak: 1}}
+	for _, m := range models {
+		full, pc := m.FullPower(), m.PowerCoef(1)
+		for _, u := range us {
+			if got, want := full.Power(u), pc.Power(u); !sameFloat(float64(got), float64(want)) {
+				t.Errorf("%+v: FullPower().Power(%v) = %v (%#x), PowerCoef(1).Power %v (%#x)",
+					m, u, got, math.Float64bits(float64(got)), want, math.Float64bits(float64(want)))
+			}
+		}
+	}
+}

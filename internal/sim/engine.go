@@ -167,9 +167,7 @@ func worse(us []float64, a, b int) bool {
 // markInto sets marked[i] true exactly at the k highest-demand indices
 // of us, false elsewhere. len(marked) must equal len(us).
 func (t *topKSelector) markInto(marked []bool, us []float64, k int) {
-	for i := range marked {
-		marked[i] = false
-	}
+	clear(marked)
 	if k <= 0 {
 		return
 	}

@@ -201,18 +201,3 @@ func TestEnvelopeWeekendDip(t *testing.T) {
 		t.Fatalf("weekend (%v) should dip below weekday (%v)", we, wk)
 	}
 }
-
-// BenchmarkGenerate generates Figure 5's trace: 220 machines over 14
-// days, about 480k tasks.
-func BenchmarkGenerate(b *testing.B) {
-	cfg := SynthConfig{Machines: 220, Horizon: 14 * 24 * time.Hour, Seed: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr, err := Generate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(tr.Tasks)), "tasks")
-		b.ReportMetric(float64(cap(tr.Tasks)-len(tr.Tasks)), "spare")
-	}
-}

@@ -87,7 +87,8 @@ func TestFacadeBatteryConstruction(t *testing.T) {
 	}
 	f := NewMicroDEBFactory(0.01)
 	u := f(5210, 3900)
-	if u.SOC() != 1 || u.Capacity() <= 0 {
+	// A full bank shaves a spike above its threshold, the rack budget.
+	if u.SOC() != 1 || u.Threshold() != 3900 || u.Shave(4400, time.Second) >= 4400 {
 		t.Fatal("μDEB factory produced a bad bank")
 	}
 }
