@@ -14,13 +14,14 @@
 //	curl -X POST localhost:8484/v1/sessions -d '{"scheme":"PAD","racks":22,"servers_per_rack":10}'
 //	curl -X POST localhost:8484/v1/sessions/s1/telemetry -d '{"samples":[{"u":[0.4, ...]}]}'
 //	curl localhost:8484/metrics
+//	curl localhost:8484/v1/sessions/s1/events | padtrace -
 //
 // Persistent streams upgrade POST /v1/stream on the same listener.
 //
 // With -replay the daemon instead checks itself: it runs every scheme
 // offline, streams the identical demand through both of its own ingest
-// paths, and exits non-zero unless the online results match the
-// offline results bit for bit.
+// paths, and exits non-zero unless the online results and event logs
+// match the offline results and trace bit for bit.
 package main
 
 import (

@@ -1,9 +1,10 @@
-// Command padtrace analyzes engine event traces written by padsim's
-// -trace flag (JSONL format). For each trace it computes the run's
-// defense profile — time spent at each Figure-9 security level, per
-// attack phase time-to-detection, the run-minimum breaker margin, shed
-// totals and event tallies — and prints them side by side as an aligned
-// table, or as CSV for downstream plotting.
+// Command padtrace analyzes engine event traces in JSONL format: the
+// files padsim's -trace flag writes, and a live padd session's event
+// log. For each trace it computes the run's defense profile — time spent
+// at each Figure-9 security level, per attack phase time-to-detection,
+// the run-minimum breaker margin, shed totals and event tallies — and
+// prints them side by side as an aligned table, or as CSV for downstream
+// plotting.
 //
 // Usage:
 //
@@ -11,6 +12,7 @@
 //	padsim -compare -trace run.trace       # writes run.PAD.trace, run.Conv.trace, ...
 //	padtrace run.*.trace
 //	padtrace -csv run.*.trace > summary.csv
+//	curl -s localhost:8484/v1/sessions/s1/events | padtrace -
 package main
 
 import (
@@ -53,7 +55,7 @@ func main() {
 			fatal(err)
 		}
 		if s.Dropped > 0 {
-			fmt.Fprintf(os.Stderr, "padtrace: %s: %d events dropped on ring overflow; summary covers a truncated prefix\n",
+			fmt.Fprintf(os.Stderr, "padtrace: %s: %d events dropped on ring overflow; summary covers only the events kept\n",
 				path, s.Dropped)
 		}
 		sums = append(sums, s)

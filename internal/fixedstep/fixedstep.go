@@ -49,14 +49,3 @@ func (k *Key) Hit(dt time.Duration) bool {
 	k.valid = true
 	return false
 }
-
-// Invalidate empties the cache: the next Hit reports false regardless of
-// dt. Models whose non-dt parameters can change between steps (e.g. a
-// breaker's cooling constant) call this when such a parameter moves.
-func (k *Key) Invalidate() {
-	k.valid = false
-}
-
-// Valid reports whether the cache currently holds coefficients for some
-// dt (diagnostics and tests).
-func (k *Key) Valid() bool { return k.valid }

@@ -7,14 +7,8 @@ import (
 
 func TestKeyZeroValueMisses(t *testing.T) {
 	var k Key
-	if k.Valid() {
-		t.Fatal("zero Key reports valid")
-	}
 	if k.Hit(100 * time.Millisecond) {
 		t.Fatal("first Hit reported a cache hit")
-	}
-	if !k.Valid() {
-		t.Fatal("Key not valid after first Hit")
 	}
 }
 
@@ -53,17 +47,5 @@ func TestKeyZeroDtIsARealKey(t *testing.T) {
 	}
 	if !k.Hit(0) {
 		t.Fatal("cache missed for the cached dt=0")
-	}
-}
-
-func TestKeyInvalidate(t *testing.T) {
-	var k Key
-	k.Hit(time.Second)
-	k.Invalidate()
-	if k.Valid() {
-		t.Fatal("Key valid after Invalidate")
-	}
-	if k.Hit(time.Second) {
-		t.Fatal("Hit reported a hit after Invalidate")
 	}
 }

@@ -1,6 +1,9 @@
 // Package obs is the engine's observability layer: structured per-tick
 // event tracing, a Prometheus-style metrics registry, structured-logging
-// flag plumbing, and offline trace analysis.
+// flag plumbing, and offline trace analysis. Its Event is the one event
+// vocabulary of the repository: an offline traced run (padsim -trace)
+// and a live padd session log the same records, so cmd/padtrace reads
+// either.
 //
 // Everything in this package obeys two contracts the simulator imposes:
 //
@@ -15,7 +18,9 @@
 //
 // Every emission is edge-triggered — a level transition, a trip, a
 // rising overload or heat edge, a new minimum, a shed-set change, a phase
-// change — or a clocked scheme decision (the vDEB 1 s refresh). A steady
+// change — or a clocked scheme decision (the vDEB 1 s refresh). A padd
+// session adds three edges only the daemon sees: the first tick of a
+// telemetry gap, a CUSUM anomaly flag and the horizon reached. A steady
 // tick therefore emits nothing beyond the clocked decisions, and a
 // trace's size follows what happened in the run rather than its horizon.
 package obs
@@ -61,38 +66,51 @@ const (
 	// KindAttackPhase is the attack controller changing phase:
 	// A = old phase, B = new phase (virus.Phase values).
 	KindAttackPhase
+
+	// The daemon kinds: a padd session emits them beside the engine's,
+	// from what only the daemon sees. All are cluster-scope (Rack -1).
+
+	// KindCoast is the first tick of a telemetry gap, which the session
+	// advances on its last known demand; A and B are 0.
+	KindCoast
+	// KindAnomaly is a metering interval the CUSUM detector flagged:
+	// A = the interval's average watts, B = the detector's baseline
+	// watts.
+	KindAnomaly
+	// KindFinished is the session's run ending: its horizon reached, or
+	// an engine error the daemon's input validation rules out; A and B
+	// are 0.
+	KindFinished
 )
+
+// kindNames are the kinds' wire names, indexed by Kind.
+var kindNames = [...]string{
+	KindLevel:       "level",
+	KindTrip:        "trip",
+	KindOverload:    "overload",
+	KindHeat:        "heat",
+	KindMarginLow:   "margin_low",
+	KindVDEBAlloc:   "vdeb_alloc",
+	KindMicroShave:  "micro_shave",
+	KindShed:        "shed",
+	KindAttackPhase: "attack_phase",
+	KindCoast:       "coast",
+	KindAnomaly:     "anomaly",
+	KindFinished:    "finished",
+}
 
 // String returns the kind's wire name.
 func (k Kind) String() string {
-	switch k {
-	case KindLevel:
-		return "level"
-	case KindTrip:
-		return "trip"
-	case KindOverload:
-		return "overload"
-	case KindHeat:
-		return "heat"
-	case KindMarginLow:
-		return "margin_low"
-	case KindVDEBAlloc:
-		return "vdeb_alloc"
-	case KindMicroShave:
-		return "micro_shave"
-	case KindShed:
-		return "shed"
-	case KindAttackPhase:
-		return "attack_phase"
-	default:
+	if k == 0 || int(k) >= len(kindNames) {
 		return "unknown"
 	}
+	return kindNames[k]
 }
 
 // kindByName inverts String for the JSONL reader.
 func kindByName(s string) Kind {
-	for k := KindLevel; k <= KindAttackPhase; k++ {
-		if k.String() == s {
+	for k := KindLevel; int(k) < len(kindNames); k++ {
+		if kindNames[k] == s {
 			return k
 		}
 	}

@@ -21,8 +21,9 @@ type Sink interface {
 type Footer struct {
 	// Events counts the event records written to the stream.
 	Events int `json:"events"`
-	// Dropped counts events discarded on ring overflow (the stream is a
-	// truncated prefix of the run when this is non-zero).
+	// Dropped counts events lost to ring overflow: a traced run keeps
+	// its oldest events and drops the rest, a padd session's log keeps
+	// its newest and overwrites the oldest.
 	Dropped uint64 `json:"dropped"`
 }
 

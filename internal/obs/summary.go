@@ -24,8 +24,9 @@ type PhaseDetection struct {
 type Summary struct {
 	// Meta echoes the trace header.
 	Meta Meta
-	// Events and Dropped echo the stream accounting (a non-zero Dropped
-	// means the summary describes a truncated prefix of the run).
+	// Events and Dropped echo the stream accounting. A non-zero Dropped
+	// means the summary misses events: a traced run's ring keeps the
+	// oldest, a padd session's log the newest.
 	Events  int
 	Dropped uint64
 

@@ -12,8 +12,8 @@ package obs
 //
 // Concurrency: a Tracer is confined to the goroutine stepping the run it
 // is attached to, exactly like the sim.Stepper that feeds it. The engine
-// emits in tick and rack order (kernel-phase observations ride the
-// per-rack SoA outputs and are emitted by the reduce).
+// emits in tick and rack order (the apply kernel emits its μDEB shaves
+// as it visits each rack).
 //
 // A nil *Tracer is valid and disabled: every method is nil-safe, so call
 // sites need no flag checks beyond what the engine already does.

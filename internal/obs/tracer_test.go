@@ -157,7 +157,7 @@ func TestChromeSinkValidJSON(t *testing.T) {
 
 // TestKindNames pins the wire names and their inversion.
 func TestKindNames(t *testing.T) {
-	for k := KindLevel; k <= KindAttackPhase; k++ {
+	for k := KindLevel; k <= KindFinished; k++ {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/padd"
 )
 
@@ -89,8 +90,9 @@ func TestWallClockCoasting(t *testing.T) {
 			st.Ticks, st.Accepted, st.Coasts, st.Discarded)
 	}
 	coasts := 0
-	for _, e := range sess.Events(0) {
-		if e.Type == padd.EventCoast {
+	_, events, _ := sess.Events(0)
+	for _, e := range events {
+		if e.Kind == obs.KindCoast {
 			coasts++
 		}
 	}

@@ -2,85 +2,73 @@ package padd
 
 import (
 	"sync"
-	"time"
+
+	"repro/internal/obs"
 )
 
-// Event types recorded in a session's ring-buffered log.
-const (
-	EventCreated  = "created"  // session started
-	EventLevel    = "level"    // security-level transition
-	EventShed     = "shed"     // load shedding engaged, changed, or released
-	EventTrip     = "trip"     // a breaker tripped
-	EventCoast    = "coast"    // wall-clock tick with no telemetry: coasting
-	EventAnomaly  = "anomaly"  // metering CUSUM flagged a power anomaly
-	EventFinished = "finished" // horizon reached or StopOnTrip fired
-)
-
-// Event is one entry in a session's action log.
-type Event struct {
-	// Seq increases by one per event for the session's lifetime, so a
-	// poller can detect entries lost to ring overwrite.
-	Seq uint64 `json:"seq"`
-	// Tick and Offset locate the event on the session's simulated
-	// timeline.
-	Tick   int      `json:"tick"`
-	Offset Duration `json:"offset"`
-	// Wall is the wall-clock time the event was recorded.
-	Wall time.Time `json:"wall"`
-	// Type is one of the Event* constants.
-	Type string `json:"type"`
-	// Detail is a human-readable description ("L1-Normal -> L2-MinorIncident").
-	Detail string `json:"detail"`
-}
-
-// eventRing is a bounded event log: the newest size entries win,
+// eventRing is a session's event log: the sink its tracer flushes into
+// once per tick, bounded so that the newest size events win,
 // overwriting the oldest. Its buffer grows on demand, doubling up to
 // size, so a session that logs a handful of events never pays for the
-// full bound. Safe for one writer and many readers.
+// full bound. Safe for one writer and many readers; a tick's events
+// land in one Write, so a reader sees every tick whole or not at all.
 type eventRing struct {
-	mu   sync.Mutex
-	buf  []Event
-	size int    // maximum entries retained
-	next uint64 // sequence number of the next event
+	mu      sync.Mutex
+	buf     []obs.Event
+	size    int      // maximum events retained
+	written uint64   // events ever written
+	meta    obs.Meta // the header of the latest Write
+	lost    uint64   // events the tracer dropped, reported by Close
 }
 
 func newEventRing(size int) *eventRing {
 	return &eventRing{size: max(size, 1)}
 }
 
-// add appends an event, assigning its sequence number.
-func (r *eventRing) add(e Event) {
+// Write implements obs.Sink: it appends one flush of events and keeps
+// its header.
+func (r *eventRing) Write(meta obs.Meta, events []obs.Event) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e.Seq = r.next
-	r.next++
-	if len(r.buf) < r.size {
-		if len(r.buf) == cap(r.buf) {
-			grown := make([]Event, len(r.buf), min(max(4, 2*len(r.buf)), r.size))
-			copy(grown, r.buf)
-			r.buf = grown
+	r.meta = meta
+	for _, e := range events {
+		if len(r.buf) < r.size {
+			if len(r.buf) == cap(r.buf) {
+				grown := make([]obs.Event, len(r.buf), min(max(4, 2*len(r.buf)), r.size))
+				copy(grown, r.buf)
+				r.buf = grown
+			}
+			r.buf = append(r.buf, e)
+		} else {
+			r.buf[r.written%uint64(r.size)] = e
 		}
-		r.buf = append(r.buf, e)
-		return
+		r.written++
 	}
-	r.buf[e.Seq%uint64(r.size)] = e
+	return nil
 }
 
-// list returns the retained events in chronological order, optionally
-// only those with Seq >= since.
-func (r *eventRing) list(since uint64) []Event {
+// Close implements obs.Sink: it records the tracer's drop count.
+func (r *eventRing) Close(dropped uint64) error {
+	r.mu.Lock()
+	r.lost = dropped
+	r.mu.Unlock()
+	return nil
+}
+
+// list returns the header, the retained events at tick since or later
+// in emission order, and how many events the log has lost: overwritten
+// by newer ones or dropped by the tracer.
+func (r *eventRing) list(since int64) (obs.Meta, []obs.Event, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	start := uint64(0)
-	if r.next > uint64(r.size) {
-		start = r.next - uint64(r.size)
+	first := r.written - uint64(len(r.buf)) // oldest retained event
+	start := first
+	for start < r.written && r.buf[start%uint64(r.size)].Tick < since {
+		start++
 	}
-	if since > start {
-		start = since
+	out := make([]obs.Event, 0, r.written-start)
+	for i := start; i < r.written; i++ {
+		out = append(out, r.buf[i%uint64(r.size)])
 	}
-	for seq := start; seq < r.next; seq++ {
-		out = append(out, r.buf[seq%uint64(r.size)])
-	}
-	return out
+	return r.meta, out, first + r.lost
 }

@@ -189,30 +189,34 @@ type FleetStatus struct {
 	Shards []ShardStatus `json:"shards"`
 }
 
-// histStatus converts a detHist snapshot into its JSON view.
-func histStatus(counts []uint64, sumNanos int64, total uint64) HistogramStatus {
-	h := HistogramStatus{
+// status reads the histogram into its JSON view.
+func (h *detHist) status() HistogramStatus {
+	hs := HistogramStatus{
 		BoundsSeconds: detectionBounds[:],
-		Counts:        make([]int64, len(counts)),
-		SumSeconds:    float64(sumNanos) / 1e9,
-		Count:         int64(total),
+		Counts:        make([]int64, len(h.counts)),
+		SumSeconds:    float64(h.sumNanos.Load()) / 1e9,
+		Count:         int64(h.total.Load()),
 	}
-	for i, c := range counts {
-		h.Counts[i] = int64(c)
+	for i := range h.counts {
+		hs.Counts[i] = int64(h.counts[i].Load())
 	}
-	return h
+	return hs
 }
 
-// Fleet snapshots the fleet rollup. Reads only shard-level atomics and
-// the per-shard session counts — never a session's snapshot mutex — so
-// it cannot stall the ingest hot path.
+// Fleet snapshots the fleet rollup, the one read of the fleet's
+// counters behind both GET /v1/fleet and the fleet families of
+// /metrics. Reads only shard-level atomics and the per-shard session
+// counts — never a session's snapshot mutex — so it cannot stall the
+// ingest hot path.
 func (m *Manager) Fleet() FleetStatus {
 	fs := FleetStatus{
 		LevelSessions:     make([]int64, numLevels),
 		MarginBoundsWatts: marginBounds[:],
 		MarginSessions:    make([]int64, numMarginBounds+1),
 
-		DetectionOnsets: m.det.onsets.Load(),
+		DetectionOnsets:  m.det.onsets.Load(),
+		DetectionLatency: m.det.detect.status(),
+		ShedLatency:      m.det.shed.status(),
 
 		IngestFramesJSON:  m.framesJSON.Load(),
 		StreamConnections: m.StreamConnections(),
@@ -234,12 +238,5 @@ func (m *Manager) Fleet() FleetStatus {
 			fs.MarginSessions[b] += sh.rollup.margin[b].Load()
 		}
 	}
-	var dc, sc [numDetBounds + 1]uint64
-	for i := range dc {
-		dc[i] = m.det.detect.counts[i].Load()
-		sc[i] = m.det.shed.counts[i].Load()
-	}
-	fs.DetectionLatency = histStatus(dc[:], m.det.detect.sumNanos.Load(), m.det.detect.total.Load())
-	fs.ShedLatency = histStatus(sc[:], m.det.shed.sumNanos.Load(), m.det.shed.total.Load())
 	return fs
 }

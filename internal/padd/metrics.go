@@ -119,31 +119,15 @@ func (m *Manager) noteStreamFrame(status byte) {
 	}
 }
 
-// fleetMetrics is the manager-level scrape snapshot.
+// fleetMetrics is the manager-level scrape snapshot: the fleet rollup
+// plus the ingest and runtime counters only /metrics serves.
 type fleetMetrics struct {
-	ShardSessions  []int
-	FramesJSON     int64
+	FleetStatus
 	BatchCounts    [numBatchBounds + 1]uint64
 	BatchSum       float64
 	BatchTotal     uint64
-	StreamConns    int
 	StreamInflight int64
 	StreamFrames   [numAckStatuses]int64
-
-	// Fleet rollups, summed over the per-shard atomics.
-	LevelSessions [numLevels]int64
-	UnderAttack   int64
-	MarginCounts  [numMarginBounds + 1]int64
-	ShardSamples  []int64
-
-	// Detection-latency accounting (sim time, seconds).
-	Onsets       int64
-	DetectCounts [numDetBounds + 1]uint64
-	DetectSum    float64
-	DetectTotal  uint64
-	ShedCounts   [numDetBounds + 1]uint64
-	ShedSum      float64
-	ShedTotal    uint64
 
 	// Go runtime families. Threaded through this snapshot (rather than
 	// read inside the writer) so the golden test can pin the exposition
@@ -157,9 +141,7 @@ type fleetMetrics struct {
 
 func (m *Manager) fleetMetrics() fleetMetrics {
 	fm := fleetMetrics{
-		ShardSessions:  m.ShardSessions(),
-		FramesJSON:     m.framesJSON.Load(),
-		StreamConns:    m.StreamConnections(),
+		FleetStatus:    m.Fleet(),
 		StreamInflight: m.streamInflight.Load(),
 	}
 	for i := range fm.BatchCounts {
@@ -170,27 +152,6 @@ func (m *Manager) fleetMetrics() fleetMetrics {
 	for i := range fm.StreamFrames {
 		fm.StreamFrames[i] = m.streamFrames[i].Load()
 	}
-
-	fm.ShardSamples = make([]int64, len(m.shards))
-	for i, sh := range m.shards {
-		fm.ShardSamples[i] = sh.rollup.samples.Load()
-		fm.UnderAttack += sh.rollup.underAttack.Load()
-		for l := 0; l < numLevels; l++ {
-			fm.LevelSessions[l] += sh.rollup.levels[l].Load()
-		}
-		for b := 0; b <= numMarginBounds; b++ {
-			fm.MarginCounts[b] += sh.rollup.margin[b].Load()
-		}
-	}
-	fm.Onsets = m.det.onsets.Load()
-	for i := range fm.DetectCounts {
-		fm.DetectCounts[i] = m.det.detect.counts[i].Load()
-		fm.ShedCounts[i] = m.det.shed.counts[i].Load()
-	}
-	fm.DetectSum = float64(m.det.detect.sumNanos.Load()) / 1e9
-	fm.DetectTotal = m.det.detect.total.Load()
-	fm.ShedSum = float64(m.det.shed.sumNanos.Load()) / 1e9
-	fm.ShedTotal = m.det.shed.total.Load()
 
 	fm.Goroutines = runtime.NumGoroutine()
 	var ms runtime.MemStats
@@ -243,15 +204,15 @@ func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
 	reg.Gauge("padd_sessions", "Number of live sessions.", "").Set("", float64(len(rows)))
 
 	shardSessions := reg.Gauge("padd_shard_sessions", "Resident sessions per manager shard.", "shard")
-	for i, n := range fm.ShardSessions {
-		shardSessions.Set(strconv.Itoa(i), float64(n))
+	for _, sh := range fm.Shards {
+		shardSessions.Set(strconv.Itoa(sh.Shard), float64(sh.Sessions))
 	}
 	frames := reg.Counter("padd_ingest_frames_total", "Telemetry ingest requests by wire format.", "format")
-	frames.Set("json", float64(fm.FramesJSON))
+	frames.Set("json", float64(fm.IngestFramesJSON))
 	reg.Histogram("padd_ingest_batch_size", "Samples per accepted ingest batch.", "", batchBounds[:]).
 		SetHistogram("", fm.BatchCounts[:], fm.BatchSum, fm.BatchTotal)
 	reg.Gauge("padd_stream_connections", "Live persistent ingest stream connections.", "").
-		Set("", float64(fm.StreamConns))
+		Set("", float64(fm.StreamConnections))
 	streamFrames := reg.Counter("padd_stream_frames_total", "Stream data frames by ack result.", "result")
 	for status := 0; status < numAckStatuses; status++ {
 		streamFrames.Set(wire.AckStatusName(byte(status)), float64(fm.StreamFrames[status]))
@@ -260,28 +221,35 @@ func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
 		Set("", float64(fm.StreamInflight))
 
 	levelSessions := reg.Gauge("padd_fleet_level_sessions", "Resident sessions at each security level (0 = scheme without a policy).", "level")
-	for l := 0; l < numLevels; l++ {
-		levelSessions.Set(strconv.Itoa(l), float64(fm.LevelSessions[l]))
+	for l, n := range fm.LevelSessions {
+		levelSessions.Set(strconv.Itoa(l), float64(n))
 	}
 	reg.Gauge("padd_fleet_sessions_under_attack", "Sessions with an open CUSUM excursion.", "").
-		Set("", float64(fm.UnderAttack))
+		Set("", float64(fm.SessionsUnderAttack))
 	marginDist := reg.Gauge("padd_fleet_margin_watts", "Sessions at or below each breaker-margin bound (cumulative occupancy).", "le")
 	cumMargin := int64(0)
 	for i, b := range marginBounds {
-		cumMargin += fm.MarginCounts[i]
+		cumMargin += fm.MarginSessions[i]
 		marginDist.Set(strconv.FormatFloat(b, 'g', -1, 64), float64(cumMargin))
 	}
-	cumMargin += fm.MarginCounts[numMarginBounds]
+	cumMargin += fm.MarginSessions[numMarginBounds]
 	marginDist.Set("+Inf", float64(cumMargin))
 	reg.Counter("padd_detection_onsets_total", "CUSUM excursions opened (statistic left zero).", "").
-		Set("", float64(fm.Onsets))
-	reg.Histogram("padd_detection_latency_seconds", "Sim time from excursion onset to the CUSUM flag.", "", detectionBounds[:]).
-		SetHistogram("", fm.DetectCounts[:], fm.DetectSum, fm.DetectTotal)
-	reg.Histogram("padd_shed_latency_seconds", "Sim time from excursion onset to the first shedding tick.", "", detectionBounds[:]).
-		SetHistogram("", fm.ShedCounts[:], fm.ShedSum, fm.ShedTotal)
+		Set("", float64(fm.DetectionOnsets))
+	setHist := func(f *obs.Family, h HistogramStatus) {
+		counts := make([]uint64, len(h.Counts))
+		for i, c := range h.Counts {
+			counts[i] = uint64(c)
+		}
+		f.SetHistogram("", counts, h.SumSeconds, uint64(h.Count))
+	}
+	setHist(reg.Histogram("padd_detection_latency_seconds", "Sim time from excursion onset to the CUSUM flag.", "", detectionBounds[:]),
+		fm.DetectionLatency)
+	setHist(reg.Histogram("padd_shed_latency_seconds", "Sim time from excursion onset to the first shedding tick.", "", detectionBounds[:]),
+		fm.ShedLatency)
 	shardSamples := reg.Counter("padd_shard_ingest_samples_total", "Telemetry samples accepted per manager shard.", "shard")
-	for i, n := range fm.ShardSamples {
-		shardSamples.Set(strconv.Itoa(i), float64(n))
+	for _, sh := range fm.Shards {
+		shardSamples.Set(strconv.Itoa(sh.Shard), float64(sh.AcceptedSamples))
 	}
 	reg.Gauge("padd_go_goroutines", "Goroutines in the daemon process.", "").
 		Set("", float64(fm.Goroutines))

@@ -2,6 +2,7 @@ package padd
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -63,27 +64,23 @@ func goldenRows() []metricsRow {
 // and a live stream with every ack result represented.
 func goldenFleet() fleetMetrics {
 	fm := fleetMetrics{
-		ShardSessions:  []int{1, 1},
-		FramesJSON:     40,
-		StreamConns:    2,
+		FleetStatus: FleetStatus{
+			SessionsUnderAttack: 1,
+			LevelSessions:       []int64{0, 1, 1, 0},
+			MarginSessions:      []int64{0, 0, 1, 1, 0, 0, 0, 0, 0, 0},
+			DetectionOnsets:     3,
+			DetectionLatency:    HistogramStatus{Counts: []int64{0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0}, SumSeconds: 12.5, Count: 2},
+			ShedLatency:         HistogramStatus{Counts: []int64{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, SumSeconds: 6.2, Count: 1},
+			IngestFramesJSON:    40,
+			StreamConnections:   2,
+			Shards:              []ShardStatus{{Shard: 0, Sessions: 1, AcceptedSamples: 4800}, {Shard: 1, Sessions: 1, AcceptedSamples: 50}},
+		},
 		StreamInflight: 3,
 		StreamFrames:   [numAckStatuses]int64{120, 4, 7, 1, 1},
 	}
 	fm.BatchCounts = [numBatchBounds + 1]uint64{5, 3, 10, 20, 8, 1, 0, 0, 0, 0, 1, 0}
 	fm.BatchSum = 4850
 	fm.BatchTotal = 48
-
-	fm.LevelSessions = [numLevels]int64{0, 1, 1, 0}
-	fm.UnderAttack = 1
-	fm.MarginCounts = [numMarginBounds + 1]int64{0, 0, 1, 1, 0, 0, 0, 0, 0, 0}
-	fm.ShardSamples = []int64{4800, 50}
-	fm.Onsets = 3
-	fm.DetectCounts = [numDetBounds + 1]uint64{0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0}
-	fm.DetectSum = 12.5
-	fm.DetectTotal = 2
-	fm.ShedCounts = [numDetBounds + 1]uint64{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}
-	fm.ShedSum = 6.2
-	fm.ShedTotal = 1
 	fm.Goroutines = 17
 	fm.HeapBytes = 4 << 20
 	fm.GCPauseCounts = [numGCBounds + 1]uint64{2, 5, 1, 0, 0, 0, 0, 0, 0, 0}
@@ -122,8 +119,10 @@ func TestMetricsGolden(t *testing.T) {
 // TestMetricsEmpty covers the no-session scrape: every family still
 // declares itself so dashboards see the schema before the first session.
 func TestMetricsEmpty(t *testing.T) {
+	mgr := NewManagerWith(Options{Shards: 1})
+	defer mgr.Shutdown(context.Background())
 	var buf bytes.Buffer
-	writeSessionMetrics(&buf, fleetMetrics{}, nil)
+	writeSessionMetrics(&buf, fleetMetrics{FleetStatus: mgr.Fleet()}, nil)
 	out := buf.String()
 	for _, want := range []string{
 		"padd_up 1\n", "padd_sessions 0\n",

@@ -26,9 +26,12 @@
 //   - Observability: GET /metrics exposes Prometheus-style per-session
 //     gauges (SOC, security level, shed watts, breaker margin, queue
 //     depth), tick- and detection-latency histograms, fleet occupancy
-//     families and Go runtime stats; GET /v1/sessions/{id}/events
-//     returns the ring-buffered log of level transitions,
-//     shed/trip/coast/anomaly actions. Each session additionally
+//     families and Go runtime stats. Each session attaches an
+//     obs.Tracer to its stepper, so its event log holds exactly the
+//     events an offline traced run emits — level, shed, trip, breaker,
+//     vDEB and μDEB — plus the daemon's coast, anomaly and finished;
+//     GET /v1/sessions/{id}/events serves it as an obs JSONL trace that
+//     cmd/padtrace reads. Each session additionally
 //     records its key signals into bounded ring time series with
 //     tiered downsampling (GET /v1/sessions/{id}/series, zero
 //     allocations per tick, opt out with DisableSeries), and GET
@@ -36,9 +39,10 @@
 //     and breaker-margin band, under-attack count, detection-latency
 //     histograms — that cmd/padtop renders as a terminal dashboard.
 //   - Replay: the bridge in replay.go pipes a generated trace through
-//     the real ingest path and compares the resulting actions and
-//     levels against the offline sim.Run — the guarantee that online
-//     and offline agree (cmd/padd -replay, TestReplayMatchesOffline).
+//     the real ingest path and compares the session's result,
+//     recording and event log against the offline traced run — the
+//     guarantee that online and offline agree (cmd/padd -replay,
+//     TestReplayMatchesOffline).
 package padd
 
 import (
@@ -114,7 +118,9 @@ type SessionConfig struct {
 	QueueDepth int `json:"queue_depth,omitempty"`
 	// EventLog is the maximum number of events the session's log
 	// retains, grown on demand; older events are overwritten. 0 selects
-	// 512; at most 65536.
+	// 512, which holds 6.8–8.4 minutes of a PAD 2×4 session at 100 ms
+	// ticks under a fleet-like load (mostly one vDEB refresh per
+	// second); at most 65536.
 	EventLog int `json:"event_log,omitempty"`
 	// MeterInterval is the power-metering integration interval feeding
 	// the CUSUM anomaly detector. 0 selects 5s; negative disables

@@ -2,13 +2,13 @@ package padd_test
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/core/policytest"
+	"repro/internal/obs"
 	"repro/internal/padd"
 	"repro/internal/schemes"
 	"repro/internal/sim"
@@ -123,6 +123,7 @@ func TestOnlineLevelsMatchOffline(t *testing.T) {
 		Tick: padd.Duration{Duration: tick}, Horizon: padd.Duration{Duration: duration},
 		Oversubscription: ratio,
 		Record:           true, RecordStep: padd.Duration{Duration: tick},
+		EventLog: 65536, // the whole run's μDEB shaves and margin minima
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,17 +152,16 @@ func TestOnlineLevelsMatchOffline(t *testing.T) {
 			len(offTrans), offTrans, transitions(onRes.Recording.Levels))
 	}
 
-	// The event log must narrate the same walk.
+	// The event log must narrate the same walk: each level event is a
+	// transition A -> B, after the initial assignment from A = 0.
 	var logged [][2]core.Level
-	for _, e := range online.Events(0) {
-		if e.Type != padd.EventLevel {
-			continue
-		}
-		// "initial level L1-Normal" doesn't parse as a transition and is
-		// skipped; "L1-Normal -> L2-MinorIncident" does.
-		var from, to core.Level
-		if parseTransition(e.Detail, &from, &to) {
-			logged = append(logged, [2]core.Level{from, to})
+	_, events, dropped := online.Events(0)
+	if dropped != 0 {
+		t.Fatalf("event log dropped %d events", dropped)
+	}
+	for _, e := range events {
+		if e.Kind == obs.KindLevel && e.A != 0 {
+			logged = append(logged, [2]core.Level{core.Level(e.A), core.Level(e.B)})
 		}
 	}
 	if !reflect.DeepEqual(logged, offTrans) {
@@ -182,15 +182,4 @@ func transitions(levels []core.Level) [][2]core.Level {
 		}
 	}
 	return out
-}
-
-// parseTransition decodes "L1-Normal -> L2-MinorIncident" details.
-func parseTransition(detail string, from, to *core.Level) bool {
-	var f, t int
-	var fName, tName string
-	if n, _ := fmt.Sscanf(detail, "L%d-%s -> L%d-%s", &f, &fName, &t, &tName); n == 4 {
-		*from, *to = core.Level(f), core.Level(t)
-		return true
-	}
-	return false
 }

@@ -9,8 +9,10 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"slices"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/padd/wire"
 	"repro/internal/schemes"
 	"repro/internal/sim"
@@ -20,8 +22,8 @@ import (
 
 // ReplayConfig drives an online/offline equivalence check: the same
 // closed-loop demand is run through the offline engine and streamed
-// over HTTP into a live session, and the two recordings are compared
-// tick for tick.
+// over HTTP into a live session, and the two recordings and event
+// streams are compared tick for tick.
 type ReplayConfig struct {
 	// Schemes to replay; empty means all six.
 	Schemes []string
@@ -126,14 +128,15 @@ func (r *ReplayReport) OK() bool {
 }
 
 // Replay proves online/offline agreement. For each scheme it runs the
-// offline engine manually — capturing each tick's closed-loop demand
-// (background plus power virus, with the virus observing the capped
-// frequencies the defense granted) — then boots a daemon on a loopback
-// listener, streams those exact demand ticks through the HTTP ingest
-// path, and deep-compares the two results and recordings. AttackUtil is
-// excluded (the online engine hosts no virus, so it records zero) and
-// Key is excluded (it names the run, not the physics); everything else
-// must match bit for bit.
+// offline engine manually with a tracer attached — capturing each
+// tick's closed-loop demand (background plus power virus, with the
+// virus observing the capped frequencies the defense granted) — then
+// boots a daemon on a loopback listener, streams those exact demand
+// ticks through the HTTP ingest path, and deep-compares the two results
+// and recordings, and the offline trace with the session's event log.
+// AttackUtil is excluded (the online engine hosts no virus, so it
+// records zero) and Key is excluded (it names the run, not the
+// physics); everything else must match bit for bit.
 func Replay(cfg ReplayConfig) (*ReplayReport, error) {
 	cfg = cfg.withDefaults()
 	servers := cfg.Racks * cfg.ServersPerRack
@@ -178,7 +181,8 @@ func replayScheme(cfg ReplayConfig, name string, bg []*stats.Series, mgr *Manage
 	sr := SchemeReplay{Scheme: name}
 
 	// Offline pass: manual stepping so each tick's demand can be kept.
-	offline, demand, err := runOffline(cfg, name, bg)
+	tracer := obs.NewTracer(0)
+	offline, demand, err := runOffline(cfg, name, bg, tracer)
 	if err != nil {
 		return sr, err
 	}
@@ -191,12 +195,14 @@ func replayScheme(cfg ReplayConfig, name string, bg []*stats.Series, mgr *Manage
 		return sr, err
 	}
 
-	sr.Mismatches = compareResults(offline, online)
+	sr.Mismatches = compareResults(offline, online.Result())
+	sr.Mismatches = append(sr.Mismatches, compareEvents(tracer, online, sr.Ticks)...)
 	return sr, nil
 }
 
-// runOffline reproduces sim.Run by hand, copying each tick's demand.
-func runOffline(cfg ReplayConfig, name string, bg []*stats.Series) (*sim.Result, [][]float64, error) {
+// runOffline reproduces sim.Run by hand with tracer attached, copying
+// each tick's demand.
+func runOffline(cfg ReplayConfig, name string, bg []*stats.Series, tracer *obs.Tracer) (*sim.Result, [][]float64, error) {
 	scheme, err := schemes.ByName(name, schemes.Options{ServersPerRack: cfg.ServersPerRack})
 	if err != nil {
 		return nil, nil, err
@@ -210,6 +216,7 @@ func runOffline(cfg ReplayConfig, name string, bg []*stats.Series) (*sim.Result,
 		Background:     bg,
 		Record:         true,
 		RecordStep:     cfg.Tick,
+		Trace:          tracer,
 	}
 	if schemes.NeedsMicroDEB(name) {
 		simCfg.MicroDEBFactory = schemes.MicroDEBFactory(0.01)
@@ -254,10 +261,10 @@ func runOffline(cfg ReplayConfig, name string, bg []*stats.Series) (*sim.Result,
 	return st.Result(), demand, nil
 }
 
-// runOnline creates a recording session over HTTP, streams the demand
-// ticks as telemetry batches (retrying on backpressure), waits for
-// the horizon, and collects the result.
-func runOnline(cfg ReplayConfig, name string, demand [][]float64, mgr *Manager, base string) (*sim.Result, error) {
+// runOnline creates a recording session over HTTP with room to log
+// every event, streams the demand ticks as telemetry batches (retrying
+// on backpressure), waits for the horizon, and stops the session.
+func runOnline(cfg ReplayConfig, name string, demand [][]float64, mgr *Manager, base string) (*Session, error) {
 	id := "replay-" + name
 	create := SessionConfig{
 		ID:             id,
@@ -268,6 +275,7 @@ func runOnline(cfg ReplayConfig, name string, demand [][]float64, mgr *Manager, 
 		Horizon:        Duration{cfg.Duration},
 		Record:         true,
 		RecordStep:     Duration{cfg.Tick},
+		EventLog:       maxEventLog,
 	}
 	if code, body, err := postJSON(base+"/v1/sessions", create); err != nil {
 		return nil, err
@@ -323,7 +331,7 @@ func runOnline(cfg ReplayConfig, name string, demand [][]float64, mgr *Manager, 
 	if _, err := mgr.Delete(id); err != nil {
 		return nil, err
 	}
-	return sess.Result(), nil
+	return sess, nil
 }
 
 // streamDemand pushes the demand ticks through one persistent stream
@@ -388,76 +396,66 @@ func post(url, contentType string, body []byte) (int, string, error) {
 	return resp.StatusCode, string(bytes.TrimSpace(out)), nil
 }
 
+// compareEvents checks that the session logged exactly the events the
+// offline run traced, under the same header. Two sets of kinds are set
+// aside first: attack_phase, which only the offline pass emits (the
+// online engine hosts no virus), and the daemon's coast, anomaly and
+// finished, which only the session emits. A drop on either side is a
+// mismatch, not a shorter comparison.
+func compareEvents(off *obs.Tracer, on *Session, ticks int) []string {
+	var bad []string
+	meta, onEv, dropped := on.Events(0)
+	if off.Dropped() != 0 || dropped != 0 {
+		bad = append(bad, fmt.Sprintf("events dropped: offline %d, online %d", off.Dropped(), dropped))
+	}
+	offMeta := off.Meta()
+	offMeta.Ticks = int64(ticks) // a hand-stepped run never finalizes its header
+	if offMeta != meta {
+		bad = append(bad, fmt.Sprintf("events header: offline %+v, online %+v", offMeta, meta))
+	}
+	offEv := slices.DeleteFunc(off.Events(), func(e obs.Event) bool { return e.Kind == obs.KindAttackPhase })
+	onEv = slices.DeleteFunc(onEv, func(e obs.Event) bool {
+		return e.Kind == obs.KindCoast || e.Kind == obs.KindAnomaly || e.Kind == obs.KindFinished
+	})
+	if !slices.Equal(offEv, onEv) {
+		bad = append(bad, fmt.Sprintf("events: offline %d and online %d differ", len(offEv), len(onEv)))
+	}
+	return bad
+}
+
 // compareResults deep-compares two runs field by field, excluding Key
 // (names the run) and Recording.AttackUtil (the online engine hosts no
 // virus, so it records zero where the offline engine recorded the
 // commanded utilization).
 func compareResults(off, on *sim.Result) []string {
+	a, b := *off, *on
+	a.Key, b.Key = "", ""
 	var bad []string
-	mismatch := func(field string, a, b any) {
-		bad = append(bad, fmt.Sprintf("%s: offline %v, online %v", field, a, b))
+	if a.Recording != nil && b.Recording != nil {
+		ra, rb := *a.Recording, *b.Recording
+		ra.AttackUtil, rb.AttackUtil = nil, nil
+		bad = diffFields("Recording.", ra, rb)
+		a.Recording, b.Recording = nil, nil
 	}
-	if off.Scheme != on.Scheme {
-		mismatch("Scheme", off.Scheme, on.Scheme)
-	}
-	if off.Tripped != on.Tripped {
-		mismatch("Tripped", off.Tripped, on.Tripped)
-	}
-	if off.SurvivalTime != on.SurvivalTime {
-		mismatch("SurvivalTime", off.SurvivalTime, on.SurvivalTime)
-	}
-	if off.FirstTripRack != on.FirstTripRack {
-		mismatch("FirstTripRack", off.FirstTripRack, on.FirstTripRack)
-	}
-	if off.EffectiveAttacks != on.EffectiveAttacks {
-		mismatch("EffectiveAttacks", off.EffectiveAttacks, on.EffectiveAttacks)
-	}
-	if off.Throughput != on.Throughput {
-		mismatch("Throughput", off.Throughput, on.Throughput)
-	}
-	if off.MeanShedRatio != on.MeanShedRatio {
-		mismatch("MeanShedRatio", off.MeanShedRatio, on.MeanShedRatio)
-	}
-	if off.EnergyFromBatteries != on.EnergyFromBatteries {
-		mismatch("EnergyFromBatteries", off.EnergyFromBatteries, on.EnergyFromBatteries)
-	}
-	if off.MaxRackDischarge != on.MaxRackDischarge {
-		mismatch("MaxRackDischarge", off.MaxRackDischarge, on.MaxRackDischarge)
-	}
-	if off.EnergyServed != on.EnergyServed {
-		mismatch("EnergyServed", off.EnergyServed, on.EnergyServed)
-	}
-	if off.EnergyFromGrid != on.EnergyFromGrid {
-		mismatch("EnergyFromGrid", off.EnergyFromGrid, on.EnergyFromGrid)
-	}
-	if off.EnergyIntoStorage != on.EnergyIntoStorage {
-		mismatch("EnergyIntoStorage", off.EnergyIntoStorage, on.EnergyIntoStorage)
-	}
-	if off.EnergyFromMicro != on.EnergyFromMicro {
-		mismatch("EnergyFromMicro", off.EnergyFromMicro, on.EnergyFromMicro)
-	}
-	switch {
-	case off.Recording == nil || on.Recording == nil:
-		if (off.Recording == nil) != (on.Recording == nil) {
-			mismatch("Recording", off.Recording != nil, on.Recording != nil)
+	return append(bad, diffFields("", a, b)...)
+}
+
+// diffFields names each field that differs between two structs of one
+// type, with both values unless the field is a series.
+func diffFields(prefix string, a, b any) []string {
+	var bad []string
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	for i := range va.NumField() {
+		x, y := va.Field(i), vb.Field(i)
+		if reflect.DeepEqual(x.Interface(), y.Interface()) {
+			continue
 		}
-	default:
-		a, b := *off.Recording, *on.Recording
-		a.AttackUtil, b.AttackUtil = nil, nil
-		if a.Step != b.Step {
-			mismatch("Recording.Step", a.Step, b.Step)
+		name := prefix + va.Type().Field(i).Name
+		if k := x.Kind(); k == reflect.Slice || k == reflect.Pointer {
+			bad = append(bad, name+": series differ")
+		} else {
+			bad = append(bad, fmt.Sprintf("%s: offline %v, online %v", name, x, y))
 		}
-		deep := func(field string, x, y any) {
-			if !reflect.DeepEqual(x, y) {
-				bad = append(bad, field+": series differ")
-			}
-		}
-		deep("Recording.TotalGrid", a.TotalGrid, b.TotalGrid)
-		deep("Recording.RackSOC", a.RackSOC, b.RackSOC)
-		deep("Recording.RackDraw", a.RackDraw, b.RackDraw)
-		deep("Recording.MicroSOC", a.MicroSOC, b.MicroSOC)
-		deep("Recording.Levels", a.Levels, b.Levels)
-		deep("Recording.ShedRatio", a.ShedRatio, b.ShedRatio)
 	}
 	return bad
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"sort"
@@ -30,7 +31,7 @@ const maxBodyBytes = 32 << 20
 //	POST   /v1/stream                    persistent streaming ingest (connection upgrade)
 //	POST   /v1/sessions/{id}/pause       hold the ingest queue until resume
 //	POST   /v1/sessions/{id}/resume      release a paused session
-//	GET    /v1/sessions/{id}/events      ring-buffered action log (?since=N)
+//	GET    /v1/sessions/{id}/events      event log as an obs JSONL trace (?since=TICK)
 //	GET    /v1/sessions/{id}/series      ring time series (?metric=soc&res=raw&since=N)
 //	GET    /v1/fleet                     fleet rollup (levels, margins, detection latency)
 type Server struct {
@@ -433,14 +434,9 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("padd: unknown res %q (one of %v)", res, SeriesResolutions))
 		return
 	}
-	since := uint64(0)
-	if v := q.Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
-			return
-		}
-		since = n
+	since, ok := sinceParam(w, r)
+	if !ok {
+		return
 	}
 	resp := SeriesResponse{
 		ID:          sess.ID(),
@@ -461,19 +457,32 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.mgr.Fleet())
 }
 
+// sinceParam parses the optional ?since= cursor, answering 400 for a
+// malformed one.
+func sinceParam(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+	q := r.URL.Query().Get("since")
+	if q == "" {
+		return 0, true
+	}
+	v, err := strconv.ParseUint(q, 10, 64)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
+	}
+	return v, err == nil
+}
+
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(w, r)
 	if sess == nil {
 		return
 	}
-	since := uint64(0)
-	if q := r.URL.Query().Get("since"); q != "" {
-		v, err := strconv.ParseUint(q, 10, 64)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad since: %w", err))
-			return
-		}
-		since = v
+	since, ok := sinceParam(w, r)
+	if !ok {
+		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"events": sess.Events(since)})
+	meta, events, dropped := sess.Events(int64(min(since, math.MaxInt64)))
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	sink := obs.NewJSONLSink(w)
+	sink.Write(meta, events) //nolint:errcheck // a failed write means the client hung up
+	sink.Close(dropped)      //nolint:errcheck // likewise
 }

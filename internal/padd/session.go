@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metering"
+	"repro/internal/obs"
 	"repro/internal/schemes"
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -113,7 +114,7 @@ type sessionMetrics struct {
 // telemetry queue, executed by its shard's worker. All engine
 // state is confined to whichever executor holds the state machine's
 // running slot; the outside world sees the mutex-guarded snapshot, the
-// event ring and the atomic ingest counters.
+// event log and the atomic ingest counters.
 type Session struct {
 	id     string
 	cfg    SessionConfig
@@ -140,6 +141,9 @@ type Session struct {
 	accepted atomic.Int64
 	rejected atomic.Int64
 
+	// events is the session's log: the engine's trace events plus the
+	// daemon's coast, anomaly and finished, flushed from trace once per
+	// tick.
 	events *eventRing
 
 	// series holds the observability rings (nil with DisableSeries);
@@ -154,13 +158,10 @@ type Session struct {
 	snap sessionMetrics
 
 	// Executor-confined state (touched only while holding stateRunning).
+	trace     *obs.Tracer
 	meter     *metering.Meter
 	cusum     *metering.CUSUMDetector
 	lastU     []float64
-	haveU     bool
-	lastLevel core.Level
-	lastShed  int
-	tripSeen  bool
 	finished  bool
 	coasting  bool
 	coasts    int64
@@ -201,6 +202,8 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 	if schemes.NeedsMicroDEB(cfg.Scheme) {
 		simCfg.MicroDEBFactory = schemes.MicroDEBFactory(cfg.MicroFraction)
 	}
+	events := newEventRing(cfg.EventLog)
+	simCfg.Trace = obs.NewTracer(tickEvents(cfg), events)
 	if cfg.Record {
 		step := cfg.RecordStep.Duration
 		if step == 0 {
@@ -222,7 +225,8 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 		shard:   sh,
 		paused:  cfg.Paused,
 		done:    make(chan struct{}),
-		events:  newEventRing(cfg.EventLog),
+		events:  events,
+		trace:   simCfg.Trace,
 		lastU:   make([]float64, st.TotalServers()),
 		created: time.Now(),
 		// seriesTick guards one series sample per engine tick; -1 admits
@@ -250,8 +254,9 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 	// rollupLeave vacates them on delete.
 	s.rlMargin = marginBucket(0)
 	sh.rollup.join(s.rlLevel, s.rlMargin)
-	s.event(EventCreated, fmt.Sprintf("scheme %s, %d servers, tick %v",
-		scheme.Name(), st.TotalServers(), st.Tick()))
+	// An empty flush gives the log its header (scheme, tick, shape)
+	// before the first tick.
+	s.flushEvents()
 	if cfg.WallClock {
 		sh.addWallClock(s)
 	}
@@ -455,6 +460,7 @@ func (s *Session) runSlice() {
 			// An excursion still open at drain time must release the
 			// under-attack gauge; no more ticks will resolve it.
 			s.closeExcursion()
+			s.trace.Close() //nolint:errcheck // the log's Close cannot fail
 			close(s.done)
 		})
 	}
@@ -545,9 +551,14 @@ func (s *Session) Result() *sim.Result {
 	return s.st.Result()
 }
 
-// Events returns the retained event log, oldest first, skipping
-// entries below since.
-func (s *Session) Events(since uint64) []Event { return s.events.list(since) }
+// Events returns the event log's header, its retained events at tick
+// since or later in emission order, and how many events the log has
+// lost (overwritten once it held EventLog, or dropped by the tracer).
+// A tick's events are logged together, so a poller that resumes at its
+// last event's tick + 1 misses nothing the log still holds.
+func (s *Session) Events(since int64) (obs.Meta, []obs.Event, uint64) {
+	return s.events.list(since)
+}
 
 // metrics copies out the cross-goroutine snapshot.
 func (s *Session) metrics() sessionMetrics {
@@ -574,7 +585,6 @@ func (s *Session) processFlat(b flatBatch) {
 		}
 		u := b.u[i*servers : (i+1)*servers]
 		copy(s.lastU, u)
-		s.haveU = true
 		s.coasting = false
 		s.step(u)
 	}
@@ -588,15 +598,17 @@ func (s *Session) coast() {
 		return
 	}
 	if !s.coasting {
-		s.event(EventCoast, fmt.Sprintf("telemetry late at tick %d; coasting on last known demand", s.st.Ticks()))
+		s.trace.Emit(obs.Event{Tick: int64(s.st.Ticks()), Rack: -1, Kind: obs.KindCoast})
 		s.coasting = true
 	}
 	s.coasts++
 	s.step(s.lastU)
 }
 
-// step advances the engine one tick and refreshes events, metering and
-// the published snapshot.
+// step advances the engine one tick, runs the metering, logs the tick's
+// events and refreshes the published snapshot. The engine emits its
+// level, shed, trip and breaker events into the session's tracer; the
+// daemon adds its own beside them.
 func (s *Session) step(u []float64) {
 	start := time.Now()
 	err := s.st.Advance(u)
@@ -604,32 +616,12 @@ func (s *Session) step(u []float64) {
 	if err != nil {
 		// Unreachable through the validated ingest path; surface it
 		// rather than hide it.
-		s.event(EventFinished, "advance error: "+err.Error())
+		s.trace.Emit(obs.Event{Tick: int64(s.st.Ticks()), Rack: -1, Kind: obs.KindFinished})
+		s.flushEvents()
 		return
 	}
 	ts := s.st.Stats()
-
-	if ts.Level != s.lastLevel {
-		if s.lastLevel == 0 {
-			s.event(EventLevel, fmt.Sprintf("initial level %v", ts.Level))
-		} else {
-			s.event(EventLevel, fmt.Sprintf("%v -> %v", s.lastLevel, ts.Level))
-		}
-		s.lastLevel = ts.Level
-	}
-	if (ts.ShedServers > 0) != (s.lastShed > 0) {
-		if ts.ShedServers > 0 {
-			s.event(EventShed, fmt.Sprintf("shedding engaged: %d servers, %.0f W displaced",
-				ts.ShedServers, float64(ts.ShedWatts)))
-		} else {
-			s.event(EventShed, "shedding released")
-		}
-	}
-	s.lastShed = ts.ShedServers
-	if ts.Tripped && !s.tripSeen {
-		s.tripSeen = true
-		s.event(EventTrip, "breaker tripped")
-	}
+	tick := int64(ts.Ticks - 1) // the tick just advanced
 	if s.meter != nil {
 		for _, r := range s.meter.Record(ts.TotalGrid, s.st.Tick()) {
 			flagged := s.cusum.Observe(r)
@@ -647,8 +639,10 @@ func (s *Session) step(u []float64) {
 			}
 			if flagged {
 				s.anomalies++
-				s.event(EventAnomaly, fmt.Sprintf("CUSUM flagged interval at %v: %.0f W vs baseline %.0f W",
-					r.Start, float64(r.Avg), float64(s.cusum.Baseline())))
+				s.trace.Emit(obs.Event{
+					Tick: tick, Rack: -1, Kind: obs.KindAnomaly,
+					A: float64(r.Avg), B: float64(s.cusum.Baseline()),
+				})
 				s.shard.det.detect.observe(s.st.Now() - s.onset)
 				s.closeExcursion()
 			} else if s.excursion && s.cusum.Sum() == 0 {
@@ -666,9 +660,36 @@ func (s *Session) step(u []float64) {
 	}
 	if s.st.Done() && !s.finished {
 		s.finished = true
-		s.event(EventFinished, fmt.Sprintf("horizon reached after %d ticks", ts.Ticks))
+		s.trace.Emit(obs.Event{Tick: tick, Rack: -1, Kind: obs.KindFinished})
 	}
+	s.flushEvents()
 	s.publish(elapsed)
+}
+
+// tickEvents bounds the events one tick can log, which sizes the
+// session's tracer to a single tick so that it never drops. By a read
+// of Stepper.Advance, the engine emits at most five per rack (overload,
+// μDEB shave, trip, heat, margin) and six more (the PDU's trip, heat
+// and margin; level, shed and vDEB refresh). The daemon adds at most
+// one coast, one finished and one anomaly per meter reading the tick
+// closes: tick/meter_interval, plus one for an interval already under
+// way. Were the bound ever short, the tracer's drop count would reach
+// the log's footer when the session stops and closes its tracer.
+func tickEvents(cfg SessionConfig) int {
+	n := 5*cfg.Racks + 6 + 2
+	if m := cfg.MeterInterval.Duration; m > 0 {
+		n += int(cfg.Tick.Duration/m) + 1
+	}
+	return n
+}
+
+// flushEvents hands the tick's events to the log in one write, under a
+// header that counts the ticks advanced so far.
+func (s *Session) flushEvents() {
+	m := s.trace.Meta()
+	m.Ticks = int64(s.st.Ticks())
+	s.trace.SetMeta(m)
+	s.trace.Flush() //nolint:errcheck // the log's Write cannot fail
 }
 
 // closeExcursion resolves the open CUSUM excursion (flagged or
@@ -739,14 +760,4 @@ func (s *Session) publish(elapsed time.Duration) {
 		s.snap.Hist.observe(elapsed)
 	}
 	s.mu.Unlock()
-}
-
-func (s *Session) event(typ, detail string) {
-	s.events.add(Event{
-		Tick:   s.st.Ticks(),
-		Offset: Duration{s.st.Now()},
-		Wall:   time.Now(),
-		Type:   typ,
-		Detail: detail,
-	})
 }

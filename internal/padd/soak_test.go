@@ -8,11 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/padd"
 	"repro/internal/padd/wire"
 )
@@ -564,9 +566,13 @@ func TestBackpressure429(t *testing.T) {
 	}
 
 	// Deleting returns the run summary and forgets the session.
-	if code, body := c.get("/v1/sessions/bp/events"); code != http.StatusOK ||
-		!bytes.Contains(body, []byte(`"created"`)) {
-		t.Errorf("events: HTTP %d: %s", code, body)
+	// The event log is an obs trace: its header names the scheme and
+	// counts the ticks advanced, and PAD's initial level is logged.
+	code, body := c.get("/v1/sessions/bp/events")
+	meta, events, _, err := obs.ReadJSONL(bytes.NewReader(body))
+	if code != http.StatusOK || err != nil || meta.Scheme != "PAD" || meta.Ticks != 10 ||
+		!slices.ContainsFunc(events, func(e obs.Event) bool { return e.Kind == obs.KindLevel && e.A == 0 }) {
+		t.Errorf("events: HTTP %d, %v: %s", code, err, body)
 	}
 	delReq, _ := http.NewRequest(http.MethodDelete, c.base+"/v1/sessions/bp", nil)
 	delResp, err := http.DefaultClient.Do(delReq)
