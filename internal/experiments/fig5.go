@@ -29,40 +29,15 @@ type Fig5Result struct {
 // paper reports 3–12% variation for online charging and roughly double
 // for offline charging.
 func Fig5(p Params) (*Fig5Result, error) {
-	racks := scaleInt(p, 22, 8)
-	spr := 10
-	horizon := scaleDur(p, 14*24*time.Hour, 36*time.Hour)
-	tick := 5 * time.Minute
-
-	bg, err := cachedTraceBackground(racks*spr, horizon, tick, p.seed(), false)
-	if err != nil {
-		return nil, err
-	}
 	job := func(offline bool) runner.Job[*stats.Series] {
 		return runner.Job[*stats.Series]{
 			Key: fmt.Sprintf("fig5/offline=%v", offline),
 			Run: func() (*stats.Series, error) {
-				cfg := sim.Config{
-					Key:            fmt.Sprintf("fig5/offline=%v", offline),
-					Racks:          racks,
-					ServersPerRack: spr,
-					// Gentler oversubscription: only diurnal peaks discharge,
-					// so batteries cycle rather than bottom out fleet-wide.
-					OversubscriptionRatio: 0.84,
-					Tick:                  tick,
-					Duration:              horizon,
-					Background:            bg,
-					Record:                true,
-					RecordStep:            tick,
-					DisableTrips:          true,
+				cfg, scheme, err := fig5Run(p, offline)
+				if err != nil {
+					return nil, err
 				}
-				res, err := sim.Run(cfg, schemes.NewPS(schemes.Options{
-					Offline: offline,
-					// A deep recharge trigger: racks that only dip part-way
-					// stay part-charged, which is what makes offline charging
-					// uneven.
-					OfflineThreshold: 0.15,
-				}))
+				res, err := sim.Run(cfg, scheme)
 				if err != nil {
 					return nil, err
 				}
@@ -89,7 +64,42 @@ func Fig5(p Params) (*Fig5Result, error) {
 	}
 	tbl.AddRow("mean", online.Mean(), offline.Mean())
 	tbl.AddRow("max", online.Max(), offline.Max())
-	return &Fig5Result{Step: tick, Online: online, Offline: offline, Table: tbl}, nil
+	return &Fig5Result{Step: fig5Tick, Online: online, Offline: offline, Table: tbl}, nil
+}
+
+// fig5Tick is Figure 5's step and its SOC sampling period.
+const fig5Tick = 5 * time.Minute
+
+// fig5Run is Figure 5's run under online or offline charging: the
+// configuration and the PS scheme it steps.
+func fig5Run(p Params, offline bool) (sim.Config, sim.Scheme, error) {
+	racks := scaleInt(p, 22, 8)
+	const spr = 10
+	horizon := scaleDur(p, 14*24*time.Hour, 36*time.Hour)
+	bg, err := cachedTraceBackground(racks*spr, horizon, fig5Tick, p.seed(), false)
+	if err != nil {
+		return sim.Config{}, nil, err
+	}
+	cfg := sim.Config{
+		Key:            fmt.Sprintf("fig5/offline=%v", offline),
+		Racks:          racks,
+		ServersPerRack: spr,
+		// Gentler oversubscription: only diurnal peaks discharge, so
+		// batteries cycle rather than bottom out fleet-wide.
+		OversubscriptionRatio: 0.84,
+		Tick:                  fig5Tick,
+		Duration:              horizon,
+		Background:            bg,
+		Record:                true,
+		RecordStep:            fig5Tick,
+		DisableTrips:          true,
+	}
+	return cfg, schemes.NewPS(schemes.Options{
+		Offline: offline,
+		// A deep recharge trigger: racks that only dip part-way stay
+		// part-charged, which is what makes offline charging uneven.
+		OfflineThreshold: 0.15,
+	}), nil
 }
 
 // socSpreadSeries computes the cross-rack SOC standard deviation (in
