@@ -46,7 +46,7 @@ func main() {
 		profileName = flag.String("profile", "CPU", "virus profile: CPU, Mem, IO")
 		spikeWidth  = flag.Duration("spike-width", 4*time.Second, "Phase-II spike width")
 		spikesPM    = flag.Float64("spikes-per-min", 6, "Phase-II spike frequency")
-		microFrac   = flag.Float64("micro-fraction", 0.01, "μDEB energy as a fraction of the rack battery (uDEB/PAD)")
+		microFrac   = flag.Float64("micro-fraction", schemes.DefaultMicroFraction, "μDEB energy as a fraction of the rack battery (uDEB/PAD)")
 		stopOnTrip  = flag.Bool("stop-on-trip", true, "end the run at the first breaker trip")
 		compare     = flag.Bool("compare", false, "run all six schemes and chart their survival")
 		tracePath   = flag.String("trace", "", "write an engine event trace to this file for cmd/padtrace (with -compare, the scheme name is inserted before the extension)")

@@ -70,16 +70,16 @@ func survivalWith(fraction float64, horizon time.Duration) time.Duration {
 	return res.SurvivalTime
 }
 
-// drainedBattery builds a rack cabinet at 2% charge.
-func drainedBattery(nameplate padsec.Watts) padsec.BatteryStore {
-	// A standard cabinet would be full; rebuilding it at 2% models the
-	// post-Phase-I state.
+// drainedBattery builds a full rack cabinet and drains it toward 2%
+// charge, the post-Phase-I state. The cabinet's low-voltage disconnect
+// ends the drain first, just under 5%, and leaves it disconnected.
+func drainedBattery(nameplate padsec.Watts) *padsec.BatteryStore {
 	b := padsec.NewRackBattery(nameplate)
 	drainTo(b, 0.02)
 	return b
 }
 
-func drainTo(b padsec.BatteryStore, soc float64) {
+func drainTo(b *padsec.BatteryStore, soc float64) {
 	for b.SOC() > soc {
 		if b.Discharge(b.MaxDischarge(), time.Second) <= 0 {
 			return

@@ -275,7 +275,7 @@ func (s Scenario) SimConfig(schemeName string, bg []*stats.Series) (sim.Config, 
 		Attacks:        specs,
 	}
 	if schemes.NeedsMicroDEB(schemeName) {
-		cfg.MicroDEBFactory = schemes.MicroDEBFactory(0.01)
+		cfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
 	}
 	return cfg, scheme, nil
 }

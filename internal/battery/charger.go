@@ -59,6 +59,3 @@ func (o *OfflineCharger) Plan(soc float64, headroom units.Watts) units.Watts {
 	}
 	return headroom
 }
-
-// Charging reports whether the policy is currently in its recharge phase.
-func (o *OfflineCharger) Charging() bool { return o.charging }

@@ -38,15 +38,9 @@ func TestOfflineChargerHysteresis(t *testing.T) {
 	if got := o.Plan(0.8, units.Watts(500)); got != 0 {
 		t.Fatalf("idle offline charger planned %v", got)
 	}
-	if o.Charging() {
-		t.Fatal("should not be charging yet")
-	}
 	// Dips to threshold: starts charging.
 	if got := o.Plan(0.3, 500); got != 100 {
 		t.Fatalf("triggered charger planned %v, want 100", got)
-	}
-	if !o.Charging() {
-		t.Fatal("should be charging after trigger")
 	}
 	// Mid-recharge it keeps going even though SOC is above threshold.
 	if got := o.Plan(0.6, 500); got != 100 {
@@ -55,9 +49,6 @@ func TestOfflineChargerHysteresis(t *testing.T) {
 	// Reaching full stops the cycle.
 	if got := o.Plan(1.0, 500); got != 0 {
 		t.Fatalf("full battery planned %v", got)
-	}
-	if o.Charging() {
-		t.Fatal("cycle should end at full")
 	}
 	// And it stays off above the threshold.
 	if got := o.Plan(0.9, 500); got != 0 {

@@ -23,14 +23,13 @@ type refKiBaM struct {
 	capacity     units.Joules
 	c, k         float64
 	y1, y2       float64
-	leak         float64
 	maxDischarge units.Watts
 	maxCharge    units.Watts
 }
 
 func newRefKiBaM(b *KiBaM) *refKiBaM {
 	return &refKiBaM{
-		capacity: b.capacity, c: b.c, k: b.k, y1: b.y1, y2: b.y2, leak: b.leak,
+		capacity: b.capacity, c: b.c, k: b.k, y1: b.y1, y2: b.y2,
 		maxDischarge: b.maxDischarge, maxCharge: b.maxCharge,
 	}
 }
@@ -63,11 +62,6 @@ func (r *refKiBaM) step(p float64, dt time.Duration) {
 	ekt := math.Exp(-k * t)
 	y1 := r.y1*ekt + (y0*k*c-p)*(1-ekt)/k - p*c*(k*t-1+ekt)/k
 	y2 := r.y2*ekt + y0*(1-c)*(1-ekt) - p*(1-c)*(k*t-1+ekt)/k
-	if r.leak > 0 {
-		decay := math.Exp(-r.leak * t)
-		y1 *= decay
-		y2 *= decay
-	}
 	y1 = math.Max(0, math.Min(y1, c*float64(r.capacity)))
 	y2 = math.Max(0, math.Min(y2, (1-c)*float64(r.capacity)))
 	r.y1, r.y2 = y1, y2
@@ -275,7 +269,7 @@ func checkKiBaMAgainstRef(t *testing.T, b *KiBaM, ops int, cov *restCover, nextO
 }
 
 // TestKiBaMCoefBitIdentity is the property test pinning the battery's
-// caches: across random configurations (c, k, leak, SOC), random powers
+// caches: across random configurations (c, k, SOC), random powers
 // spanning charge and discharge, runs of idles long enough to reach
 // rest, and tick widths that alternate between repeats (cache hits) and
 // changes (cache invalidation, at rest too), the cached kernel must equal
@@ -295,9 +289,6 @@ func TestKiBaMCoefBitIdentity(t *testing.T) {
 			C:          r.Range(0.05, 0.95),
 			K:          math.Exp(r.Range(math.Log(1e-6), math.Log(1e-1))),
 			InitialSOC: r.Range(0.01, 1),
-		}
-		if trial%3 == 0 {
-			cfg.SelfDischargePerMonth = r.Range(0.001, 0.5)
 		}
 		if trial%4 == 1 {
 			cfg.InitialSOC = 1 // full wells sit at their rest point
@@ -337,17 +328,16 @@ func TestKiBaMCoefBitIdentity(t *testing.T) {
 // any idle/power/step sequence, the cached kernel and the cache-free
 // reference must agree exactly.
 func FuzzKiBaMCoefIdentity(f *testing.F) {
-	f.Add(float64(260640), 0.62, 4.5e-4, 1.0, 0.0, []byte("ddddcciiddcc"))
-	f.Add(float64(1200), 0.3, 1e-3, 0.05, 0.03, []byte{0, 255, 17, 84, 200, 3})
-	f.Add(float64(1), 0.62, 4.5e-4, 0.5, 0.9, []byte("id"))
-	f.Add(float64(260640), 0.62, 4.5e-4, 1.0, 0.0, []byte{1, 1, 17, 1, 17, 0xf4, 1, 1, 1, 17, 0x13, 1, 17})
-	f.Fuzz(func(t *testing.T, capacity, c, k, soc, leak float64, ops []byte) {
+	f.Add(float64(260640), 0.62, 4.5e-4, 1.0, []byte("ddddcciiddcc"))
+	f.Add(float64(1200), 0.3, 1e-3, 0.05, []byte{0, 255, 17, 84, 200, 3})
+	f.Add(float64(1), 0.62, 4.5e-4, 0.5, []byte("id"))
+	f.Add(float64(260640), 0.62, 4.5e-4, 1.0, []byte{1, 1, 17, 1, 17, 0xf4, 1, 1, 1, 17, 0x13, 1, 17})
+	f.Fuzz(func(t *testing.T, capacity, c, k, soc float64, ops []byte) {
 		b, err := NewKiBaM(KiBaMConfig{
-			Capacity:              units.Joules(capacity),
-			C:                     c,
-			K:                     k,
-			InitialSOC:            soc,
-			SelfDischargePerMonth: leak,
+			Capacity:   units.Joules(capacity),
+			C:          c,
+			K:          k,
+			InitialSOC: soc,
 		})
 		if err != nil {
 			return

@@ -23,22 +23,32 @@ import (
 //
 // State is kept in joules; power plays the role of current (constant bus
 // voltage).
+//
+// A rack cabinet (NewRackCabinet) also carries the low-voltage disconnect
+// (LVD) Facebook's cabinet uses, which isolates the battery from the load
+// at 1.75 V/cell. Once a discharge leaves SOC at or below lvdCutoff, the
+// cabinet delivers nothing until a charge lifts SOC to lvdReconnect. This
+// is exactly the behaviour a Phase-I attacker exploits: a disconnected
+// battery leaves the rack with no spike protection at all. A battery from
+// NewKiBaM has no disconnect.
 type KiBaM struct {
 	capacity units.Joules // total nominal capacity
 	c        float64      // available-well fraction, in (0, 1)
 	k        float64      // well-coupling rate constant, 1/s
 
 	y1, y2 float64 // available / bound charge, joules
-	leak   float64 // self-discharge rate, 1/s
 
 	maxDischarge units.Watts
 	maxCharge    units.Watts
 
+	// lvd arms the disconnect; disconnected is its latch.
+	lvd, disconnected bool
+
 	// Per-dt closed-form coefficients (fixed-timestep kernel layer): the
 	// engine steps a battery with one constant tick, so the exp-derived
 	// factors are computed once and reused bit-identically until dt
-	// changes. k and leak are immutable after construction, so dt alone
-	// keys the slot.
+	// changes. k is immutable after construction, so dt alone keys the
+	// slot.
 	coefKey fixedstep.Key
 	coef    kibamCoef
 
@@ -54,9 +64,13 @@ type KiBaM struct {
 	sustain   float64
 	sustainOK bool
 	rest      bool
-
-	statTracker
 }
+
+// The rack cabinet's disconnect thresholds, as SOC.
+const (
+	lvdCutoff    = 0.05
+	lvdReconnect = 0.20
+)
 
 // kibamCoef holds the constant-dt factors of the Manwell–McGowan closed
 // form. Each field stores exactly the value the direct expression
@@ -67,7 +81,6 @@ type kibamCoef struct {
 	ekt     float64 // exp(-k·t)
 	omekt   float64 // 1 - ekt
 	ktm1e   float64 // k·t - 1 + ekt
-	decay   float64 // exp(-leak·t); 1 when the battery has no leak
 	sustDen float64 // omekt/k + c·ktm1e/k, maxSustainable's denominator
 }
 
@@ -84,12 +97,8 @@ func (b *KiBaM) coefFor(dt time.Duration) *kibamCoef {
 			ekt:   ekt,
 			omekt: 1 - ekt,
 			ktm1e: k*t - 1 + ekt,
-			decay: 1,
 		}
 		b.coef.sustDen = b.coef.omekt/k + b.c*b.coef.ktm1e/k
-		if b.leak > 0 {
-			b.coef.decay = math.Exp(-b.leak * t)
-		}
 		b.sustainOK = false
 		b.rest = false
 	}
@@ -115,9 +124,6 @@ type KiBaMConfig struct {
 	MaxCharge units.Watts
 	// InitialSOC is the starting state of charge; 0 means full (1.0).
 	InitialSOC float64
-	// SelfDischargePerMonth is the fraction of stored charge lost per
-	// 30 days at rest (lead-acid loses ~3%/month). 0 disables the leak.
-	SelfDischargePerMonth float64
 }
 
 // Default KiBaM parameters (lead-acid fits from the KiBaM literature).
@@ -168,24 +174,14 @@ func NewKiBaM(cfg KiBaMConfig) (*KiBaM, error) {
 	if !(soc >= 0 && soc <= 1) {
 		return nil, fmt.Errorf("battery: initial SOC must be in [0,1], got %v", soc)
 	}
-	if !(cfg.SelfDischargePerMonth >= 0 && cfg.SelfDischargePerMonth < 1) {
-		return nil, fmt.Errorf("battery: self-discharge %v out of [0,1)", cfg.SelfDischargePerMonth)
-	}
-	leak := 0.0
-	if cfg.SelfDischargePerMonth > 0 {
-		// Convert the monthly fraction to a continuous rate (1/s).
-		leak = -math.Log(1-cfg.SelfDischargePerMonth) / (30 * 24 * 3600)
-	}
 	b := &KiBaM{
 		capacity:     cfg.Capacity,
 		c:            c,
 		k:            k,
 		maxDischarge: maxD,
 		maxCharge:    maxC,
-		leak:         leak,
 	}
 	b.setWells(c*float64(cfg.Capacity)*soc, (1-c)*float64(cfg.Capacity)*soc)
-	b.wasAbove = soc >= deepDischargeSOC
 	return b, nil
 }
 
@@ -216,11 +212,6 @@ func (b *KiBaM) step(p float64, dt time.Duration) {
 	// is bit-identical.
 	y1 := b.y1*co.ekt + (y0*k*c-p)*co.omekt/k - p*c*co.ktm1e/k
 	y2 := b.y2*co.ekt + y0*(1-c)*co.omekt - p*(1-c)*co.ktm1e/k
-	// Self-discharge leaks both wells.
-	if b.leak > 0 {
-		y1 *= co.decay
-		y2 *= co.decay
-	}
 	// Clamp tiny numerical excursions.
 	b.setWells(max(0, min(y1, c*float64(b.capacity))), max(0, min(y2, (1-c)*float64(b.capacity))))
 }
@@ -262,9 +253,25 @@ func (b *KiBaM) maxSustainable(dt time.Duration) float64 {
 	return p
 }
 
-// Discharge implements Store. A NaN request is treated as zero (the
-// negated comparison sends it down the idle path).
+// Discharge asks the battery to deliver req for dt and returns the power
+// it sustained over the step (0 <= returned <= req); the wells advance by
+// dt. A disconnected cabinet rests and delivers nothing, and a cabinet
+// left at or below the cutoff disconnects.
 func (b *KiBaM) Discharge(req units.Watts, dt time.Duration) units.Watts {
+	if b.disconnected {
+		b.Idle(dt)
+		return 0
+	}
+	got := b.discharge(req, dt)
+	if b.lvd && b.soc <= lvdCutoff {
+		b.disconnected = true
+	}
+	return got
+}
+
+// discharge is Discharge without the disconnect. A NaN request is treated
+// as zero (the negated comparison sends it down the idle path).
+func (b *KiBaM) discharge(req units.Watts, dt time.Duration) units.Watts {
 	if !(req > 0) || dt <= 0 {
 		b.Idle(dt)
 		return 0
@@ -276,13 +283,23 @@ func (b *KiBaM) Discharge(req units.Watts, dt time.Duration) units.Watts {
 		return 0
 	}
 	b.step(p, dt)
-	got := units.Watts(p)
-	b.recordOut(got, b.coef.t, b.soc)
+	return units.Watts(p)
+}
+
+// Charge offers the battery power for dt and returns the power it
+// accepted (0 <= returned <= offered); the wells advance by dt. A
+// disconnected cabinet charged to the reconnect threshold reconnects.
+func (b *KiBaM) Charge(offered units.Watts, dt time.Duration) units.Watts {
+	got := b.charge(offered, dt)
+	if b.disconnected && b.soc >= lvdReconnect {
+		b.disconnected = false
+	}
 	return got
 }
 
-// Charge implements Store. A NaN offer is treated as zero.
-func (b *KiBaM) Charge(offered units.Watts, dt time.Duration) units.Watts {
+// charge is Charge without the disconnect. A NaN offer is treated as
+// zero.
+func (b *KiBaM) charge(offered units.Watts, dt time.Duration) units.Watts {
 	if !(offered > 0) || dt <= 0 {
 		b.Idle(dt)
 		return 0
@@ -296,15 +313,14 @@ func (b *KiBaM) Charge(offered units.Watts, dt time.Duration) units.Watts {
 		return 0
 	}
 	b.step(-p, dt)
-	got := units.Watts(p)
-	b.recordIn(got, b.coef.t, b.soc)
-	return got
+	return units.Watts(p)
 }
 
-// Deliverable implements Store: the lesser of the power rating and what
-// the available well can sustain for dt.
+// Deliverable returns the discharge power the battery could sustain for
+// the next dt without advancing: the lesser of the power rating and what
+// the available well can sustain, 0 while disconnected.
 func (b *KiBaM) Deliverable(dt time.Duration) units.Watts {
-	if dt <= 0 {
+	if b.disconnected || dt <= 0 {
 		return 0
 	}
 	p := b.maxSustainable(dt)
@@ -317,11 +333,14 @@ func (b *KiBaM) Deliverable(dt time.Duration) units.Watts {
 	return units.Watts(p)
 }
 
-// Idle implements Store. step is a pure function of the wells and dt, so
-// once an idle step at the cached dt leaves both wells bit-identical,
-// every further idle step at that dt would too: Idle then returns at
-// once until a charge, a discharge or a new dt moves the wells or the
-// coefficients.
+// Idle advances the wells by dt with no external current, letting bound
+// charge migrate to the available well (the recovery effect). Rest never
+// reconnects a disconnected cabinet: total SOC does not rise.
+//
+// step is a pure function of the wells and dt, so once an idle step at
+// the cached dt leaves both wells bit-identical, every further idle step
+// at that dt would too: Idle then returns at once until a charge, a
+// discharge or a new dt moves the wells or the coefficients.
 func (b *KiBaM) Idle(dt time.Duration) {
 	if dt <= 0 {
 		return
@@ -336,8 +355,8 @@ func (b *KiBaM) Idle(dt time.Duration) {
 		math.Float64bits(b.y2) == math.Float64bits(y2)
 }
 
-// SOC implements Store: the total charge over the capacity, clamped to
-// [0,1] and refreshed whenever the wells change (see setWells).
+// SOC returns the total charge over the capacity, clamped to [0,1] and
+// refreshed whenever the wells change (see setWells).
 func (b *KiBaM) SOC() float64 { return b.soc }
 
 // AvailableSOC returns the fill level of the available well alone, the
@@ -346,14 +365,16 @@ func (b *KiBaM) AvailableSOC() float64 {
 	return min(1, max(0, b.y1/(b.c*float64(b.capacity))))
 }
 
-// MaxDischarge implements Store.
-func (b *KiBaM) MaxDischarge() units.Watts { return b.maxDischarge }
+// MaxDischarge returns the rated discharge power, 0 while disconnected.
+func (b *KiBaM) MaxDischarge() units.Watts {
+	if b.disconnected {
+		return 0
+	}
+	return b.maxDischarge
+}
 
-// MaxCharge implements Store.
+// MaxCharge returns the rated charge power.
 func (b *KiBaM) MaxCharge() units.Watts { return b.maxCharge }
-
-// UsageStats returns the accumulated usage counters.
-func (b *KiBaM) UsageStats() Stats { return b.stats }
 
 // SizeForAutonomy returns the nominal capacity a KiBaM battery with the
 // given c and k (0 selects defaults) needs so that it sustains load for

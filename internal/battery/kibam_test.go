@@ -230,39 +230,6 @@ func TestKiBaMEmptyBatteryDeliversNothing(t *testing.T) {
 	}
 }
 
-func TestKiBaMUsageStats(t *testing.T) {
-	b := newTestKiBaM(t, KiBaMConfig{Capacity: 72000, MaxDischarge: 1e6, MaxCharge: 1e6})
-	b.Discharge(100, 10*time.Second)
-	b.Charge(50, 10*time.Second)
-	st := b.UsageStats()
-	if st.EnergyOut != 1000 {
-		t.Errorf("EnergyOut = %v, want 1000 J", st.EnergyOut)
-	}
-	if st.EnergyIn != 500 {
-		t.Errorf("EnergyIn = %v, want 500 J", st.EnergyIn)
-	}
-}
-
-func TestKiBaMDeepDischargeCounter(t *testing.T) {
-	b := newTestKiBaM(t, KiBaMConfig{Capacity: 3600, MaxDischarge: 1e6, MaxCharge: 1e6})
-	for b.SOC() > 0.1 {
-		b.Discharge(500, time.Second)
-	}
-	if got := b.UsageStats().DeepDischarges; got != 1 {
-		t.Fatalf("DeepDischarges = %d, want 1", got)
-	}
-	// Recharge above the threshold and dip again: counts a second event.
-	for b.SOC() < 0.5 {
-		b.Charge(1000, time.Second)
-	}
-	for b.SOC() > 0.1 {
-		b.Discharge(500, time.Second)
-	}
-	if got := b.UsageStats().DeepDischarges; got != 2 {
-		t.Fatalf("DeepDischarges = %d, want 2", got)
-	}
-}
-
 func TestSizeForAutonomy(t *testing.T) {
 	const load = units.Watts(5210)
 	cap_ := SizeForAutonomy(load, 50*time.Second, 0, 0)
@@ -296,33 +263,4 @@ func TestMustKiBaMPanics(t *testing.T) {
 		}
 	}()
 	MustKiBaM(KiBaMConfig{})
-}
-
-func TestKiBaMSelfDischarge(t *testing.T) {
-	b := newTestKiBaM(t, KiBaMConfig{
-		Capacity:              72000,
-		SelfDischargePerMonth: 0.03,
-	})
-	// A month at rest loses ~3%.
-	for day := 0; day < 30; day++ {
-		b.Idle(24 * time.Hour)
-	}
-	if soc := b.SOC(); soc < 0.965 || soc > 0.975 {
-		t.Fatalf("SOC after a month at rest = %v, want ~0.97", soc)
-	}
-	// Without the option, rest is lossless.
-	ref := newTestKiBaM(t, KiBaMConfig{Capacity: 72000})
-	ref.Idle(30 * 24 * time.Hour)
-	if soc := ref.SOC(); soc < 1-1e-9 {
-		t.Fatalf("leak-free battery lost charge at rest: %v", soc)
-	}
-}
-
-func TestKiBaMSelfDischargeValidation(t *testing.T) {
-	if _, err := NewKiBaM(KiBaMConfig{Capacity: 1000, SelfDischargePerMonth: 1.0}); err == nil {
-		t.Error("100% monthly self-discharge should fail")
-	}
-	if _, err := NewKiBaM(KiBaMConfig{Capacity: 1000, SelfDischargePerMonth: -0.1}); err == nil {
-		t.Error("negative self-discharge should fail")
-	}
 }

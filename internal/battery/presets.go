@@ -14,19 +14,27 @@ import (
 // battery cabinet.
 const RackCabinetAutonomy = 50 * time.Second
 
-// NewRackCabinet builds a Facebook-V1-style per-rack battery cabinet sized
-// to sustain fullLoad for RackCabinetAutonomy, wrapped in an LVD.
-func NewRackCabinet(fullLoad units.Watts) *LVD {
-	cap_ := SizeForAutonomy(fullLoad, RackCabinetAutonomy, 0, 0)
+// NewRackCabinet builds a Facebook-V1-style per-rack battery cabinet with
+// its low-voltage disconnect armed; a cabinet built at or below the
+// cutoff starts disconnected. capacity 0 sizes the cabinet to sustain
+// fullLoad for RackCabinetAutonomy, and soc 0 means full. The cabinet
+// delivers up to twice fullLoad and recharges at capacity/900 s.
+func NewRackCabinet(fullLoad units.Watts, capacity units.Joules, soc float64) *KiBaM {
+	if capacity == 0 {
+		capacity = SizeForAutonomy(fullLoad, RackCabinetAutonomy, 0, 0)
+	}
 	b := MustKiBaM(KiBaMConfig{
-		Capacity: cap_,
+		Capacity: capacity,
 		// The cabinet must deliver full rack load with margin.
 		MaxDischarge: fullLoad * 2,
 		// Recharge in roughly 15 minutes of full headroom: cabinets are
 		// built for cyclic peak-shaving duty, not trickle standby.
-		MaxCharge: units.Watts(float64(cap_) / 900),
+		MaxCharge:  units.Watts(float64(capacity) / 900),
+		InitialSOC: soc,
 	})
-	return NewLVD(b, 0.05, 0.20)
+	b.lvd = true
+	b.disconnected = b.soc <= lvdCutoff
+	return b
 }
 
 // NewMicroDEB builds the μDEB super-capacitor bank for a rack. capacity is

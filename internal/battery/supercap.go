@@ -16,8 +16,6 @@ type SuperCap struct {
 	energy     float64 // joules stored
 	maxPower   units.Watts
 	efficiency float64
-
-	statTracker
 }
 
 // SuperCapConfig parameterizes a super-capacitor bank.
@@ -60,14 +58,12 @@ func NewSuperCap(cfg SuperCapConfig) (*SuperCap, error) {
 	if soc < 0 || soc > 1 {
 		return nil, fmt.Errorf("battery: supercap initial SOC must be in [0,1], got %v", soc)
 	}
-	sc := &SuperCap{
+	return &SuperCap{
 		capacity:   cfg.Capacity,
 		energy:     float64(cfg.Capacity) * soc,
 		maxPower:   maxP,
 		efficiency: eff,
-	}
-	sc.wasAbove = soc >= deepDischargeSOC
-	return sc, nil
+	}, nil
 }
 
 // MustSuperCap is NewSuperCap that panics on configuration error.
@@ -79,7 +75,8 @@ func MustSuperCap(cfg SuperCapConfig) *SuperCap {
 	return sc
 }
 
-// Discharge implements Store.
+// Discharge asks the bank to deliver req for dt and returns the power it
+// sustained, within the power rating and the stored energy.
 func (s *SuperCap) Discharge(req units.Watts, dt time.Duration) units.Watts {
 	if req <= 0 || dt <= 0 {
 		return 0
@@ -93,12 +90,11 @@ func (s *SuperCap) Discharge(req units.Watts, dt time.Duration) units.Watts {
 	if s.energy < 0 {
 		s.energy = 0
 	}
-	got := units.Watts(p)
-	s.recordOut(got, dt.Seconds(), s.SOC())
-	return got
+	return units.Watts(p)
 }
 
-// Charge implements Store.
+// Charge offers the bank power for dt and returns the power it accepted,
+// within the power rating and the room left after charge losses.
 func (s *SuperCap) Charge(offered units.Watts, dt time.Duration) units.Watts {
 	if offered <= 0 || dt <= 0 {
 		return 0
@@ -114,36 +110,8 @@ func (s *SuperCap) Charge(offered units.Watts, dt time.Duration) units.Watts {
 	if s.energy > float64(s.capacity) {
 		s.energy = float64(s.capacity)
 	}
-	got := units.Watts(p)
-	s.recordIn(got, dt.Seconds(), s.SOC())
-	return got
-}
-
-// Deliverable implements Store: the lesser of the power rating and the
-// stored energy spread over dt.
-func (s *SuperCap) Deliverable(dt time.Duration) units.Watts {
-	if dt <= 0 {
-		return 0
-	}
-	p := min(float64(s.maxPower), s.energy/dt.Seconds())
-	if p < 0 {
-		p = 0
-	}
 	return units.Watts(p)
 }
 
-// Idle implements Store. Super-capacitor self-discharge is negligible on
-// simulation timescales, so Idle is a no-op.
-func (s *SuperCap) Idle(time.Duration) {}
-
-// SOC implements Store.
+// SOC returns the stored energy over the capacity.
 func (s *SuperCap) SOC() float64 { return s.energy / float64(s.capacity) }
-
-// MaxDischarge implements Store.
-func (s *SuperCap) MaxDischarge() units.Watts { return s.maxPower }
-
-// MaxCharge implements Store.
-func (s *SuperCap) MaxCharge() units.Watts { return s.maxPower }
-
-// UsageStats returns the accumulated usage counters.
-func (s *SuperCap) UsageStats() Stats { return s.stats }

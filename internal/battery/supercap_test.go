@@ -86,14 +86,6 @@ func TestSuperCapNeverOverfills(t *testing.T) {
 	}
 }
 
-func TestSuperCapIdleIsLossless(t *testing.T) {
-	sc := MustSuperCap(SuperCapConfig{Capacity: 1000, InitialSOC: 0.7})
-	sc.Idle(24 * time.Hour)
-	if math.Abs(sc.SOC()-0.7) > 1e-12 {
-		t.Fatalf("idle changed SOC: %v", sc.SOC())
-	}
-}
-
 func TestSuperCapZeroRequests(t *testing.T) {
 	sc := MustSuperCap(SuperCapConfig{Capacity: 1000})
 	if sc.Discharge(0, time.Second) != 0 || sc.Discharge(-1, time.Second) != 0 {
@@ -105,13 +97,15 @@ func TestSuperCapZeroRequests(t *testing.T) {
 }
 
 func TestSuperCapDefaultMaxPower(t *testing.T) {
-	sc := MustSuperCap(SuperCapConfig{Capacity: 1260})
 	// Default rating is capacity/0.1 s: caps dump energy in a blink.
-	if sc.MaxDischarge() != 12600 {
-		t.Fatalf("default MaxPower = %v, want 12.6 kW", sc.MaxDischarge())
+	full := MustSuperCap(SuperCapConfig{Capacity: 1260})
+	if got := full.Discharge(1e9, time.Millisecond); got != 12600 {
+		t.Fatalf("default rating delivered %v, want 12.6 kW", got)
 	}
-	if sc.MaxCharge() != sc.MaxDischarge() {
-		t.Fatal("supercap charge and discharge ratings should match")
+	// The same rating bounds charging.
+	half := MustSuperCap(SuperCapConfig{Capacity: 1260, InitialSOC: 0.5})
+	if got := half.Charge(1e9, time.Millisecond); got != 12600 {
+		t.Fatalf("default rating accepted %v, want 12.6 kW", got)
 	}
 }
 
@@ -124,18 +118,8 @@ func TestMustSuperCapPanics(t *testing.T) {
 	MustSuperCap(SuperCapConfig{})
 }
 
-func TestSuperCapStats(t *testing.T) {
-	sc := MustSuperCap(SuperCapConfig{Capacity: 1000, MaxPower: 1e6, InitialSOC: 0.5})
-	sc.Discharge(100, time.Second)
-	sc.Charge(50, time.Second)
-	st := sc.UsageStats()
-	if st.EnergyOut != 100 || st.EnergyIn != 50 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// refSuperCap is SuperCap's Discharge, Charge and Deliverable written
-// with math.Min, the call the builtin min replaced.
+// refSuperCap is SuperCap's Discharge and Charge written with math.Min,
+// the call the builtin min replaced.
 type refSuperCap struct {
 	capacity, energy, maxPower, efficiency float64
 }
@@ -180,22 +164,11 @@ func (r *refSuperCap) charge(offered units.Watts, dt time.Duration) units.Watts 
 	return units.Watts(p)
 }
 
-func (r *refSuperCap) deliverable(dt time.Duration) units.Watts {
-	if dt <= 0 {
-		return 0
-	}
-	p := math.Min(r.maxPower, r.energy/dt.Seconds())
-	if p < 0 {
-		p = 0
-	}
-	return units.Watts(p)
-}
-
 // TestSuperCapMinExact pins the builtin min in SuperCap to the math.Min
 // reference bit for bit: for every bank NewSuperCap accepts from a grid
 // of capacities, ratings and fill levels, and every edge-valued request
-// and step, Deliverable, Discharge and Charge return the reference's
-// value and leave the same stored energy.
+// and step, Discharge and Charge return the reference's value and leave
+// the same stored energy.
 func TestSuperCapMinExact(t *testing.T) {
 	dts := []time.Duration{100 * time.Millisecond, time.Nanosecond, 0, -time.Second}
 	for _, capacity := range []float64{1, math.Inf(1)} {
@@ -207,9 +180,6 @@ func TestSuperCapMinExact(t *testing.T) {
 						sc := MustSuperCap(cfg)
 						ref := newRefSuperCap(sc)
 						at := fmt.Sprintf("%+v req=%v dt=%v", cfg, req, dt)
-						if got, want := sc.Deliverable(dt), ref.deliverable(dt); !sameFloat(float64(got), float64(want)) {
-							t.Fatalf("%s: Deliverable = %v, ref %v", at, got, want)
-						}
 						if got, want := sc.Discharge(units.Watts(req), dt), ref.discharge(units.Watts(req), dt); !sameFloat(float64(got), float64(want)) {
 							t.Fatalf("%s: Discharge = %v, ref %v", at, got, want)
 						}

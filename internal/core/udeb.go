@@ -21,8 +21,6 @@ type MicroDEB struct {
 	threshold units.Watts
 	// shavedEnergy accumulates the energy delivered into spikes.
 	shavedEnergy units.Joules
-	// interventions counts ticks where the μDEB conducted.
-	interventions int
 }
 
 // NewMicroDEB builds a spike shaver with the given super-capacitor bank
@@ -45,9 +43,6 @@ func (u *MicroDEB) SetThreshold(t units.Watts) {
 	}
 }
 
-// Threshold returns the current conduction threshold.
-func (u *MicroDEB) Threshold() units.Watts { return u.threshold }
-
 // Shave passes a tick of rack draw through the ORing: any excess above
 // the threshold is served from the bank (up to its power and energy
 // limits). It returns the grid draw after shaving.
@@ -59,7 +54,6 @@ func (u *MicroDEB) Shave(draw units.Watts, dt time.Duration) units.Watts {
 	got := u.bank.Discharge(excess, dt)
 	if got > 0 {
 		u.shavedEnergy += got.Energy(dt)
-		u.interventions++
 	}
 	return draw - got
 }
@@ -79,6 +73,3 @@ func (u *MicroDEB) SOC() float64 { return u.bank.SOC() }
 
 // ShavedEnergy reports the cumulative energy delivered into spikes.
 func (u *MicroDEB) ShavedEnergy() units.Joules { return u.shavedEnergy }
-
-// Interventions reports how many ticks the ORing conducted.
-func (u *MicroDEB) Interventions() int { return u.interventions }

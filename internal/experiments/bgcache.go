@@ -62,7 +62,7 @@ func cachedFlatNoisyBackground(servers int, mean float64, horizon time.Duration,
 	out, _ := bgCache.get(
 		bgKey{kind: "flatNoisy", servers: servers, lo: mean, hi: mean, horizon: horizon, seed: seed},
 		func() ([]*stats.Series, error) {
-			return flatNoisyBackground(servers, mean, horizon, seed), nil
+			return stats.NoisyUtilization(servers, mean, horizon, 10*time.Second, seed), nil
 		})
 	return out
 }

@@ -16,16 +16,14 @@
 // and shared read-only by every run that needs it. Figure 16's
 // attack-free reference throughputs are memoized the same way (see
 // memo.go and fig16.go). Everything mutable (schemes, attack
-// controllers, battery stores) is created inside each job.
+// controllers, batteries) is created inside each job.
 package experiments
 
 import (
 	"time"
 
 	"repro/internal/battery"
-	"repro/internal/core"
 	"repro/internal/runner"
-	"repro/internal/schemes"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -167,14 +165,8 @@ func burstyRampBackground(servers int, lo, hi float64, horizon time.Duration,
 	return base
 }
 
-// flatNoisyBackground builds per-server utilization that wanders around a
-// fixed mean.
-func flatNoisyBackground(servers int, mean float64, horizon time.Duration, seed uint64) []*stats.Series {
-	return rampBackground(servers, mean, mean, horizon, seed)
-}
-
-// fineNoisyBackground is flatNoisyBackground at 1-second resolution with
-// livelier second-scale wander — task churn as a spike-width experiment
+// fineNoisyBackground is stats.NoisyUtilization at 1-second resolution
+// with livelier second-scale wander — task churn as a spike-width experiment
 // sees it: whether a 1 s or a 4 s spike catches a coincident background
 // peak depends on structure at exactly this scale.
 func fineNoisyBackground(servers int, mean float64, horizon time.Duration, seed uint64) []*stats.Series {
@@ -202,38 +194,12 @@ func fineNoisyBackground(servers int, mean float64, horizon time.Duration, seed 
 	return out
 }
 
-// emptyBatteryFactory builds rack batteries that are already drained —
-// the post-Phase-I state the threat-characterization experiments start
-// from.
-func emptyBatteryFactory(nameplate units.Watts) battery.Store {
-	cap_ := battery.SizeForAutonomy(nameplate, battery.RackCabinetAutonomy, 0, 0)
-	b := battery.MustKiBaM(battery.KiBaMConfig{
-		Capacity:     cap_,
-		InitialSOC:   0.02,
-		MaxDischarge: nameplate * 2,
-		MaxCharge:    units.Watts(float64(cap_) / 900),
-	})
-	return battery.NewLVD(b, 0.05, 0.20)
+// emptyBatteryFactory builds rack cabinets at 2% charge, already
+// disconnected — the post-Phase-I state the threat-characterization
+// experiments start from.
+func emptyBatteryFactory(nameplate units.Watts) *battery.KiBaM {
+	return battery.NewRackCabinet(nameplate, 0, 0.02)
 }
-
-// microFactory builds μDEB banks holding the given fraction of the rack
-// battery cabinet's energy.
-func microFactory(fraction float64) func(nameplate, budget units.Watts) *core.MicroDEB {
-	return func(nameplate, budget units.Watts) *core.MicroDEB {
-		poolCap := battery.SizeForAutonomy(nameplate, battery.RackCabinetAutonomy, 0, 0)
-		bank := battery.NewMicroDEB(units.Joules(float64(poolCap)*fraction), nameplate)
-		u, err := core.NewMicroDEB(bank, budget)
-		if err != nil {
-			panic(err) // factory arguments are engine-controlled
-		}
-		return u
-	}
-}
-
-// defaultMicro is the μDEB sizing used outside the Figure 17 sweep: 1% of
-// the rack cabinet energy (≈0.7 Wh on the evaluated rack — the same order
-// as the paper's 0.35 Wh example bank).
-const defaultMicroFraction = 0.01
 
 // attackSpec builds a two-phase attack on the first `nodes` servers of
 // rack 0.
@@ -247,31 +213,3 @@ func attackSpec(nodes int, cfg virus.Config) sim.AttackSpec {
 		Attack:  virus.MustNew(cfg),
 	}
 }
-
-// schemeByName constructs one of the six evaluated schemes.
-func schemeByName(name string, opts schemes.Options) sim.Scheme {
-	switch name {
-	case "Conv":
-		return schemes.NewConv(opts)
-	case "PS":
-		return schemes.NewPS(opts)
-	case "PSPC":
-		return schemes.NewPSPC(opts)
-	case "vDEB":
-		return schemes.NewVDEB(opts)
-	case "uDEB":
-		return schemes.NewUDEB(opts)
-	case "PAD":
-		return schemes.NewPAD(opts)
-	default:
-		panic("experiments: unknown scheme " + name)
-	}
-}
-
-// SchemeNames lists the evaluated schemes in the paper's order.
-func SchemeNames() []string {
-	return []string{"Conv", "PS", "PSPC", "uDEB", "vDEB", "PAD"}
-}
-
-// needsMicro reports whether the scheme deploys μDEB hardware.
-func needsMicro(name string) bool { return name == "uDEB" || name == "PAD" }

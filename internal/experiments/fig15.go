@@ -61,7 +61,7 @@ func Fig15(p Params) (*Fig15Result, error) {
 	// One job per scheme × profile × scenario cell; the background is
 	// shared read-only, everything mutable lives inside the job.
 	var jobs []runner.Job[*sim.Result]
-	for _, name := range SchemeNames() {
+	for _, name := range schemes.SchemeNames {
 		for _, prof := range virus.Profiles() {
 			for _, scen := range virus.Scenarios() {
 				key := fmt.Sprintf("fig15/%s/%s/%s", name, scen.Name, prof.Name)
@@ -86,10 +86,14 @@ func Fig15(p Params) (*Fig15Result, error) {
 						vc.PrepDuration = 3 * time.Minute
 						vc.MaxPhaseI = 3 * time.Minute
 						cfg.Attacks = []sim.AttackSpec{attackSpec(4, vc)}
-						if needsMicro(name) {
-							cfg.MicroDEBFactory = microFactory(defaultMicroFraction)
+						if schemes.NeedsMicroDEB(name) {
+							cfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
 						}
-						return sim.Run(cfg, schemeByName(name, schemes.Options{}))
+						scheme, err := schemes.ByName(name, schemes.Options{})
+						if err != nil {
+							return nil, err
+						}
+						return sim.Run(cfg, scheme)
 					},
 				})
 			}
@@ -101,7 +105,7 @@ func Fig15(p Params) (*Fig15Result, error) {
 	}
 
 	k := 0
-	for _, name := range SchemeNames() {
+	for _, name := range schemes.SchemeNames {
 		var row []interface{}
 		row = append(row, name)
 		var sum time.Duration

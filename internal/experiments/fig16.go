@@ -52,8 +52,8 @@ func fig16Config(p Params, key, name string) sim.Config {
 		BatteryFactory: smallCabinet,
 		RestoreAfter:   2 * time.Minute,
 	}
-	if needsMicro(name) {
-		cfg.MicroDEBFactory = microFactory(defaultMicroFraction)
+	if schemes.NeedsMicroDEB(name) {
+		cfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
 	}
 	return cfg
 }
@@ -74,7 +74,11 @@ var fig16Refs memo[fig16RefKey, float64]
 // cluster with no attack, the denominator of every point.
 func fig16Reference(p Params, name string) (float64, error) {
 	ref, err := fig16Refs.get(fig16RefKey{name, p.seed(), p.Quick}, func() (float64, error) {
-		res, err := sim.Run(fig16Config(p, "fig16/"+name+"/reference", name), schemeByName(name, schemes.Options{}))
+		scheme, err := schemes.ByName(name, schemes.Options{})
+		if err != nil {
+			return 0, err
+		}
+		res, err := sim.Run(fig16Config(p, "fig16/"+name+"/reference", name), scheme)
 		if err != nil {
 			return 0, err
 		}
@@ -104,8 +108,11 @@ func fig16AttackedConfig(p Params, key, name string, width time.Duration, perMin
 // fig16Attacked returns the scheme's throughput on the Figure 16
 // cluster under attack.
 func fig16Attacked(p Params, key, name string, width time.Duration, perMinute float64) (float64, error) {
-	cfg := fig16AttackedConfig(p, key, name, width, perMinute)
-	res, err := sim.Run(cfg, schemeByName(name, schemes.Options{}))
+	scheme, err := schemes.ByName(name, schemes.Options{})
+	if err != nil {
+		return 0, err
+	}
+	res, err := sim.Run(fig16AttackedConfig(p, key, name, width, perMinute), scheme)
 	if err != nil {
 		return 0, err
 	}

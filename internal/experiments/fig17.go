@@ -74,7 +74,7 @@ func Fig17(p Params) (*Fig17Result, error) {
 					// The pool is already drained: this isolates the μDEB's
 					// emergency-handling contribution.
 					BatteryFactory:  emptyBatteryFactory,
-					MicroDEBFactory: microFactory(frac),
+					MicroDEBFactory: schemes.MicroDEBFactory(frac),
 					// Six compromised hosts firing 2 s spikes: severe enough
 					// that un-shaved spike trains accumulate breaker heat,
 					// light enough that a bank covering a whole spike can
@@ -91,7 +91,7 @@ func Fig17(p Params) (*Fig17Result, error) {
 				// The μDEB-only scheme isolates the bank's contribution:
 				// PAD's capping and shedding fallbacks would mask the
 				// capacity effect this figure is about.
-				return sim.Run(cfg, schemeByName("uDEB", schemes.Options{}))
+				return sim.Run(cfg, schemes.NewUDEB(schemes.Options{}))
 			},
 		})
 	}

@@ -119,16 +119,10 @@ func Fig6(p Params) (*Fig6Result, error) {
 	return out, nil
 }
 
-// smallCabinet builds a rack battery a tenth the standard size, so a
+// smallCabinet builds a rack cabinet a tenth the standard size, so a
 // demonstration drain completes inside a short plot window.
-func smallCabinet(nameplate units.Watts) battery.Store {
-	cap_ := battery.SizeForAutonomy(nameplate, battery.RackCabinetAutonomy, 0, 0) / 10
-	b := battery.MustKiBaM(battery.KiBaMConfig{
-		Capacity:     cap_,
-		MaxDischarge: nameplate * 2,
-		MaxCharge:    units.Watts(float64(cap_) / 900),
-	})
-	return battery.NewLVD(b, 0.05, 0.20)
+func smallCabinet(nameplate units.Watts) *battery.KiBaM {
+	return battery.NewRackCabinet(nameplate, battery.SizeForAutonomy(nameplate, battery.RackCabinetAutonomy, 0, 0)/10, 0)
 }
 
 // Fig7Result holds the effective-attack demonstration: rack power draw

@@ -78,7 +78,11 @@ func TestResultPinned(t *testing.T) {
 	p := Params{Quick: true}
 	var got bytes.Buffer
 	for _, name := range []string{"PSPC", "PAD"} {
-		res, err := sim.Run(fig15DenseCPUConfig(p, name), schemeByName(name, schemes.Options{}))
+		scheme, err := schemes.ByName(name, schemes.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(fig15DenseCPUConfig(p, name), scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,8 +130,8 @@ func fig15DenseCPUConfig(p Params, name string) sim.Config {
 	vc.PrepDuration = 3 * time.Minute
 	vc.MaxPhaseI = 3 * time.Minute
 	cfg.Attacks = []sim.AttackSpec{attackSpec(4, vc)}
-	if needsMicro(name) {
-		cfg.MicroDEBFactory = microFactory(defaultMicroFraction)
+	if schemes.NeedsMicroDEB(name) {
+		cfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
 	}
 	return cfg
 }

@@ -219,7 +219,7 @@ func runOffline(cfg ReplayConfig, name string, bg []*stats.Series, tracer *obs.T
 		Trace:          tracer,
 	}
 	if schemes.NeedsMicroDEB(name) {
-		simCfg.MicroDEBFactory = schemes.MicroDEBFactory(0.01)
+		simCfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
 	}
 	switch {
 	case cfg.AttackFactory != nil:

@@ -8,8 +8,8 @@
 //
 // Concurrency contract: the runner owns the goroutines; each Job.Run
 // executes on exactly one of them and must not share mutable state (in
-// particular *stats.RNG instances, battery.Store devices or virus.Attack
-// controllers) with any other job. Per-run randomness is derived with
+// particular *stats.RNG instances, rack batteries and μDEBs, or
+// virus.Attack controllers) with any other job. Per-run randomness is derived with
 // DeriveSeed(base, key), never by sharing a stream across runs. Results
 // are written to per-job slots, so no synchronization is needed beyond
 // the pool's own.

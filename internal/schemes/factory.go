@@ -39,6 +39,11 @@ func ByName(name string, opts Options) (sim.Scheme, error) {
 // on every rack (uDEB and the full PAD defense).
 func NeedsMicroDEB(name string) bool { return name == "uDEB" || name == "PAD" }
 
+// DefaultMicroFraction is the μDEB sizing outside Figure 17's sweep: 1%
+// of the rack cabinet's energy, about 0.7 Wh on the evaluated rack, the
+// same order as the paper's 0.35 Wh example bank.
+const DefaultMicroFraction = 0.01
+
 // MicroDEBFactory returns a sim.Config.MicroDEBFactory deploying on each
 // rack a μDEB bank holding the given fraction of the rack battery's
 // energy — the sizing the paper's evaluation and cmd/padsim use.

@@ -27,14 +27,8 @@ func TestPADLifecycle(t *testing.T) {
 		OvershootTolerance: 0.04,
 		Background:         bg,
 		// Small cabinets so the pool collapses inside the window.
-		BatteryFactory: func(nameplate units.Watts) battery.Store {
-			cap_ := battery.SizeForAutonomy(nameplate, battery.RackCabinetAutonomy, 0, 0) / 4
-			b := battery.MustKiBaM(battery.KiBaMConfig{
-				Capacity:     cap_,
-				MaxDischarge: nameplate * 2,
-				MaxCharge:    units.Watts(float64(cap_) / 900),
-			})
-			return battery.NewLVD(b, 0.05, 0.20)
+		BatteryFactory: func(nameplate units.Watts) *battery.KiBaM {
+			return battery.NewRackCabinet(nameplate, battery.SizeForAutonomy(nameplate, battery.RackCabinetAutonomy, 0, 0)/4, 0)
 		},
 		MicroDEBFactory: func(nameplate, budget units.Watts) *core.MicroDEB {
 			bank := battery.NewMicroDEB(units.WattHours(0.3).Joules(), nameplate)

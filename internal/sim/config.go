@@ -9,11 +9,11 @@
 //
 // Concurrency contract: a single run (one Run call) is strictly
 // single-goroutine — the engine, the scheme, the attack controller and
-// every battery store it steps are confined to the calling goroutine.
-// Independent runs are safe to execute concurrently (internal/runner
-// does exactly that) provided they share no mutable state: each run
-// must get its own Scheme, its own AttackSpec/virus.Attack and its own
-// stores from the factories. Config.Background series are the one
+// every rack battery and μDEB it steps are confined to the calling
+// goroutine. Independent runs are safe to execute concurrently
+// (internal/runner does exactly that) provided they share no mutable
+// state: each run must get its own Scheme, its own AttackSpec/virus.Attack
+// and its own batteries and μDEBs from the factories. Config.Background series are the one
 // sanctioned shared input; the engine only ever reads them.
 package sim
 
@@ -156,9 +156,10 @@ type Config struct {
 	// at most one group. Recording.AttackUtil and TickStats.AttackUtil
 	// report the highest utilization any group commanded that tick.
 	Attacks []AttackSpec
-	// BatteryFactory builds each rack's battery store given the rack
-	// nameplate power. Nil selects battery.NewRackCabinet.
-	BatteryFactory func(rackNameplate units.Watts) battery.Store
+	// BatteryFactory builds each rack's battery cabinet given the rack
+	// nameplate power. Nil selects battery.NewRackCabinet at full charge,
+	// sized for the cabinet's rated autonomy.
+	BatteryFactory func(rackNameplate units.Watts) *battery.KiBaM
 	// MicroDEBFactory builds each rack's μDEB given the rack nameplate
 	// and budget, or nil for racks without one.
 	MicroDEBFactory func(rackNameplate, rackBudget units.Watts) *core.MicroDEB
@@ -209,8 +210,8 @@ func (c Config) withDefaults() Config {
 		c.Tick = 100 * time.Millisecond
 	}
 	if c.BatteryFactory == nil {
-		c.BatteryFactory = func(nameplate units.Watts) battery.Store {
-			return battery.NewRackCabinet(nameplate)
+		c.BatteryFactory = func(nameplate units.Watts) *battery.KiBaM {
+			return battery.NewRackCabinet(nameplate, 0, 0)
 		}
 	}
 	if c.RecordStep == 0 {

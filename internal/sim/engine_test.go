@@ -182,10 +182,8 @@ func TestMicroDEBShavesSpikes(t *testing.T) {
 		}}
 		// Batteries empty: only the μDEB stands between spikes and the
 		// breaker.
-		cfg.BatteryFactory = func(nameplate units.Watts) battery.Store {
-			return battery.NewLVD(battery.MustKiBaM(battery.KiBaMConfig{
-				Capacity: 1000, InitialSOC: 0.01,
-			}), 0.05, 0.2)
+		cfg.BatteryFactory = func(nameplate units.Watts) *battery.KiBaM {
+			return battery.NewRackCabinet(nameplate, 1000, 0.01)
 		}
 		if withMicro {
 			cfg.MicroDEBFactory = func(nameplate, budget units.Watts) *core.MicroDEB {
@@ -352,7 +350,7 @@ func TestChargeRestoresSOC(t *testing.T) {
 	cfg := smallConfig(20 * time.Minute)
 	cfg.Tick = time.Second
 	cfg.Background = flatBackground(4, 5, 0.2) // plenty of headroom
-	cfg.BatteryFactory = func(nameplate units.Watts) battery.Store {
+	cfg.BatteryFactory = func(nameplate units.Watts) *battery.KiBaM {
 		return battery.MustKiBaM(battery.KiBaMConfig{
 			Capacity:   100_000,
 			InitialSOC: 0.5,

@@ -48,7 +48,7 @@ type Stepper struct {
 	// Per-rack state, struct-of-arrays: batteries[i], micros[i],
 	// rackBreakers[i], budgets[i], overLast[i] and downFor[i] together
 	// are what the old per-rack struct held for rack i.
-	batteries    []battery.Store
+	batteries    []*battery.KiBaM
 	micros       []*core.MicroDEB // nil entries for racks without a μDEB
 	rackBreakers []*powersim.Breaker
 	budgets      []units.Watts
@@ -170,7 +170,7 @@ func NewStepper(cfg Config, scheme Scheme) (*Stepper, error) {
 		pduBreaker: newBreaker(pduBudget * units.Watts(1+cfg.OvershootTolerance)),
 	}
 
-	st.batteries = make([]battery.Store, cfg.Racks)
+	st.batteries = make([]*battery.KiBaM, cfg.Racks)
 	st.micros = make([]*core.MicroDEB, cfg.Racks)
 	st.rackBreakers = make([]*powersim.Breaker, cfg.Racks)
 	st.budgets = make([]units.Watts, cfg.Racks)

@@ -18,8 +18,8 @@
 //	}
 //	res, err := padsec.Run(cfg, padsec.NewPAD(padsec.SchemeOptions{}))
 //
-// The simulator, schemes, threat model, battery models and experiment
-// runners live in internal packages; this package re-exports the stable
+// The simulator, schemes, threat model, rack battery and super-capacitor
+// models and experiment runners live in internal packages; this package re-exports the stable
 // surface. See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-versus-measured results.
 package padsec
@@ -94,9 +94,9 @@ type (
 	SecurityLevel = core.Level
 	// PolicyInputs are the signals driving the security level.
 	PolicyInputs = core.PolicyInputs
-	// BatteryStore is an energy storage device (KiBaM battery,
-	// super-capacitor, LVD wrapper).
-	BatteryStore = battery.Store
+	// BatteryStore is the rack battery cabinet: a KiBaM battery behind
+	// a low-voltage disconnect. NewRackBattery builds one.
+	BatteryStore = battery.KiBaM
 	// ServerModel maps utilization and DVFS state to power.
 	ServerModel = powersim.ServerModel
 	// Trace is a Google-cluster-style workload trace.
@@ -229,22 +229,15 @@ func TraceBackground(tr *Trace, step time.Duration) ([]*stats.Series, error) {
 }
 
 // NewRackBattery builds the paper's Facebook-V1-style rack battery
-// cabinet (50 s autonomy at full rack load, LVD-protected).
-func NewRackBattery(rackNameplate Watts) BatteryStore {
-	return battery.NewRackCabinet(rackNameplate)
+// cabinet, full, with 50 s autonomy at full rack load and its
+// low-voltage disconnect armed.
+func NewRackBattery(rackNameplate Watts) *BatteryStore {
+	return battery.NewRackCabinet(rackNameplate, 0, 0)
 }
 
 // NewMicroDEBFactory returns a ClusterConfig.MicroDEBFactory installing a
 // μDEB bank holding the given fraction of the rack cabinet's energy on
 // every rack.
 func NewMicroDEBFactory(fraction float64) func(nameplate, budget Watts) *core.MicroDEB {
-	return func(nameplate, budget Watts) *core.MicroDEB {
-		cap_ := battery.SizeForAutonomy(nameplate, battery.RackCabinetAutonomy, 0, 0)
-		bank := battery.NewMicroDEB(units.Joules(float64(cap_)*fraction), nameplate)
-		u, err := core.NewMicroDEB(bank, budget)
-		if err != nil {
-			panic(err) // arguments are engine-controlled
-		}
-		return u
-	}
+	return schemes.MicroDEBFactory(fraction)
 }

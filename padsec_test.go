@@ -87,8 +87,9 @@ func TestFacadeBatteryConstruction(t *testing.T) {
 	}
 	f := NewMicroDEBFactory(0.01)
 	u := f(5210, 3900)
-	// A full bank shaves a spike above its threshold, the rack budget.
-	if u.SOC() != 1 || u.Threshold() != 3900 || u.Shave(4400, time.Second) >= 4400 {
+	// A full bank passes draw under its threshold, the rack budget, and
+	// shaves a spike down to it.
+	if u.SOC() != 1 || u.Shave(3800, time.Second) != 3800 || u.Shave(4400, time.Second) != 3900 {
 		t.Fatal("μDEB factory produced a bad bank")
 	}
 }
