@@ -162,6 +162,11 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 		{padd.SessionConfig{MeterInterval: padd.Duration{Duration: 10 * time.Nanosecond}}, "meter_interval"},
 		{padd.SessionConfig{MeterInterval: padd.Duration{Duration: time.Microsecond}}, "meter_interval"},
 		{padd.SessionConfig{MeterInterval: padd.Duration{Duration: 99900 * time.Nanosecond}}, "meter_interval"},
+		// A bank outside (0, 1] of the cabinet's energy: a negative one
+		// panicked the session's construction, a huge one is infinite.
+		{padd.SessionConfig{ID: "micro", MicroFraction: -1}, "micro_fraction"},
+		{padd.SessionConfig{ID: "micro", MicroFraction: 1.5}, "micro_fraction"},
+		{padd.SessionConfig{ID: "micro", MicroFraction: 1e308}, "micro_fraction"},
 	} {
 		_, err := mgr.Create(tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
@@ -180,6 +185,8 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 		{ID: "meter", Racks: 2, ServersPerRack: 4, MeterInterval: padd.Duration{Duration: 100 * time.Microsecond}},
 		{ID: "coarse-tick", Racks: 2, ServersPerRack: 4, Tick: padd.Duration{Duration: time.Minute}},
 		{ID: "meter-off", Racks: 2, ServersPerRack: 4, MeterInterval: padd.Duration{Duration: -time.Nanosecond}},
+		// The rejected creates above left the id free.
+		{ID: "micro", Racks: 2, ServersPerRack: 4, MicroFraction: 1},
 	} {
 		s, err := mgr.Create(cfg)
 		if err != nil {
@@ -209,6 +216,13 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 	if code, body := c.post("/v1/sessions", map[string]string{"meter_interval": "1ns"}); code != http.StatusBadRequest ||
 		!strings.Contains(string(body), "meter_interval") {
 		t.Fatalf("1ns meter create: HTTP %d: %s, want 400 naming meter_interval", code, body)
+	}
+	if code, body := c.post("/v1/sessions", map[string]any{"id": "micro", "micro_fraction": -1}); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "micro_fraction") {
+		t.Fatalf("negative micro_fraction create: HTTP %d: %s, want 400 naming micro_fraction", code, body)
+	}
+	if code, body := c.post("/v1/sessions", map[string]any{"id": "micro", "racks": 2, "servers_per_rack": 4}); code != http.StatusCreated {
+		t.Fatalf("create after a rejected micro_fraction: HTTP %d: %s, want 201", code, body)
 	}
 	client := http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(srv.URL + "/healthz")

@@ -52,6 +52,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/padd/wire"
+	"repro/internal/schemes"
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -110,7 +111,7 @@ type SessionConfig struct {
 	// Overshoot is the tolerated overload fraction; 0 selects 0.08.
 	Overshoot float64 `json:"overshoot,omitempty"`
 	// MicroFraction sizes the μDEB banks (uDEB/PAD schemes) as a
-	// fraction of the rack battery energy. 0 selects 0.01.
+	// fraction of the rack battery energy, in (0, 1]. 0 selects 0.01.
 	MicroFraction float64 `json:"micro_fraction,omitempty"`
 	// QueueDepth is the maximum number of telemetry batches the ingest
 	// queue holds, grown on demand; a full queue answers 429. 0 selects
@@ -173,7 +174,7 @@ func (c SessionConfig) withDefaults() SessionConfig {
 		c.MeterInterval.Duration = 5 * time.Second
 	}
 	if c.MicroFraction == 0 {
-		c.MicroFraction = 0.01
+		c.MicroFraction = schemes.DefaultMicroFraction
 	}
 	return c
 }
@@ -212,6 +213,9 @@ func (c SessionConfig) Validate() error {
 	}
 	if m := c.MeterInterval.Duration; m > 0 && c.Tick.Duration/m > maxMeterReadingsPerTick {
 		return fmt.Errorf("padd: meter_interval %v is under 1/%d of the %v tick", m, maxMeterReadingsPerTick, c.Tick.Duration)
+	}
+	if !(c.MicroFraction > 0 && c.MicroFraction <= 1) {
+		return fmt.Errorf("padd: micro_fraction must be in (0, 1], got %v", c.MicroFraction)
 	}
 	return nil
 }
