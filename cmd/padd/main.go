@@ -48,7 +48,6 @@ var prof *profiling.Flags
 func main() {
 	var (
 		addr         = flag.String("addr", ":8484", "listen address")
-		shards       = flag.Int("shards", 0, "session manager shards (0 = GOMAXPROCS)")
 		maxSessions  = flag.Int("max-sessions", 0, "resident session cap; creates past it get 503 + Retry-After (0 = unlimited)")
 		replay       = flag.Bool("replay", false, "verify online/offline agreement for every scheme through both ingest paths, then exit")
 		replayFor    = flag.Duration("replay-duration", 2*time.Minute, "simulated horizon for -replay")
@@ -120,7 +119,7 @@ func main() {
 		}()
 	}
 
-	mgr := padd.NewManagerWith(padd.Options{Shards: *shards, MaxSessions: *maxSessions})
+	mgr := padd.NewManagerWith(padd.Options{MaxSessions: *maxSessions})
 	srv := padd.NewHTTPServer(*addr, padd.NewServer(mgr))
 
 	errc := make(chan error, 1)

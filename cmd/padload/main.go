@@ -464,31 +464,10 @@ func (lg *loadgen) fleetReport(w io.Writer) error {
 	if len(levels) == 0 {
 		levels = append(levels, "none")
 	}
-	var total int64
-	for _, n := range fs.MarginSessions {
-		total += n
-	}
-	// Margin percentiles from the occupancy distribution: the smallest
-	// bound covering the quantile (the last bucket is open-ended).
-	quantile := func(q float64) string {
-		if total == 0 {
-			return "n/a"
-		}
-		target := int64(math.Ceil(q * float64(total)))
-		cum := int64(0)
-		for i, n := range fs.MarginSessions {
-			cum += n
-			if cum >= target {
-				if i < len(fs.MarginBoundsWatts) {
-					return fmt.Sprintf("<=%gW", fs.MarginBoundsWatts[i])
-				}
-				break
-			}
-		}
-		return fmt.Sprintf(">%gW", fs.MarginBoundsWatts[len(fs.MarginBoundsWatts)-1])
-	}
 	fmt.Fprintf(w, "padload: fleet: %d sessions (%d under attack), levels %s, margin p50 %s p99 %s\n",
-		fs.Sessions, fs.SessionsUnderAttack, strings.Join(levels, " "), quantile(0.50), quantile(0.99))
+		fs.Sessions, fs.SessionsUnderAttack, strings.Join(levels, " "),
+		padd.OccupancyQuantile(fs.MarginBoundsWatts, fs.MarginSessions, 0.50, "W"),
+		padd.OccupancyQuantile(fs.MarginBoundsWatts, fs.MarginSessions, 0.99, "W"))
 	return nil
 }
 

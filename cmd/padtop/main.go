@@ -1,7 +1,7 @@
 // Command padtop is a polling terminal dashboard for a live padd
 // daemon — top(1) for a PAD fleet. Each frame renders the /v1/fleet
 // rollup (session count, security-level distribution, breaker-margin
-// percentiles, detection latencies, per-shard ingest rates) and a
+// percentiles, detection latencies, the fleet's ingest rate) and a
 // top-N session table sorted hottest first (security level descending,
 // breaker margin ascending), with a per-session sparkline fetched from
 // the series endpoint. Plain text and ANSI clear only — no curses, so
@@ -88,9 +88,9 @@ type padtop struct {
 	metric string
 	topN   int
 
-	// Previous poll's per-shard accepted-sample counters, the deltas
-	// behind the ingest-rate column ("-" on the first frame).
-	prevSamples []int64
+	// Previous poll's accepted-sample counter, the delta behind the
+	// ingest rate ("-" on the first frame).
+	prevSamples int64
 	prevAt      time.Time
 }
 
@@ -131,15 +131,14 @@ func (p *padtop) frame() (string, error) {
 	}
 	fmt.Fprintf(&b, "levels    %s\n", strings.Join(levels, "  "))
 	fmt.Fprintf(&b, "margin    p50 %s  p99 %s\n",
-		occupancyQuantile(fs.MarginBoundsWatts, fs.MarginSessions, 0.50, "W"),
-		occupancyQuantile(fs.MarginBoundsWatts, fs.MarginSessions, 0.99, "W"))
+		padd.OccupancyQuantile(fs.MarginBoundsWatts, fs.MarginSessions, 0.50, "W"),
+		padd.OccupancyQuantile(fs.MarginBoundsWatts, fs.MarginSessions, 0.99, "W"))
 	fmt.Fprintf(&b, "detect    %d onsets, flag p50 %s (n=%d), shed p50 %s (n=%d)\n",
 		fs.DetectionOnsets,
 		histQuantile(fs.DetectionLatency, 0.50, "s"), fs.DetectionLatency.Count,
 		histQuantile(fs.ShedLatency, 0.50, "s"), fs.ShedLatency.Count)
-	fmt.Fprintf(&b, "ingest    %d json frames, %d streams, rate %s\n",
+	fmt.Fprintf(&b, "ingest    %d json frames, %d streams, rate %s\n\n",
 		fs.IngestFramesJSON, fs.StreamConnections, p.ingestRate(fs, now))
-	fmt.Fprintf(&b, "shards    %s\n\n", shardLine(fs.Shards))
 
 	// Top-N table, hottest sessions first: level descending, then
 	// breaker margin ascending (least headroom first), then ID.
@@ -170,34 +169,19 @@ func (p *padtop) frame() (string, error) {
 	return b.String(), nil
 }
 
-// ingestRate turns the per-shard accepted-sample counters into a
-// fleet-wide samples/sec figure by differencing against the last poll.
+// ingestRate turns the fleet's accepted-sample counter into a
+// samples/sec figure by differencing against the last poll.
 func (p *padtop) ingestRate(fs padd.FleetStatus, now time.Time) string {
-	cur := make([]int64, len(fs.Shards))
-	for i, sh := range fs.Shards {
-		cur[i] = sh.AcceptedSamples
-	}
-	defer func() { p.prevSamples, p.prevAt = cur, now }()
-	if len(p.prevSamples) != len(cur) || p.prevAt.IsZero() {
+	defer func() { p.prevSamples, p.prevAt = fs.AcceptedSamples, now }()
+	if p.prevAt.IsZero() {
 		return "-"
 	}
-	var delta int64
-	for i := range cur {
-		delta += cur[i] - p.prevSamples[i]
-	}
+	delta := fs.AcceptedSamples - p.prevSamples
 	dt := now.Sub(p.prevAt).Seconds()
 	if dt <= 0 || delta < 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.0f samples/s", float64(delta)/dt)
-}
-
-func shardLine(shards []padd.ShardStatus) string {
-	parts := make([]string, len(shards))
-	for i, sh := range shards {
-		parts[i] = fmt.Sprintf("%d:%d", sh.Shard, sh.Sessions)
-	}
-	return strings.Join(parts, " ")
 }
 
 // sparkline fetches the session's raw-resolution series for the chosen
@@ -228,31 +212,7 @@ func (p *padtop) sparkline(id string) string {
 	return string(out)
 }
 
-// occupancyQuantile reads a quantile off a bucketed occupancy
-// distribution (counts per bound, last bucket open-ended).
-func occupancyQuantile(bounds []float64, counts []int64, q float64, unit string) string {
-	var total int64
-	for _, n := range counts {
-		total += n
-	}
-	if total == 0 {
-		return "n/a"
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	cum := int64(0)
-	for i, n := range counts {
-		cum += n
-		if cum >= target {
-			if i < len(bounds) {
-				return fmt.Sprintf("<=%g%s", bounds[i], unit)
-			}
-			break
-		}
-	}
-	return fmt.Sprintf(">%g%s", bounds[len(bounds)-1], unit)
-}
-
-// histQuantile is occupancyQuantile for the JSON histogram shape.
+// histQuantile is padd.OccupancyQuantile for the JSON histogram shape.
 func histQuantile(h padd.HistogramStatus, q float64, unit string) string {
-	return occupancyQuantile(h.BoundsSeconds, h.Counts, q, unit)
+	return padd.OccupancyQuantile(h.BoundsSeconds, h.Counts, q, unit)
 }

@@ -20,7 +20,7 @@ import (
 // sample for every session in a 64-session fleet (one telemetry tick
 // fleet-wide). Sessions are paused and the queues drained with the
 // timer stopped every benchBurst ops, so the timed region is the
-// ingest path alone — transport, decode, shard routing, enqueue, ack.
+// ingest path alone — transport, decode, session lookup, enqueue, ack.
 // Engine consumption is identical across transports and (on the
 // single-core CI boxes) would otherwise bound every path at the same
 // samples/sec, hiding exactly the per-request lifecycle cost the
@@ -193,8 +193,8 @@ func BenchmarkFleetIngestStream(b *testing.B) {
 	b.ReportMetric(float64(b.N)*benchSessions/b.Elapsed().Seconds(), "samples/sec")
 }
 
-// BenchmarkSessionCreate is one full session lifecycle — create on a
-// shard, drain, delete — the sessions/sec number a fleet churn (padload
+// BenchmarkSessionCreate is one full session lifecycle — create,
+// drain, delete — the sessions/sec number a fleet churn (padload
 // ramp profiles) is bounded by.
 func BenchmarkSessionCreate(b *testing.B) {
 	mgr := padd.NewManagerWith(padd.Options{})

@@ -1,6 +1,8 @@
 package padd
 
 import (
+	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -38,7 +40,7 @@ var detectionBounds = [numDetBounds]float64{1, 2.5, 5, 7.5, 10, 15, 30, 60, 120,
 const numDetBounds = 10
 
 // detHist is a lock-free fixed-bucket histogram of sim-time latencies,
-// written by shard executors concurrently. The sum is kept in integer
+// written by the workers concurrently. The sum is kept in integer
 // nanoseconds so concurrent observes never lose precision to a float
 // CAS loop; scrapes may tear across one observe, which Prometheus
 // histograms tolerate by design.
@@ -62,7 +64,7 @@ func (h *detHist) observe(d time.Duration) {
 }
 
 // detectionStats is the manager-wide detection-latency accounting,
-// shared by every shard. An "onset" is the tick the CUSUM statistic
+// shared by every worker. An "onset" is the tick the CUSUM statistic
 // first leaves zero — the earliest online-observable sign of an
 // anomaly; detection latency runs from that onset to the CUSUM flag,
 // shed latency from the onset to the first tick shedding is engaged
@@ -74,21 +76,19 @@ type detectionStats struct {
 	shed   detHist
 }
 
-// shardRollup is one shard's lock-cheap fleet aggregate: independent
-// atomics the executing workers move as their sessions change state, so
-// a fleet-wide scrape is O(shards), not O(sessions). Level and margin
-// are occupancy counters (each resident session sits in exactly one
-// bucket of each); samples is the shard's accepted-sample counter, the
-// numerator of its ingest rate.
-type shardRollup struct {
+// fleetRollup is the lock-cheap fleet aggregate: independent atomics
+// the executing workers move as their sessions change state, so a
+// scrape reads a fixed number of counters, not every session. Level and
+// margin are occupancy counters (each resident session sits in exactly
+// one bucket of each).
+type fleetRollup struct {
 	levels      [numLevels]atomic.Int64
 	margin      [numMarginBounds + 1]atomic.Int64
 	underAttack atomic.Int64
-	samples     atomic.Int64
 }
 
 // join registers a fresh session in the rollup at its initial position.
-func (r *shardRollup) join(level, marginBucket int) {
+func (r *fleetRollup) join(level, marginBucket int) {
 	r.levels[level].Add(1)
 	r.margin[marginBucket].Add(1)
 }
@@ -161,16 +161,11 @@ type HistogramStatus struct {
 	Count         int64     `json:"count"`
 }
 
-// ShardStatus is one shard's slice of the fleet rollup.
-type ShardStatus struct {
-	Shard           int   `json:"shard"`
-	Sessions        int   `json:"sessions"`
-	AcceptedSamples int64 `json:"accepted_samples"`
-}
-
 // FleetStatus is the GET /v1/fleet rollup: the whole fleet's state in
-// O(shards) counters, scraped without touching a single session lock.
-// Field order is fixed by this struct — the JSON is golden-tested.
+// a fixed set of counters, scraped without touching a single session
+// lock. Field order is fixed by this struct — the JSON is golden-tested.
+// AcceptedSamples counts every sample either ingest path has queued, so
+// differencing two reads gives the fleet's ingest rate.
 type FleetStatus struct {
 	Sessions            int     `json:"sessions"`
 	SessionsUnderAttack int64   `json:"sessions_under_attack"`
@@ -185,8 +180,33 @@ type FleetStatus struct {
 
 	IngestFramesJSON  int64 `json:"ingest_frames_json"`
 	StreamConnections int   `json:"stream_connections"`
+	AcceptedSamples   int64 `json:"accepted_samples"`
+}
 
-	Shards []ShardStatus `json:"shards"`
+// OccupancyQuantile reads quantile q off a bucketed distribution such
+// as FleetStatus.MarginSessions: the smallest bound whose cumulative
+// count covers q, printed with unit, or ">last bound" when only the
+// open-ended last bucket does; "n/a" when the distribution is empty.
+func OccupancyQuantile(bounds []float64, counts []int64, q float64, unit string) string {
+	var total int64
+	for _, n := range counts {
+		total += n
+	}
+	if total == 0 {
+		return "n/a"
+	}
+	target := int64(math.Ceil(q * float64(total)))
+	cum := int64(0)
+	for i, n := range counts {
+		cum += n
+		if cum >= target {
+			if i < len(bounds) {
+				return fmt.Sprintf("<=%g%s", bounds[i], unit)
+			}
+			break
+		}
+	}
+	return fmt.Sprintf(">%g%s", bounds[len(bounds)-1], unit)
 }
 
 // status reads the histogram into its JSON view.
@@ -205,14 +225,15 @@ func (h *detHist) status() HistogramStatus {
 
 // Fleet snapshots the fleet rollup, the one read of the fleet's
 // counters behind both GET /v1/fleet and the fleet families of
-// /metrics. Reads only shard-level atomics and the per-shard session
-// counts — never a session's snapshot mutex — so it cannot stall the
-// ingest hot path.
+// /metrics. Reads only the rollup's atomics and the session table —
+// never a session's snapshot mutex — so it cannot stall the ingest hot
+// path.
 func (m *Manager) Fleet() FleetStatus {
 	fs := FleetStatus{
-		LevelSessions:     make([]int64, numLevels),
-		MarginBoundsWatts: marginBounds[:],
-		MarginSessions:    make([]int64, numMarginBounds+1),
+		SessionsUnderAttack: m.rollup.underAttack.Load(),
+		LevelSessions:       make([]int64, numLevels),
+		MarginBoundsWatts:   marginBounds[:],
+		MarginSessions:      make([]int64, numMarginBounds+1),
 
 		DetectionOnsets:  m.det.onsets.Load(),
 		DetectionLatency: m.det.detect.status(),
@@ -220,23 +241,20 @@ func (m *Manager) Fleet() FleetStatus {
 
 		IngestFramesJSON:  m.framesJSON.Load(),
 		StreamConnections: m.StreamConnections(),
+		AcceptedSamples:   int64(m.batchSizes.sum.Load()),
 	}
-	counts := m.ShardSessions()
-	fs.Shards = make([]ShardStatus, len(m.shards))
-	for i, sh := range m.shards {
-		fs.Sessions += counts[i]
-		fs.Shards[i] = ShardStatus{
-			Shard:           i,
-			Sessions:        counts[i],
-			AcceptedSamples: sh.rollup.samples.Load(),
+	m.mu.RLock()
+	for _, s := range m.sessions {
+		if s != nil {
+			fs.Sessions++
 		}
-		fs.SessionsUnderAttack += sh.rollup.underAttack.Load()
-		for l := 0; l < numLevels; l++ {
-			fs.LevelSessions[l] += sh.rollup.levels[l].Load()
-		}
-		for b := 0; b <= numMarginBounds; b++ {
-			fs.MarginSessions[b] += sh.rollup.margin[b].Load()
-		}
+	}
+	m.mu.RUnlock()
+	for l := range fs.LevelSessions {
+		fs.LevelSessions[l] = m.rollup.levels[l].Load()
+	}
+	for b := range fs.MarginSessions {
+		fs.MarginSessions[b] = m.rollup.margin[b].Load()
 	}
 	return fs
 }

@@ -13,13 +13,13 @@ import (
 	"time"
 )
 
-// fleetHarness boots a 2-shard manager behind a test server with two
+// fleetHarness boots a manager behind a test server with two
 // deterministic sessions: "f1" (PAD, driven 20 ticks of u=0.6 over the
 // JSON path) and "f2" (Conv, paused, series disabled). Everything the
 // fleet rollup reports about this pair is reproducible byte-for-byte.
 func fleetHarness(t *testing.T) (*Manager, *httptest.Server) {
 	t.Helper()
-	mgr := NewManagerWith(Options{Shards: 2})
+	mgr := NewManager()
 	srv := httptest.NewServer(NewServer(mgr))
 	t.Cleanup(srv.Close)
 
@@ -246,7 +246,7 @@ func TestStatusUptimeAge(t *testing.T) {
 // CI gate holds this at zero allocations per op — the rings allocate
 // once, on the first append, and never grow on the hot path.
 func BenchmarkSessionPublishSeries(b *testing.B) {
-	mgr := NewManagerWith(Options{Shards: 1})
+	mgr := NewManager()
 	defer mgr.Shutdown(context.Background())
 	s, err := mgr.Create(SessionConfig{
 		ID: "pub", Scheme: "Conv", Racks: 1, ServersPerRack: 2, Paused: true,

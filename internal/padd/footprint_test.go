@@ -167,6 +167,8 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 		{padd.SessionConfig{ID: "micro", MicroFraction: -1}, "micro_fraction"},
 		{padd.SessionConfig{ID: "micro", MicroFraction: 1.5}, "micro_fraction"},
 		{padd.SessionConfig{ID: "micro", MicroFraction: 1e308}, "micro_fraction"},
+		// A negative recording step panicked the engine's construction.
+		{padd.SessionConfig{ID: "neg", Record: true, RecordStep: padd.Duration{Duration: -time.Second}}, "RecordStep"},
 	} {
 		_, err := mgr.Create(tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.field) {
@@ -185,8 +187,9 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 		{ID: "meter", Racks: 2, ServersPerRack: 4, MeterInterval: padd.Duration{Duration: 100 * time.Microsecond}},
 		{ID: "coarse-tick", Racks: 2, ServersPerRack: 4, Tick: padd.Duration{Duration: time.Minute}},
 		{ID: "meter-off", Racks: 2, ServersPerRack: 4, MeterInterval: padd.Duration{Duration: -time.Nanosecond}},
-		// The rejected creates above left the id free.
+		// The rejected creates above left the ids free.
 		{ID: "micro", Racks: 2, ServersPerRack: 4, MicroFraction: 1},
+		{ID: "neg", Racks: 1, ServersPerRack: 2, Record: true, RecordStep: padd.Duration{Duration: time.Second}},
 	} {
 		s, err := mgr.Create(cfg)
 		if err != nil {
@@ -232,5 +235,20 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after oversized create: HTTP %d", resp.StatusCode)
+	}
+
+	// A rejected create gives back its id and its -max-sessions slot.
+	one := padd.NewManagerWith(padd.Options{MaxSessions: 1})
+	defer one.Shutdown(context.Background())
+	oneSrv := httptest.NewServer(padd.NewServer(one))
+	defer oneSrv.Close()
+	c = &soakClient{t: t, base: oneSrv.URL}
+	neg := map[string]any{"id": "neg", "racks": 1, "servers_per_rack": 2, "record": true, "record_step": "-1s"}
+	if code, body := c.post("/v1/sessions", neg); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), "RecordStep") {
+		t.Fatalf("negative record_step create: HTTP %d: %s, want 400 naming RecordStep", code, body)
+	}
+	if code, body := c.post("/v1/sessions", map[string]any{"id": "neg", "racks": 1, "servers_per_rack": 2}); code != http.StatusCreated {
+		t.Fatalf("create after a rejected record_step: HTTP %d: %s, want 201", code, body)
 	}
 }

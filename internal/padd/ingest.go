@@ -7,35 +7,24 @@ import (
 	"repro/internal/padd/wire"
 )
 
-// frameReject is one record a frame ingest could not accept: the binary
-// reject reason and the record's id (aliasing the frame buffer — consume
-// before the buffer is reused).
-type frameReject struct {
-	Reason byte
-	ID     []byte
-}
-
 // frameIngest is the reusable state for routing one wire frame's
-// records into sessions: the zero-copy decoder, the per-record
-// accept/reject outcome, and the scratch ack the result is encoded
-// into. A stream connection holds one for its whole life.
+// records into sessions: the zero-copy decoder and the scratch ack that
+// collects the per-record outcome — accepted counts and rejects, whose
+// IDs alias the frame buffer, so the ack must be encoded before the
+// buffer is reused. A stream connection holds one for its whole life.
 type frameIngest struct {
 	d   wire.Decoder
 	rec wire.Record
+	ack wire.Ack
 
-	accepted int // accepted records
-	samples  int // accepted samples
-	rejects  []frameReject
 	frameErr error // frame went syntactically bad (header or mid-decode)
 	allFull  bool  // every rejection was queue backpressure
 	allDrain bool  // every rejection was a stopping session
-
-	ackScratch wire.Ack
 }
 
 func (fi *frameIngest) reset() {
-	fi.accepted, fi.samples = 0, 0
-	fi.rejects = fi.rejects[:0]
+	fi.ack.Records, fi.ack.Samples = 0, 0
+	fi.ack.Rejects = fi.ack.Rejects[:0]
 	fi.frameErr = nil
 	fi.allFull, fi.allDrain = true, true
 }
@@ -43,11 +32,11 @@ func (fi *frameIngest) reset() {
 func (fi *frameIngest) reject(id []byte, reason byte) {
 	fi.allFull = fi.allFull && reason == wire.RejectQueueFull
 	fi.allDrain = fi.allDrain && reason == wire.RejectStopping
-	fi.rejects = append(fi.rejects, frameReject{Reason: reason, ID: id})
+	fi.ack.Rejects = append(fi.ack.Rejects, wire.AckReject{Reason: reason, ID: id})
 }
 
 // ingestFrame routes one wire frame's records into their sessions:
-// decode, shard lookup, payload conversion into a pooled flat buffer,
+// decode, session lookup, payload conversion into a pooled flat buffer,
 // shape check, bounded enqueue. Each record succeeds or fails
 // independently; a frame that goes syntactically bad mid-decode stops
 // there with frameErr set, keeping every record already enqueued (the
@@ -96,9 +85,8 @@ func (m *Manager) ingestFrame(frame []byte, fi *frameIngest) {
 			fi.reject(rec.ID, reason)
 			continue
 		}
-		fi.accepted++
-		fi.samples += rec.Samples
-		m.noteIngest(rec.Samples)
+		fi.ack.Records++
+		fi.ack.Samples += uint32(rec.Samples)
 	}
 }
 
@@ -110,9 +98,9 @@ func (fi *frameIngest) ackStatus() byte {
 	switch {
 	case fi.frameErr != nil:
 		return wire.AckMalformed
-	case len(fi.rejects) == 0:
+	case len(fi.ack.Rejects) == 0:
 		return wire.AckOK
-	case fi.accepted > 0:
+	case fi.ack.Records > 0:
 		return wire.AckPartial
 	case fi.allFull:
 		return wire.AckBackpressure
@@ -124,18 +112,11 @@ func (fi *frameIngest) ackStatus() byte {
 }
 
 // appendAck encodes the result as one binary ack frame into dst,
-// reusing the frameIngest's scratch Ack so steady-state acking does not
-// allocate. The reject IDs alias the ingested frame's buffer; the ack
-// must be encoded before that buffer is reused.
+// reusing the scratch Ack so steady-state acking does not allocate. The
+// reject IDs alias the ingested frame's buffer; the ack must be encoded
+// before that buffer is reused.
 func (fi *frameIngest) appendAck(dst []byte, seq uint64) []byte {
-	a := &fi.ackScratch
-	a.Seq = seq
-	a.Status = fi.ackStatus()
-	a.Records = uint32(fi.accepted)
-	a.Samples = uint32(fi.samples)
-	a.Rejects = a.Rejects[:0]
-	for i := range fi.rejects {
-		a.Rejects = append(a.Rejects, wire.AckReject{Reason: fi.rejects[i].Reason, ID: fi.rejects[i].ID})
-	}
-	return wire.AppendAck(dst, a)
+	fi.ack.Seq = seq
+	fi.ack.Status = fi.ackStatus()
+	return wire.AppendAck(dst, &fi.ack)
 }

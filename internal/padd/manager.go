@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Manager errors the HTTP layer maps onto status codes.
@@ -22,40 +23,54 @@ var (
 
 // Options sizes the manager for its fleet.
 type Options struct {
-	// Shards is the number of independent session shards. Default
-	// GOMAXPROCS. Session CRUD and ingest on different shards never
-	// contend on a lock.
-	Shards int
 	// MaxSessions caps resident sessions fleet-wide; 0 means
 	// unlimited. Past the cap, Create returns ErrSessionLimit so a
 	// runaway load generator degrades into 503s instead of an OOM.
 	MaxSessions int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	return o
-}
+// coasterResolution is how often the coaster sweeps the wall-clock
+// sessions. One sweep services every due session, so the resolution
+// bounds coast jitter, not throughput.
+const coasterResolution = 10 * time.Millisecond
 
-// Manager owns the live sessions, spread over opts.Shards independent
-// shards routed by FNV-1a hash of the session id. All methods are safe
-// for concurrent use.
+// Manager owns the live sessions: one session table, one run queue
+// drained by GOMAXPROCS workers, and one coaster goroutine pacing the
+// wall-clock sessions. All methods are safe for concurrent use.
 type Manager struct {
-	opts   Options
-	shards []*shard
+	opts Options
+
+	// sessions maps id to session; a nil value reserves an id whose
+	// session is under construction.
+	mu       sync.RWMutex
+	sessions map[string]*Session
 
 	nextID atomic.Int64
 	closed atomic.Bool
-	count  atomic.Int64 // resident sessions, for MaxSessions
+	count  atomic.Int64 // resident and reserved sessions, for MaxSessions
+
+	// The run queue: sessions with work pending, each queued at most
+	// once (Session.schedule), popped by the workers.
+	runMu    sync.Mutex
+	runCond  *sync.Cond
+	runq     []*Session
+	head     int
+	quit     bool
+	workers  sync.WaitGroup
+	stopOnce sync.Once
+
+	// The coaster's wall-clock sessions and their next coast deadlines.
+	wcMu   sync.Mutex
+	wall   map[*Session]time.Time
+	wcQuit chan struct{}
 
 	framesJSON atomic.Int64
 	batchSizes batchHist
 
-	// det is the fleet-wide detection-latency accounting shared by every
-	// shard's executors.
-	det detectionStats
+	// rollup and det are the fleet aggregates the executing workers
+	// update in place.
+	rollup fleetRollup
+	det    detectionStats
 
 	// GC-pause accounting for the padd_go_gc_pauses family: the pause
 	// ring in runtime.MemStats is diffed against the last scraped GC
@@ -76,33 +91,28 @@ type Manager struct {
 // NewManager creates a session manager with default fleet sizing.
 func NewManager() *Manager { return NewManagerWith(Options{}) }
 
-// NewManagerWith creates a session manager sized by opts.
+// NewManagerWith creates a session manager sized by opts and starts its
+// workers and coaster. One worker per core saturates the machine; each
+// session's idle/scheduled/running state machine keeps its engine on
+// one worker at a time.
 func NewManagerWith(opts Options) *Manager {
-	opts = opts.withDefaults()
-	m := &Manager{opts: opts, shards: make([]*shard, opts.Shards)}
-	for i := range m.shards {
-		m.shards[i] = newShard(&m.det)
+	m := &Manager{
+		opts:     opts,
+		sessions: make(map[string]*Session),
+		wall:     make(map[*Session]time.Time),
+		wcQuit:   make(chan struct{}),
 	}
+	m.runCond = sync.NewCond(&m.runMu)
+	n := runtime.GOMAXPROCS(0)
+	m.workers.Add(n)
+	for i := 0; i < n; i++ {
+		go m.worker()
+	}
+	go m.coaster()
 	return m
 }
 
-// fnvIndex routes an id to its shard: FNV-1a over the id bytes, modulo
-// the shard count. Generic over string | []byte so the binary ingest
-// path routes without converting the id.
-func fnvIndex[T string | []byte](id T, n int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return int(h % uint32(n))
-}
-
-func (m *Manager) shardFor(id string) *shard {
-	return m.shards[fnvIndex(id, len(m.shards))]
-}
-
-// Create validates cfg, applies defaults and registers a new session
-// on its shard.
+// Create validates cfg, applies defaults and registers a new session.
 func (m *Manager) Create(cfg SessionConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -112,61 +122,65 @@ func (m *Manager) Create(cfg SessionConfig) (*Session, error) {
 	if m.closed.Load() {
 		return nil, ErrShuttingDown
 	}
-	if max := int64(m.opts.MaxSessions); max > 0 && m.count.Add(1) > max {
+	// Every way out that does not register the session, a panic during
+	// construction included, gives the slot and any reserved id back.
+	registered, reserved := false, false
+	defer func() {
+		if registered {
+			return
+		}
+		if reserved {
+			m.mu.Lock()
+			delete(m.sessions, cfg.ID)
+			m.mu.Unlock()
+		}
 		m.count.Add(-1)
+	}()
+	if n := m.count.Add(1); m.opts.MaxSessions > 0 && n > int64(m.opts.MaxSessions) {
 		return nil, ErrSessionLimit
 	}
-	// From here every failure path must give the slot back.
-	rollback := func() { m.count.Add(-1) }
 
 	if cfg.ID == "" {
 		cfg.ID = fmt.Sprintf("s%d", m.nextID.Add(1))
 	}
-	sh := m.shardFor(cfg.ID)
-
-	sh.mu.Lock()
-	if _, dup := sh.sessions[cfg.ID]; dup {
-		sh.mu.Unlock()
-		rollback()
+	m.mu.Lock()
+	if _, dup := m.sessions[cfg.ID]; dup {
+		m.mu.Unlock()
 		return nil, fmt.Errorf("padd: session %q already exists", cfg.ID)
 	}
 	// Reserve the id before the (fallible) construction so a concurrent
 	// Create of the same id fails fast.
-	sh.sessions[cfg.ID] = nil
-	sh.mu.Unlock()
+	m.sessions[cfg.ID] = nil
+	reserved = true
+	m.mu.Unlock()
 
-	s, err := newSession(cfg.ID, cfg, sh)
-
-	sh.mu.Lock()
+	s, err := newSession(cfg.ID, cfg, m)
 	if err != nil {
-		delete(sh.sessions, cfg.ID)
-		sh.mu.Unlock()
-		rollback()
 		return nil, err
 	}
+
+	m.mu.Lock()
 	if m.closed.Load() {
 		// Shutdown raced the construction; drain the orphan ourselves
-		// (Stop claims the actor inline if the pool is already gone).
-		delete(sh.sessions, cfg.ID)
-		sh.mu.Unlock()
-		sh.removeWallClock(s)
+		// (Stop claims the actor inline if the workers are already gone).
+		m.mu.Unlock()
+		m.removeWallClock(s)
 		s.Stop()
 		s.rollupLeave()
-		rollback()
 		return nil, ErrShuttingDown
 	}
-	sh.sessions[cfg.ID] = s
-	sh.mu.Unlock()
+	m.sessions[cfg.ID] = s
+	registered = true
+	m.mu.Unlock()
 	return s, nil
 }
 
 // Get returns the named session.
 func (m *Manager) Get(id string) (*Session, error) {
-	sh := m.shardFor(id)
-	sh.mu.RLock()
-	s, ok := sh.sessions[id]
-	sh.mu.RUnlock()
-	if !ok || s == nil {
+	m.mu.RLock()
+	s := m.sessions[id]
+	m.mu.RUnlock()
+	if s == nil {
 		return nil, ErrNotFound
 	}
 	return s, nil
@@ -176,11 +190,10 @@ func (m *Manager) Get(id string) (*Session, error) {
 // a []byte id without allocating the string (the compiler elides the
 // conversion inside the index expression).
 func (m *Manager) lookupBytes(id []byte) (*Session, error) {
-	sh := m.shards[fnvIndex(id, len(m.shards))]
-	sh.mu.RLock()
-	s, ok := sh.sessions[string(id)]
-	sh.mu.RUnlock()
-	if !ok || s == nil {
+	m.mu.RLock()
+	s := m.sessions[string(id)]
+	m.mu.RUnlock()
+	if s == nil {
 		return nil, ErrNotFound
 	}
 	return s, nil
@@ -188,49 +201,28 @@ func (m *Manager) lookupBytes(id []byte) (*Session, error) {
 
 // List returns the live sessions in unspecified order.
 func (m *Manager) List() []*Session {
-	var out []*Session
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		for _, s := range sh.sessions {
-			if s != nil {
-				out = append(out, s)
-			}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	out := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		if s != nil {
+			out = append(out, s)
 		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// ShardSessions returns the resident-session count per shard, for the
-// padd_shard_sessions metric family.
-func (m *Manager) ShardSessions() []int {
-	out := make([]int, len(m.shards))
-	for i, sh := range m.shards {
-		sh.mu.RLock()
-		n := 0
-		for _, s := range sh.sessions {
-			if s != nil {
-				n++
-			}
-		}
-		out[i] = n
-		sh.mu.RUnlock()
 	}
 	return out
 }
 
 // Delete stops the named session (draining its queue) and removes it.
 func (m *Manager) Delete(id string) (*Session, error) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	if !ok || s == nil {
-		sh.mu.Unlock()
+	m.mu.Lock()
+	s := m.sessions[id]
+	if s == nil {
+		m.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	delete(sh.sessions, id)
-	sh.mu.Unlock()
-	sh.removeWallClock(s)
+	delete(m.sessions, id)
+	m.mu.Unlock()
+	m.removeWallClock(s)
 	s.Stop()
 	s.rollupLeave()
 	m.count.Add(-1)
@@ -240,12 +232,12 @@ func (m *Manager) Delete(id string) (*Session, error) {
 // Healthy reports whether the manager accepts work.
 func (m *Manager) Healthy() bool { return !m.closed.Load() }
 
-// Shutdown rejects new work, then drains every shard concurrently —
-// no acknowledged telemetry is lost — bounded by ctx. The drain is
+// Shutdown rejects new work, then drains every session — no
+// acknowledged telemetry is lost — bounded by ctx. The drain is
 // two-phase: first every session is flagged stopping and scheduled
-// (O(1) per session), then the shard pools chew through the queues in
+// (O(1) per session), then the workers chew through the run queue in
 // parallel while Shutdown waits on the done channels. On deadline the
-// pools are left running so an external retry can finish the drain.
+// workers are left running so an external retry can finish the drain.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.closed.Store(true)
 	// Hang up the stream connections first: acked frames are already
@@ -253,16 +245,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	// to resend after reconnecting, exactly as on any dropped link.
 	m.closeStreams()
 
-	var ss []*Session
-	for _, sh := range m.shards {
-		sh.mu.RLock()
-		for _, s := range sh.sessions {
-			if s != nil {
-				ss = append(ss, s)
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	ss := m.List()
 	for _, s := range ss {
 		s.beginStop()
 	}
@@ -273,8 +256,115 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	for _, sh := range m.shards {
-		sh.stopWorkers()
-	}
+	m.stopWorkers()
 	return nil
+}
+
+// submit queues a session for execution. Only Session.schedule calls
+// this, after winning the idle→scheduled transition, so a session is
+// never queued twice.
+func (m *Manager) submit(s *Session) {
+	m.runMu.Lock()
+	m.runq = append(m.runq, s)
+	m.runMu.Unlock()
+	m.runCond.Signal()
+}
+
+// worker pops sessions off the run queue and executes one slice each.
+// On quit it drains whatever remains queued before exiting, so no
+// scheduled session is stranded.
+func (m *Manager) worker() {
+	defer m.workers.Done()
+	for {
+		m.runMu.Lock()
+		for m.head == len(m.runq) && !m.quit {
+			if m.head > 0 {
+				m.runq = m.runq[:0]
+				m.head = 0
+			}
+			m.runCond.Wait()
+		}
+		if m.head == len(m.runq) { // quit with an empty queue
+			m.runMu.Unlock()
+			return
+		}
+		s := m.runq[m.head]
+		m.runq[m.head] = nil
+		m.head++
+		m.runMu.Unlock()
+		s.runOnce()
+	}
+}
+
+// stopWorkers shuts the workers and the coaster down after the queued
+// work drains. Idempotent.
+func (m *Manager) stopWorkers() {
+	m.stopOnce.Do(func() {
+		m.runMu.Lock()
+		m.quit = true
+		m.runMu.Unlock()
+		m.runCond.Broadcast()
+		m.workers.Wait()
+		close(m.wcQuit)
+	})
+}
+
+// addWallClock registers a session with the coaster. Its first coast
+// deadline is one tick from now.
+func (m *Manager) addWallClock(s *Session) {
+	m.wcMu.Lock()
+	m.wall[s] = time.Now().Add(s.st.Tick())
+	m.wcMu.Unlock()
+}
+
+// resetWallClock pushes a session's coast deadline one tick out — used
+// by Resume so a long pause doesn't convert into a burst of coasts.
+func (m *Manager) resetWallClock(s *Session) {
+	m.wcMu.Lock()
+	if _, ok := m.wall[s]; ok {
+		m.wall[s] = time.Now().Add(s.st.Tick())
+	}
+	m.wcMu.Unlock()
+}
+
+// removeWallClock drops a session from the coaster.
+func (m *Manager) removeWallClock(s *Session) {
+	m.wcMu.Lock()
+	delete(m.wall, s)
+	m.wcMu.Unlock()
+}
+
+// coaster replaces one time.Ticker goroutine per wall-clock session
+// with a single sweep: every resolution interval it credits each due
+// session a coast tick and advances its deadline. A session that fell
+// far behind (the process was descheduled) is re-anchored to now rather
+// than burst-coasted.
+func (m *Manager) coaster() {
+	t := time.NewTicker(coasterResolution)
+	defer t.Stop()
+	for {
+		select {
+		case <-m.wcQuit:
+			return
+		case now := <-t.C:
+			m.wcMu.Lock()
+			for s, due := range m.wall {
+				if s.doneClosed() {
+					delete(m.wall, s)
+					continue
+				}
+				if now.Before(due) {
+					continue
+				}
+				tick := s.st.Tick()
+				due = due.Add(tick)
+				if due.Before(now) {
+					due = now.Add(tick)
+				}
+				m.wall[s] = due
+				s.coastTick()
+			}
+			m.wcMu.Unlock()
+		}
+	}
 }

@@ -51,8 +51,9 @@ var batchBounds = [numBatchBounds]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
 
 const numBatchBounds = 11
 
-// batchHist is a lock-free fixed-bucket histogram of ingest batch
-// sizes, written by every ingest handler concurrently. Buckets are
+// batchHist is a lock-free fixed-bucket histogram of accepted ingest
+// batch sizes, written by Session.EnqueueFlat from every ingest path
+// concurrently; its sum is FleetStatus.AcceptedSamples. Buckets are
 // independent atomics — a scrape may be torn across a single observe,
 // which Prometheus histograms tolerate by design.
 type batchHist struct {
@@ -72,10 +73,6 @@ func (h *batchHist) observe(samples int) {
 	}
 	h.counts[numBatchBounds].Add(1)
 }
-
-// noteIngest records the size of one accepted ingest batch, from
-// either path.
-func (m *Manager) noteIngest(samples int) { m.batchSizes.observe(samples) }
 
 // noteFrame counts one JSON telemetry POST; stream frames are counted
 // by ack result in noteStreamFrame.
@@ -124,7 +121,6 @@ func (m *Manager) noteStreamFrame(status byte) {
 type fleetMetrics struct {
 	FleetStatus
 	BatchCounts    [numBatchBounds + 1]uint64
-	BatchSum       float64
 	BatchTotal     uint64
 	StreamInflight int64
 	StreamFrames   [numAckStatuses]int64
@@ -147,7 +143,6 @@ func (m *Manager) fleetMetrics() fleetMetrics {
 	for i := range fm.BatchCounts {
 		fm.BatchCounts[i] = m.batchSizes.counts[i].Load()
 	}
-	fm.BatchSum = float64(m.batchSizes.sum.Load())
 	fm.BatchTotal = m.batchSizes.total.Load()
 	for i := range fm.StreamFrames {
 		fm.StreamFrames[i] = m.streamFrames[i].Load()
@@ -202,15 +197,10 @@ func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
 	reg := obs.NewRegistry()
 	reg.Gauge("padd_up", "Whether the daemon is serving.", "").Set("", 1)
 	reg.Gauge("padd_sessions", "Number of live sessions.", "").Set("", float64(len(rows)))
-
-	shardSessions := reg.Gauge("padd_shard_sessions", "Resident sessions per manager shard.", "shard")
-	for _, sh := range fm.Shards {
-		shardSessions.Set(strconv.Itoa(sh.Shard), float64(sh.Sessions))
-	}
 	frames := reg.Counter("padd_ingest_frames_total", "Telemetry ingest requests by wire format.", "format")
 	frames.Set("json", float64(fm.IngestFramesJSON))
 	reg.Histogram("padd_ingest_batch_size", "Samples per accepted ingest batch.", "", batchBounds[:]).
-		SetHistogram("", fm.BatchCounts[:], fm.BatchSum, fm.BatchTotal)
+		SetHistogram("", fm.BatchCounts[:], float64(fm.AcceptedSamples), fm.BatchTotal)
 	reg.Gauge("padd_stream_connections", "Live persistent ingest stream connections.", "").
 		Set("", float64(fm.StreamConnections))
 	streamFrames := reg.Counter("padd_stream_frames_total", "Stream data frames by ack result.", "result")
@@ -247,10 +237,6 @@ func writeSessionMetrics(w io.Writer, fm fleetMetrics, rows []metricsRow) {
 		fm.DetectionLatency)
 	setHist(reg.Histogram("padd_shed_latency_seconds", "Sim time from excursion onset to the first shedding tick.", "", detectionBounds[:]),
 		fm.ShedLatency)
-	shardSamples := reg.Counter("padd_shard_ingest_samples_total", "Telemetry samples accepted per manager shard.", "shard")
-	for _, sh := range fm.Shards {
-		shardSamples.Set(strconv.Itoa(sh.Shard), float64(sh.AcceptedSamples))
-	}
 	reg.Gauge("padd_go_goroutines", "Goroutines in the daemon process.", "").
 		Set("", float64(fm.Goroutines))
 	reg.Gauge("padd_go_heap_bytes", "Live heap bytes (runtime.MemStats.HeapAlloc).", "").

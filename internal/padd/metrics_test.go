@@ -60,8 +60,8 @@ func goldenRows() []metricsRow {
 }
 
 // goldenFleet is the matching deterministic manager-level snapshot:
-// two shards, JSON ingest exercised, a hand-set batch-size histogram,
-// and a live stream with every ack result represented.
+// JSON ingest exercised, a hand-set batch-size histogram, and a live
+// stream with every ack result represented.
 func goldenFleet() fleetMetrics {
 	fm := fleetMetrics{
 		FleetStatus: FleetStatus{
@@ -73,13 +73,12 @@ func goldenFleet() fleetMetrics {
 			ShedLatency:         HistogramStatus{Counts: []int64{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}, SumSeconds: 6.2, Count: 1},
 			IngestFramesJSON:    40,
 			StreamConnections:   2,
-			Shards:              []ShardStatus{{Shard: 0, Sessions: 1, AcceptedSamples: 4800}, {Shard: 1, Sessions: 1, AcceptedSamples: 50}},
+			AcceptedSamples:     4850,
 		},
 		StreamInflight: 3,
 		StreamFrames:   [numAckStatuses]int64{120, 4, 7, 1, 1},
 	}
 	fm.BatchCounts = [numBatchBounds + 1]uint64{5, 3, 10, 20, 8, 1, 0, 0, 0, 0, 1, 0}
-	fm.BatchSum = 4850
 	fm.BatchTotal = 48
 	fm.Goroutines = 17
 	fm.HeapBytes = 4 << 20
@@ -119,14 +118,13 @@ func TestMetricsGolden(t *testing.T) {
 // TestMetricsEmpty covers the no-session scrape: every family still
 // declares itself so dashboards see the schema before the first session.
 func TestMetricsEmpty(t *testing.T) {
-	mgr := NewManagerWith(Options{Shards: 1})
+	mgr := NewManager()
 	defer mgr.Shutdown(context.Background())
 	var buf bytes.Buffer
 	writeSessionMetrics(&buf, fleetMetrics{FleetStatus: mgr.Fleet()}, nil)
 	out := buf.String()
 	for _, want := range []string{
 		"padd_up 1\n", "padd_sessions 0\n",
-		"# TYPE padd_shard_sessions gauge\n",
 		"padd_ingest_frames_total{format=\"json\"} 0\n",
 		"# TYPE padd_ingest_batch_size histogram\n",
 		"padd_stream_connections 0\n",
@@ -141,7 +139,6 @@ func TestMetricsEmpty(t *testing.T) {
 		"padd_detection_onsets_total 0\n",
 		"# TYPE padd_detection_latency_seconds histogram\n",
 		"# TYPE padd_shed_latency_seconds histogram\n",
-		"# TYPE padd_shard_ingest_samples_total counter\n",
 		"padd_go_goroutines 0\n",
 		"padd_go_heap_bytes 0\n",
 		"# TYPE padd_go_gc_pauses histogram\n",

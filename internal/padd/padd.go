@@ -6,12 +6,13 @@
 //
 // Architecture:
 //
-//   - A Manager owns the sessions. Each Session is one PDU-scale
-//     control loop: a sim.Stepper (the exact per-tick machine the
-//     offline engine runs) driven by a single goroutine that drains a
-//     bounded telemetry queue. The hot path reuses the engine's
-//     allocation-free scratch machinery; cross-goroutine reads go
-//     through a mutex-guarded snapshot refreshed once per tick.
+//   - A Manager owns the sessions in one session table. Each Session is
+//     one PDU-scale control loop: a sim.Stepper (the exact per-tick
+//     machine the offline engine runs) fed from a bounded telemetry
+//     queue, which the manager's workers drain one slice at a time,
+//     never two at once for the same session. The hot path reuses the
+//     engine's allocation-free scratch machinery; cross-goroutine reads
+//     go through a mutex-guarded snapshot refreshed once per tick.
 //   - Telemetry arrives over HTTP as batches of per-server utilization
 //     samples, one sample per tick, by one of two paths: per-session
 //     JSON (POST /v1/sessions/{id}/telemetry) or binary frames for many
@@ -35,7 +36,7 @@
 //     records its key signals into bounded ring time series with
 //     tiered downsampling (GET /v1/sessions/{id}/series, zero
 //     allocations per tick, opt out with DisableSeries), and GET
-//     /v1/fleet serves O(shards) rollups — sessions per security level
+//     /v1/fleet serves counter rollups — sessions per security level
 //     and breaker-margin band, under-attack count, detection-latency
 //     histograms — that cmd/padtop renders as a terminal dashboard.
 //   - Replay: the bridge in replay.go pipes a generated trace through

@@ -312,7 +312,6 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.mgr.noteIngest(len(samples))
 	writeJSON(w, http.StatusAccepted, map[string]any{
 		"accepted":    len(samples),
 		"queue_depth": sess.queueLen(),
@@ -339,10 +338,6 @@ func (h hijackedConn) Read(p []byte) (int, error) { return h.r.Read(p) }
 // frame — the request lifecycle, not the wire format, bounds the POST
 // path's throughput.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if !s.mgr.Healthy() {
-		writeErr(w, http.StatusServiceUnavailable, ErrShuttingDown)
-		return
-	}
 	hj, ok := w.(http.Hijacker)
 	if !ok {
 		writeErr(w, http.StatusNotImplemented, errors.New("padd: streaming needs a hijackable connection"))
@@ -351,6 +346,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	conn, brw, err := hj.Hijack()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	// Register before the 101 goes out: a client holding its 101 is
+	// counted, and a Shutdown from then on hangs it up. A draining
+	// daemon refuses the registration, and the upgrade with it.
+	hc := hijackedConn{r: brw.Reader, Conn: conn}
+	if !s.mgr.registerStream(hc) {
+		body := `{"error":"` + ErrShuttingDown.Error() + `"}` + "\n"
+		fmt.Fprintf(brw, "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n"+
+			"Content-Length: %d\r\nConnection: close\r\n\r\n%s", len(body), body)
+		brw.Flush() //nolint:errcheck // the connection closes either way
+		conn.Close()
 		return
 	}
 	// The stream keeps the serving listener's idle limit, by net/http's
@@ -366,15 +373,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort on a live socket
 	if _, err := brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " +
-		StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n"); err != nil {
+		StreamProtocol + "\r\nConnection: Upgrade\r\n\r\n"); err != nil || brw.Flush() != nil {
+		s.mgr.unregisterStream(hc)
 		conn.Close()
 		return
 	}
-	if err := brw.Flush(); err != nil {
-		conn.Close()
-		return
-	}
-	s.mgr.serveStream(hijackedConn{r: brw.Reader, Conn: conn}, idle) //nolint:errcheck // connection-level errors end the stream
+	s.mgr.serveStream(hc, idle) //nolint:errcheck // connection-level errors end the stream
 }
 
 func (s *Server) handlePause(w http.ResponseWriter, r *http.Request) {

@@ -63,18 +63,18 @@ func putFlat(u []float64) {
 
 // Session scheduling states. A session is an actor: it owns engine
 // state that exactly one goroutine may touch at a time, but it has no
-// goroutine of its own — shard workers claim it through this state
-// machine whenever it has work, so 100k idle sessions cost memory, not
+// goroutine of its own — the manager's workers claim it through this
+// state machine whenever it has work, so idle sessions cost memory, not
 // scheduler load.
 const (
 	stateIdle      int32 = iota // no work pending, not queued
-	stateScheduled              // in its shard's run queue
+	stateScheduled              // in the manager's run queue
 	stateRunning                // claimed by an executor
 )
 
 // maxSliceBatches bounds how many queued batches one scheduling slice
 // processes before the session is requeued, so a firehosed session
-// cannot monopolize a shard worker.
+// cannot monopolize a worker.
 const maxSliceBatches = 8
 
 // maxCoastDebt caps how many wall-clock coast ticks can accumulate
@@ -111,7 +111,7 @@ type sessionMetrics struct {
 }
 
 // Session is one online PDU control loop: a sim.Stepper plus a bounded
-// telemetry queue, executed by its shard's worker. All engine
+// telemetry queue, executed by the manager's workers. All engine
 // state is confined to whichever executor holds the state machine's
 // running slot; the outside world sees the mutex-guarded snapshot, the
 // event log and the atomic ingest counters.
@@ -120,7 +120,7 @@ type Session struct {
 	cfg    SessionConfig
 	scheme sim.Scheme
 	st     *sim.Stepper
-	shard  *shard
+	mgr    *Manager
 
 	// Bounded ingest queue: a ring of flatBatch slots guarded by qmu
 	// that grows on demand up to cfg.QueueDepth, plus the pause/stop
@@ -169,7 +169,7 @@ type Session struct {
 	anomalies int64
 
 	// Executor-confined observability state: the session's current
-	// position in its shard's rollup buckets, the newest tick already
+	// position in the fleet rollup's buckets, the newest tick already
 	// appended to the series rings, and the open CUSUM excursion (if
 	// any) that detection/shed latencies are measured against.
 	rlLevel    int
@@ -180,10 +180,10 @@ type Session struct {
 	shedSeen   bool
 }
 
-// newSession builds a session and registers it with its shard's
+// newSession builds a session and registers it with the manager's
 // coaster when it ticks on wall clock. cfg must already have defaults
 // applied and be validated.
-func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
+func newSession(id string, cfg SessionConfig, m *Manager) (*Session, error) {
 	scheme, err := schemes.ByName(cfg.Scheme, schemes.Options{ServersPerRack: cfg.ServersPerRack})
 	if err != nil {
 		return nil, err
@@ -222,7 +222,7 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 		cfg:     cfg,
 		scheme:  scheme,
 		st:      st,
-		shard:   sh,
+		mgr:     m,
 		paused:  cfg.Paused,
 		done:    make(chan struct{}),
 		events:  events,
@@ -238,27 +238,27 @@ func newSession(id string, cfg SessionConfig, sh *shard) (*Session, error) {
 		s.series = newSessionSeries(st.Tick())
 	}
 	if cfg.MeterInterval.Duration > 0 {
-		m, err := metering.NewMeter(cfg.MeterInterval.Duration, 0, 1)
+		meter, err := metering.NewMeter(cfg.MeterInterval.Duration, 0, 1)
 		if err != nil {
 			return nil, err
 		}
-		s.meter = m
+		s.meter = meter
 		s.cusum = metering.NewCUSUMDetector(0)
 	}
 	s.snap.MinSOC = 1
 	s.snap.MeanSOC = 1
 	s.snap.MeanMicroSOC = -1
-	// Register in the shard rollup at the initial position (after the
+	// Register in the fleet rollup at the initial position (after the
 	// last fallible step, so an aborted construction never leaks a
 	// bucket); publish moves the counters as the engine changes state,
 	// rollupLeave vacates them on delete.
 	s.rlMargin = marginBucket(0)
-	sh.rollup.join(s.rlLevel, s.rlMargin)
+	m.rollup.join(s.rlLevel, s.rlMargin)
 	// An empty flush gives the log its header (scheme, tick, shape)
 	// before the first tick.
 	s.flushEvents()
 	if cfg.WallClock {
-		sh.addWallClock(s)
+		m.addWallClock(s)
 	}
 	return s, nil
 }
@@ -343,7 +343,7 @@ func (s *Session) EnqueueFlat(u []float64, samples int) error {
 	paused := s.paused
 	s.qmu.Unlock()
 	s.accepted.Add(int64(samples))
-	s.shard.rollup.samples.Add(int64(samples))
+	s.mgr.batchSizes.observe(samples)
 	s.lastIngest.Store(time.Now().UnixNano())
 	// A paused session holds its queue, so waking a worker would only
 	// no-op; Resume schedules when the pause lifts. (No lost wakeup: a
@@ -388,17 +388,17 @@ func (s *Session) pop() (flatBatch, bool) {
 	return b, true
 }
 
-// schedule queues the session onto its shard's run queue if it is not
+// schedule queues the session onto the manager's run queue if it is not
 // already queued or running. The idle→scheduled CAS guarantees at most
 // one outstanding run-queue entry per session.
 func (s *Session) schedule() {
 	if s.state.CompareAndSwap(stateIdle, stateScheduled) {
-		s.shard.submit(s)
+		s.mgr.submit(s)
 	}
 }
 
 // coastTick records one wall-clock tick owed by a late session (called
-// by the shard coaster). Debt beyond maxCoastDebt is dropped, like a
+// by the coaster). Debt beyond maxCoastDebt is dropped, like a
 // ticker dropping missed ticks.
 func (s *Session) coastTick() {
 	if s.coastDue.Load() < maxCoastDebt {
@@ -485,7 +485,7 @@ func (s *Session) pendingWork() bool {
 // Pause holds the session's ingest queue: queued and newly accepted
 // batches sit (degrading to backpressure once the queue fills) until
 // Resume. The counterpart of Resume, for quiescing a session without
-// losing its queue; a batch already claimed by a shard worker finishes
+// losing its queue; a batch already claimed by a worker finishes
 // its ticks first. Idempotent.
 func (s *Session) Pause() {
 	s.qmu.Lock()
@@ -501,7 +501,7 @@ func (s *Session) Resume() {
 	s.paused = false
 	s.qmu.Unlock()
 	if was && s.cfg.WallClock {
-		s.shard.resetWallClock(s)
+		s.mgr.resetWallClock(s)
 	}
 	s.schedule()
 }
@@ -516,8 +516,8 @@ func (s *Session) beginStop() {
 }
 
 // Stop drains the queued telemetry, finalizes the session and waits
-// for it. Idempotent; safe to call concurrently. Normally the shard
-// worker performs the drain; if it does not claim the session (it is
+// for it. Idempotent; safe to call concurrently. Normally a worker
+// performs the drain; if it does not claim the session (it is
 // saturated or already torn down), Stop claims the actor itself and
 // drains inline, so Stop never depends on worker liveness.
 func (s *Session) Stop() {
@@ -634,8 +634,8 @@ func (s *Session) step(u []float64) {
 				s.excursion = true
 				s.shedSeen = false
 				s.onset = r.Start
-				s.shard.det.onsets.Add(1)
-				s.shard.rollup.underAttack.Add(1)
+				s.mgr.det.onsets.Add(1)
+				s.mgr.rollup.underAttack.Add(1)
 			}
 			if flagged {
 				s.anomalies++
@@ -643,7 +643,7 @@ func (s *Session) step(u []float64) {
 					Tick: tick, Rack: -1, Kind: obs.KindAnomaly,
 					A: float64(r.Avg), B: float64(s.cusum.Baseline()),
 				})
-				s.shard.det.detect.observe(s.st.Now() - s.onset)
+				s.mgr.det.detect.observe(s.st.Now() - s.onset)
 				s.closeExcursion()
 			} else if s.excursion && s.cusum.Sum() == 0 {
 				s.closeExcursion() // decayed without crossing the decision level
@@ -656,7 +656,7 @@ func (s *Session) step(u []float64) {
 	// observable.
 	if s.excursion && !s.shedSeen && ts.ShedServers > 0 {
 		s.shedSeen = true
-		s.shard.det.shed.observe(s.st.Now() - s.onset)
+		s.mgr.det.shed.observe(s.st.Now() - s.onset)
 	}
 	if s.st.Done() && !s.finished {
 		s.finished = true
@@ -697,22 +697,22 @@ func (s *Session) flushEvents() {
 func (s *Session) closeExcursion() {
 	if s.excursion {
 		s.excursion = false
-		s.shard.rollup.underAttack.Add(-1)
+		s.mgr.rollup.underAttack.Add(-1)
 	}
 }
 
-// rollupLeave vacates the session's shard-rollup buckets. Called by the
+// rollupLeave vacates the session's fleet-rollup buckets. Called by the
 // manager after Stop has drained the session — the done channel is the
 // happens-before edge that makes reading the executor-confined bucket
 // positions safe.
 func (s *Session) rollupLeave() {
-	r := &s.shard.rollup
+	r := &s.mgr.rollup
 	r.levels[s.rlLevel].Add(-1)
 	r.margin[s.rlMargin].Add(-1)
 }
 
 // publish refreshes the cross-goroutine snapshot, appends the tick to
-// the observability rings and moves the session's shard-rollup buckets.
+// the observability rings and moves the session's fleet-rollup buckets.
 // Zero allocations in steady state: the snapshot is copied in place and
 // the rings were sized at creation.
 func (s *Session) publish(elapsed time.Duration) {
@@ -729,13 +729,13 @@ func (s *Session) publish(elapsed time.Duration) {
 		s.series.queue.Append(float64(s.queueLen()))
 	}
 	if lvl := int(ts.Level); lvl != s.rlLevel {
-		r := &s.shard.rollup
+		r := &s.mgr.rollup
 		r.levels[s.rlLevel].Add(-1)
 		r.levels[lvl].Add(1)
 		s.rlLevel = lvl
 	}
 	if mb := marginBucket(float64(ts.BreakerMargin)); mb != s.rlMargin {
-		r := &s.shard.rollup
+		r := &s.mgr.rollup
 		r.margin[s.rlMargin].Add(-1)
 		r.margin[mb].Add(1)
 		s.rlMargin = mb

@@ -187,11 +187,11 @@ func TestSoakConcurrentSessions(t *testing.T) {
 // gets per-session JSON POSTs, the other half persistent streams whose
 // connections are forcibly dropped mid-stream with acks unread and then
 // reconnected (resending the unacked frames, at-least-once) — then a
-// bounded concurrent Shutdown drains every shard. The lossless-ingest
+// bounded concurrent Shutdown drains every session. The lossless-ingest
 // invariant must hold on all 10k sessions; stream sessions may carry
 // duplicate samples from the resends but never fewer than were acked,
 // and nothing anywhere is discarded. Run under -race this is also the
-// concurrency proof for the sharded actor model: ingest, stream
+// concurrency proof for the actor model: ingest, stream
 // readers/ack writers, worker slices and shutdown all overlap.
 func TestSoakFleet10k(t *testing.T) {
 	if testing.Short() {
@@ -384,8 +384,10 @@ func TestSoakFleet10k(t *testing.T) {
 	for _, id := range ids[jsonN:] {
 		streamIDs[id] = true
 	}
+	var accepted int64
 	for _, s := range mgr.List() {
 		st := s.Status()
+		accepted += st.Accepted
 		if streamIDs[st.ID] {
 			// At-least-once across the forced disconnect: every acked
 			// sample landed, resends may have duplicated one frame.
@@ -412,30 +414,24 @@ func TestSoakFleet10k(t *testing.T) {
 	}
 
 	// The fleet rollup must account for every resident session exactly
-	// once in each occupancy distribution, and the per-shard sample
-	// counters must sum to at least one frame's worth per session
-	// (stream resends may add more).
+	// once in each occupancy distribution, and count every accepted
+	// sample exactly once, whichever path it came by.
 	fs := mgr.Fleet()
 	if fs.Sessions != nSessions {
 		t.Errorf("fleet sessions = %d, want %d", fs.Sessions, nSessions)
 	}
-	var levels, margins, shardSamples, shardSessions int64
+	var levels, margins int64
 	for _, n := range fs.LevelSessions {
 		levels += n
 	}
 	for _, n := range fs.MarginSessions {
 		margins += n
 	}
-	for _, sh := range fs.Shards {
-		shardSamples += sh.AcceptedSamples
-		shardSessions += int64(sh.Sessions)
+	if levels != nSessions || margins != nSessions {
+		t.Errorf("rollup occupancy: levels=%d margins=%d, want %d each", levels, margins, nSessions)
 	}
-	if levels != nSessions || margins != nSessions || shardSessions != nSessions {
-		t.Errorf("rollup occupancy: levels=%d margins=%d shardSessions=%d, want %d each",
-			levels, margins, shardSessions, nSessions)
-	}
-	if shardSamples < nSessions*samples {
-		t.Errorf("shard samples = %d, want ≥ %d", shardSamples, nSessions*samples)
+	if fs.AcceptedSamples != accepted {
+		t.Errorf("fleet accepted samples = %d, sessions accepted %d", fs.AcceptedSamples, accepted)
 	}
 
 	// The scrape must carry the fleet families with both paths counted.
@@ -445,7 +441,7 @@ func TestSoakFleet10k(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		"padd_shard_sessions{shard=\"0\"}",
+		"padd_sessions 10000\n",
 		"padd_ingest_frames_total{format=\"json\"}",
 		"padd_ingest_batch_size_count",
 		"padd_stream_connections",
@@ -453,7 +449,7 @@ func TestSoakFleet10k(t *testing.T) {
 		"padd_fleet_level_sessions{level=\"0\"}",
 		"padd_fleet_sessions_under_attack",
 		"padd_fleet_margin_watts{le=\"+Inf\"}",
-		"padd_shard_ingest_samples_total{shard=\"0\"}",
+		"padd_ingest_batch_size_sum",
 		"padd_go_goroutines",
 		"padd_go_heap_bytes",
 		"padd_go_gc_pauses_count",
@@ -467,7 +463,7 @@ func TestSoakFleet10k(t *testing.T) {
 // TestMaxSessions pins the -max-sessions contract: creates past the cap
 // get 503 with Retry-After, and deleting a session frees its slot.
 func TestMaxSessions(t *testing.T) {
-	mgr := padd.NewManagerWith(padd.Options{Shards: 2, MaxSessions: 2})
+	mgr := padd.NewManagerWith(padd.Options{MaxSessions: 2})
 	defer mgr.Shutdown(context.Background())
 	srv := httptest.NewServer(padd.NewServer(mgr))
 	defer srv.Close()

@@ -71,20 +71,17 @@ func (m *Manager) StreamConnections() int {
 	return len(m.streamConns)
 }
 
-// serveStream runs one upgraded POST /v1/stream connection until the
-// peer hangs up, the stream goes malformed, no frame arrives or no ack
-// write completes within idle (when idle > 0), or the manager shuts
-// down. The caller's goroutine is the per-connection reader; a second
-// goroutine writes acks. Every frame is acknowledged exactly once, in
-// order; a frame whose embedded payload goes syntactically bad is acked
-// AckMalformed (keeping the records that landed before the corruption)
-// and the connection is dropped, since a byte stream cannot resync past
-// corruption.
+// serveStream runs one upgraded POST /v1/stream connection, already
+// registered with registerStream, until the peer hangs up, the stream
+// goes malformed, no frame arrives or no ack write completes within
+// idle (when idle > 0), or the manager shuts down. The caller's
+// goroutine is the per-connection reader; a second goroutine writes
+// acks. Every frame is acknowledged exactly once, in order; a frame
+// whose embedded payload goes syntactically bad is acked AckMalformed
+// (keeping the records that landed before the corruption) and the
+// connection is dropped, since a byte stream cannot resync past
+// corruption. It closes and unregisters the connection on return.
 func (m *Manager) serveStream(conn net.Conn, idle time.Duration) error {
-	if !m.registerStream(conn) {
-		conn.Close()
-		return ErrShuttingDown
-	}
 	defer m.unregisterStream(conn)
 	defer conn.Close()
 

@@ -29,6 +29,9 @@ func TestStreamStalledAckReader(t *testing.T) {
 
 	srv, cli := net.Pipe()
 	defer cli.Close()
+	if !m.registerStream(srv) {
+		t.Fatal("registerStream refused a live manager")
+	}
 	done := make(chan error, 1)
 	go func() { done <- m.serveStream(srv, 100*time.Millisecond) }()
 	// The client only writes; its writes fail once serveStream hangs up.

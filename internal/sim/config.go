@@ -238,6 +238,9 @@ func (c Config) Validate() error {
 	if c.Tick <= 0 || c.Tick > c.Duration {
 		return fmt.Errorf("sim: tick %v invalid for duration %v", c.Tick, c.Duration)
 	}
+	if c.RecordStep < 0 {
+		return fmt.Errorf("sim: RecordStep must not be negative, got %v", c.RecordStep)
+	}
 	if c.Background != nil && len(c.Background) != c.Racks*c.ServersPerRack {
 		return fmt.Errorf("sim: background has %d series for %d servers",
 			len(c.Background), c.Racks*c.ServersPerRack)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -72,6 +73,11 @@ func TestRunValidation(t *testing.T) {
 	cfg.Attacks = []AttackSpec{{Servers: []int{999}, Attack: virus.MustNew(virus.Config{Profile: virus.CPUIntensive})}}
 	if _, err := Run(cfg, noopScheme{}); err == nil {
 		t.Error("out-of-range compromised server should fail")
+	}
+	cfg = smallConfig(time.Second)
+	cfg.Record, cfg.RecordStep = true, -time.Second
+	if _, err := Run(cfg, noopScheme{}); err == nil || !strings.Contains(err.Error(), "RecordStep") {
+		t.Errorf("negative RecordStep: err = %v, want an error naming RecordStep", err)
 	}
 }
 
