@@ -149,7 +149,7 @@ type loadgen struct {
 	posts   atomic.Int64
 	retries atomic.Int64
 	errors  atomic.Int64
-	hist    latencyHist
+	hist    rttHist
 }
 
 // createAll creates the fleet with -workers concurrent creators; with a
@@ -505,12 +505,12 @@ func (lg *loadgen) deleteAll(ids []string, workers int) error {
 	return nil
 }
 
-// latencyHist is a power-of-two histogram of POST round-trip times.
-type latencyHist struct {
+// rttHist is a power-of-two histogram of POST round-trip times.
+type rttHist struct {
 	counts [22]atomic.Int64 // bucket i: < 2^i * 16us; last is overflow
 }
 
-func (h *latencyHist) observe(d time.Duration) {
+func (h *rttHist) observe(d time.Duration) {
 	us := d.Microseconds() / 16
 	b := 0
 	for us > 0 && b < len(h.counts)-1 {
@@ -521,7 +521,7 @@ func (h *latencyHist) observe(d time.Duration) {
 }
 
 // report prints p50/p90/p99/max estimated from bucket upper bounds.
-func (h *latencyHist) report(w io.Writer) {
+func (h *rttHist) report(w io.Writer) {
 	var counts [22]int64
 	total := int64(0)
 	for i := range h.counts {

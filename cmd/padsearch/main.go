@@ -52,7 +52,6 @@ func main() {
 		jsonlPath   = flag.String("jsonl", "", "write every evaluation as JSONL here")
 		corpusDir   = flag.String("corpus", "", "write each scheme's worst case as a scenario file into this directory, with outcomes pinned for all six schemes")
 		progress    = flag.Bool("progress", true, "narrate search phases on stderr")
-		metricsOut  = flag.Bool("metrics", false, "dump search metrics to stderr on exit")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
 	logFlags := obs.AddLogFlags(flag.CommandLine)
@@ -102,14 +101,12 @@ func main() {
 		env.NodesPerGroup = 3
 	}
 
-	reg := obs.NewRegistry()
 	cfg := attacksearch.Config{
 		Schemes: names,
 		Budget:  *budget,
 		Seed:    *seed,
 		Workers: *workers,
 		Env:     env,
-		Metrics: attacksearch.NewMetrics(reg),
 	}
 	if *progress {
 		cfg.Progress = func(format string, args ...any) {
@@ -148,11 +145,6 @@ func main() {
 	}
 	if err := attacksearch.Summarize(os.Stdout, rep); err != nil {
 		fatal(err)
-	}
-	if *metricsOut {
-		if err := reg.Write(os.Stderr); err != nil {
-			fatal(err)
-		}
 	}
 }
 

@@ -50,7 +50,6 @@ func main() {
 		stopOnTrip  = flag.Bool("stop-on-trip", true, "end the run at the first breaker trip")
 		compare     = flag.Bool("compare", false, "run all six schemes and chart their survival")
 		tracePath   = flag.String("trace", "", "write an engine event trace to this file for cmd/padtrace (with -compare, the scheme name is inserted before the extension)")
-		traceFormat = flag.String("trace-format", "jsonl", "trace format: jsonl (padtrace input) or chrome (Perfetto / chrome://tracing)")
 		chart       = flag.Bool("chart", false, "plot the cluster feed draw and mean battery SOC over the run")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for -compare (1 = sequential)")
 		showVersion = flag.Bool("version", false, "print version and exit")
@@ -117,7 +116,7 @@ func main() {
 
 	opts := schemes.Options{ServersPerRack: *spr}
 	if *compare {
-		runComparison(cfg, mkAttacks, opts, *microFrac, *workers, *tracePath, *traceFormat)
+		runComparison(cfg, mkAttacks, opts, *microFrac, *workers, *tracePath)
 		return
 	}
 	cfg.Attacks = mkAttacks()
@@ -138,7 +137,7 @@ func main() {
 	}
 	var trace *tracerFile
 	if *tracePath != "" {
-		trace, err = openTrace(*tracePath, *traceFormat)
+		trace, err = openTrace(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
@@ -220,23 +219,14 @@ type tracerFile struct {
 	f  *os.File
 }
 
-// openTrace creates path and attaches a fresh tracer flushing to it in
-// the flagged format.
-func openTrace(path, format string) (*tracerFile, error) {
-	var mk func(*os.File) obs.Sink
-	switch format {
-	case "jsonl":
-		mk = func(f *os.File) obs.Sink { return obs.NewJSONLSink(f) }
-	case "chrome":
-		mk = func(f *os.File) obs.Sink { return obs.NewChromeSink(f) }
-	default:
-		return nil, fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", format)
-	}
+// openTrace creates path and attaches a fresh tracer flushing JSONL to
+// it.
+func openTrace(path string) (*tracerFile, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, err
 	}
-	return &tracerFile{tr: obs.NewTracer(0, mk(f)), f: f}, nil
+	return &tracerFile{tr: obs.NewTracer(0, obs.NewJSONLSink(f)), f: f}, nil
 }
 
 // close flushes the trace footer and closes the file.
@@ -261,7 +251,7 @@ func comparePath(path, scheme string) string {
 // every scheme faces the identical scenario and the bars are independent
 // of the worker count.
 func runComparison(base sim.Config, mkAttacks func() []sim.AttackSpec,
-	opts schemes.Options, microFrac float64, workers int, tracePath, traceFormat string) {
+	opts schemes.Options, microFrac float64, workers int, tracePath string) {
 	type entry struct {
 		name  string
 		mk    func() sim.Scheme
@@ -292,7 +282,7 @@ func runComparison(base sim.Config, mkAttacks func() []sim.AttackSpec,
 				}
 				// Each concurrent run writes its own per-scheme trace file
 				// through its own tracer; goroutine confinement holds.
-				trace, err := openTrace(comparePath(tracePath, e.name), traceFormat)
+				trace, err := openTrace(comparePath(tracePath, e.name))
 				if err != nil {
 					return nil, err
 				}

@@ -3,7 +3,6 @@ package attacksearch
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/schemes"
 	"repro/internal/stats"
@@ -29,38 +28,6 @@ type Config struct {
 	// Progress, when non-nil, receives one line per search phase —
 	// coarse narration, not per-evaluation spam.
 	Progress func(format string, args ...any)
-	// Metrics, when non-nil, counts evaluations and trips per scheme.
-	Metrics *Metrics
-}
-
-// Metrics instruments searches through an obs.Registry.
-type Metrics struct {
-	evals, trips, best *obs.Family
-}
-
-// NewMetrics declares the attack-search metric families on reg.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{
-		evals: reg.Counter("attacksearch_evaluations_total", "Candidate attacks evaluated.", "scheme"),
-		trips: reg.Counter("attacksearch_trips_total", "Evaluated attacks that tripped a breaker.", "scheme"),
-		best:  reg.Gauge("attacksearch_best_score", "Best attack score found so far.", "scheme"),
-	}
-}
-
-func (m *Metrics) record(scheme string, o Outcome) {
-	if m == nil {
-		return
-	}
-	m.evals.Add(scheme, 1)
-	if o.Tripped {
-		m.trips.Add(scheme, 1)
-	}
-}
-
-func (m *Metrics) bestScore(scheme string, score float64) {
-	if m != nil {
-		m.best.Set(scheme, score)
-	}
 }
 
 // Evaluation is one scored candidate, in evaluation order.
@@ -171,10 +138,8 @@ func searchScheme(cfg Config, env Env, scheme string, seed uint64, bg []*stats.S
 			}
 			ev := &sr.Evals[idx[j]]
 			ev.Outcome = r.Value
-			cfg.Metrics.record(scheme, r.Value)
 			if best == nil || r.Value.Score > best.Outcome.Score {
 				best = ev
-				cfg.Metrics.bestScore(scheme, r.Value.Score)
 			}
 			if bestIdx < 0 || r.Value.Score > sr.Evals[bestIdx].Outcome.Score {
 				bestIdx = idx[j]

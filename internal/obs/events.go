@@ -1,9 +1,8 @@
 // Package obs is the engine's observability layer: structured per-tick
-// event tracing, a Prometheus-style metrics registry, structured-logging
-// flag plumbing, and offline trace analysis. Its Event is the one event
-// vocabulary of the repository: an offline traced run (padsim -trace)
-// and a live padd session log the same records, so cmd/padtrace reads
-// either.
+// event tracing, tiered time series, structured-logging flag plumbing,
+// and offline trace analysis. Its Event is the one event vocabulary of
+// the repository: an offline traced run (padsim -trace) and a live padd
+// session log the same records, so cmd/padtrace reads either.
 //
 // Everything in this package obeys two contracts the simulator imposes:
 //
@@ -13,8 +12,8 @@
 //   - Determinism. Events carry simulation time only (tick indices) —
 //     never wall clock — so a traced run's event stream is a pure
 //     function of the run's inputs, bit-identical at any sweep worker count
-//     and across machines. All rendering (JSON, Chrome trace) happens at
-//     flush time, outside the tick loop.
+//     and across machines. All rendering (JSONL) happens at flush time,
+//     outside the tick loop.
 //
 // Every emission is edge-triggered — a level transition, a trip, a
 // rising overload or heat edge, a new minimum, a shed-set change, a phase

@@ -148,61 +148,3 @@ func ReadJSONL(r io.Reader) (Meta, []Event, Footer, error) {
 	}
 	return meta, events, foot, nil
 }
-
-// ChromeSink writes the trace in Chrome trace-event format (the JSON
-// array flavor), loadable in Perfetto and chrome://tracing: each event
-// becomes an instant event at its simulation offset, with cluster-scope
-// events on track 0 and rack i on track i+1.
-type ChromeSink struct {
-	w     *bufio.Writer
-	wrote bool
-}
-
-// NewChromeSink wraps w. The caller owns closing the underlying writer
-// after the sink's Close.
-func NewChromeSink(w io.Writer) *ChromeSink {
-	return &ChromeSink{w: bufio.NewWriter(w)}
-}
-
-// Write implements Sink.
-func (s *ChromeSink) Write(meta Meta, events []Event) error {
-	if !s.wrote {
-		if _, err := fmt.Fprintf(s.w,
-			"[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":%q}}",
-			"padsim "+meta.Scheme); err != nil {
-			return err
-		}
-		s.wrote = true
-	}
-	for _, e := range events {
-		tid := int32(0)
-		scope := "g"
-		if e.Rack >= 0 {
-			tid = e.Rack + 1
-			scope = "t"
-		}
-		ts := float64(meta.Time(e.Tick)) / float64(time.Microsecond)
-		if _, err := fmt.Fprintf(s.w,
-			",\n{\"name\":%q,\"ph\":\"i\",\"ts\":%g,\"pid\":0,\"tid\":%d,\"s\":%q,\"args\":{\"a\":%g,\"b\":%g}}",
-			e.Kind.String(), ts, tid, scope, e.A, e.B); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close implements Sink, terminating the JSON array.
-func (s *ChromeSink) Close(dropped uint64) error {
-	lead := ",\n"
-	if !s.wrote {
-		if _, err := s.w.WriteString("["); err != nil {
-			return err
-		}
-		lead = ""
-	}
-	if _, err := fmt.Fprintf(s.w,
-		"%s{\"name\":\"trace_summary\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"dropped\":%d}}]\n", lead, dropped); err != nil {
-		return err
-	}
-	return s.w.Flush()
-}

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 )
@@ -123,35 +121,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip:\ngot  %v\nwant %v", got, want)
-	}
-}
-
-// TestChromeSinkValidJSON checks the Chrome trace-event output is one
-// valid JSON array, with and without events.
-func TestChromeSinkValidJSON(t *testing.T) {
-	for _, n := range []int{0, 3} {
-		var buf bytes.Buffer
-		tr := NewTracer(0, NewChromeSink(&buf))
-		tr.SetMeta(testMeta())
-		for i := 0; i < n; i++ {
-			tr.Emit(Event{Tick: int64(i * 10), Rack: int32(i - 1), Kind: KindShed, A: float64(i)})
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		var arr []map[string]any
-		if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
-			t.Fatalf("n=%d: invalid chrome trace JSON: %v\n%s", n, err, buf.String())
-		}
-		if n > 0 {
-			// process_name metadata + n events + summary.
-			if len(arr) != n+2 {
-				t.Fatalf("n=%d: %d records, want %d", n, len(arr), n+2)
-			}
-			if !strings.Contains(buf.String(), "\"ph\":\"i\"") {
-				t.Fatalf("no instant events in %s", buf.String())
-			}
-		}
 	}
 }
 

@@ -31,37 +31,11 @@ func marginBucket(w float64) int {
 	return numMarginBounds
 }
 
-// detectionBounds are the detection/shed latency histogram bucket upper
-// bounds in seconds of simulated time. With the default 5s metering
-// interval a single-interval detection lands at 5–10s; the tail covers
-// slow-burn excursions that accumulate across many intervals.
-var detectionBounds = [numDetBounds]float64{1, 2.5, 5, 7.5, 10, 15, 30, 60, 120, 300}
-
-const numDetBounds = 10
-
-// detHist is a lock-free fixed-bucket histogram of sim-time latencies,
-// written by the workers concurrently. The sum is kept in integer
-// nanoseconds so concurrent observes never lose precision to a float
-// CAS loop; scrapes may tear across one observe, which Prometheus
-// histograms tolerate by design.
-type detHist struct {
-	counts   [numDetBounds + 1]atomic.Uint64 // +Inf bucket last
-	sumNanos atomic.Int64
-	total    atomic.Uint64
-}
-
-func (h *detHist) observe(d time.Duration) {
-	h.sumNanos.Add(int64(d))
-	h.total.Add(1)
-	s := d.Seconds()
-	for i, b := range detectionBounds {
-		if s <= b {
-			h.counts[i].Add(1)
-			return
-		}
-	}
-	h.counts[numDetBounds].Add(1)
-}
+// detectionLayout buckets the detection and shed latencies in
+// nanoseconds of simulated time. With the default 5s metering interval
+// a single-interval detection lands at 5–10s; the tail covers slow-burn
+// excursions that accumulate across many intervals.
+var detectionLayout = newHistLayout(1e9, 1e9, 2.5e9, 5e9, 7.5e9, 10e9, 15e9, 30e9, 60e9, 120e9, 300e9)
 
 // detectionStats is the manager-wide detection-latency accounting,
 // shared by every worker. An "onset" is the tick the CUSUM statistic
@@ -72,8 +46,8 @@ func (h *detHist) observe(d time.Duration) {
 // measure the defense, not the host's scheduling.
 type detectionStats struct {
 	onsets atomic.Int64
-	detect detHist
-	shed   detHist
+	detect histogram
+	shed   histogram
 }
 
 // fleetRollup is the lock-cheap fleet aggregate: independent atomics
@@ -209,20 +183,6 @@ func OccupancyQuantile(bounds []float64, counts []int64, q float64, unit string)
 	return fmt.Sprintf(">%g%s", bounds[len(bounds)-1], unit)
 }
 
-// status reads the histogram into its JSON view.
-func (h *detHist) status() HistogramStatus {
-	hs := HistogramStatus{
-		BoundsSeconds: detectionBounds[:],
-		Counts:        make([]int64, len(h.counts)),
-		SumSeconds:    float64(h.sumNanos.Load()) / 1e9,
-		Count:         int64(h.total.Load()),
-	}
-	for i := range h.counts {
-		hs.Counts[i] = int64(h.counts[i].Load())
-	}
-	return hs
-}
-
 // Fleet snapshots the fleet rollup, the one read of the fleet's
 // counters behind both GET /v1/fleet and the fleet families of
 // /metrics. Reads only the rollup's atomics and the session table —
@@ -241,7 +201,7 @@ func (m *Manager) Fleet() FleetStatus {
 
 		IngestFramesJSON:  m.framesJSON.Load(),
 		StreamConnections: m.StreamConnections(),
-		AcceptedSamples:   int64(m.batchSizes.sum.Load()),
+		AcceptedSamples:   m.batchSizes.sum.Load(),
 	}
 	m.mu.RLock()
 	for _, s := range m.sessions {

@@ -254,13 +254,13 @@ func BenchmarkSessionPublishSeries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.publish(time.Microsecond) // warm: the first append sizes the rings
+	s.publish(s.st.Stats(), time.Microsecond) // warm: the first append sizes the rings
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// The paused engine never advances, so reset the one-sample-per-
 		// tick guard to force the full append path every op.
 		s.seriesTick = -1
-		s.publish(time.Microsecond)
+		s.publish(s.st.Stats(), time.Microsecond)
 	}
 }

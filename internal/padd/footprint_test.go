@@ -2,6 +2,7 @@ package padd_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -250,5 +251,38 @@ func TestCreateRejectsOversizedConfig(t *testing.T) {
 	}
 	if code, body := c.post("/v1/sessions", map[string]any{"id": "neg", "racks": 1, "servers_per_rack": 2}); code != http.StatusCreated {
 		t.Fatalf("create after a rejected record_step: HTTP %d: %s, want 201", code, body)
+	}
+}
+
+// TestCreateSkipsTakenIDs checks that a create without an id takes the
+// next s<N> no client has taken: after an explicit "s1", the id-less
+// create is "s2", through Create and over HTTP.
+func TestCreateSkipsTakenIDs(t *testing.T) {
+	small := padd.SessionConfig{Scheme: "Conv", Racks: 1, ServersPerRack: 2}
+	named := small
+	named.ID = "s1"
+
+	mgr := padd.NewManager()
+	defer mgr.Shutdown(context.Background())
+	if _, err := mgr.Create(named); err != nil {
+		t.Fatal(err)
+	}
+	s, err := mgr.Create(small)
+	if err != nil || s.ID() != "s2" {
+		t.Fatalf("id-less Create after s1: %v, %v; want s2", s, err)
+	}
+
+	other := padd.NewManager()
+	defer other.Shutdown(context.Background())
+	srv := httptest.NewServer(padd.NewServer(other))
+	defer srv.Close()
+	c := &soakClient{t: t, base: srv.URL}
+	if code, body := c.post("/v1/sessions", named); code != http.StatusCreated {
+		t.Fatalf("create s1: HTTP %d: %s", code, body)
+	}
+	code, body := c.post("/v1/sessions", small)
+	var st padd.SessionStatus
+	if err := json.Unmarshal(body, &st); code != http.StatusCreated || err != nil || st.ID != "s2" {
+		t.Fatalf("id-less create after s1: HTTP %d: %s, want 201 for s2", code, body)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,11 +42,12 @@ type Manager struct {
 	opts Options
 
 	// sessions maps id to session; a nil value reserves an id whose
-	// session is under construction.
+	// session is under construction. nextID numbers the sessions created
+	// without an id.
 	mu       sync.RWMutex
 	sessions map[string]*Session
+	nextID   int64
 
-	nextID atomic.Int64
 	closed atomic.Bool
 	count  atomic.Int64 // resident and reserved sessions, for MaxSessions
 
@@ -64,8 +66,11 @@ type Manager struct {
 	wall   map[*Session]time.Time
 	wcQuit chan struct{}
 
+	// framesJSON counts JSON telemetry POSTs; batchSizes observes every
+	// accepted batch from either path, so its sum is the fleet's
+	// accepted samples.
 	framesJSON atomic.Int64
-	batchSizes batchHist
+	batchSizes histogram
 
 	// rollup and det are the fleet aggregates the executing workers
 	// update in place.
@@ -77,7 +82,7 @@ type Manager struct {
 	// cycle under gcMu.
 	gcMu      sync.Mutex
 	lastNumGC uint32
-	gcPauses  gcHist
+	gcPauses  histogram
 
 	// Persistent-stream state: live connections (closed on Shutdown),
 	// frames acked but not yet written (the in-flight window gauge) and
@@ -102,6 +107,10 @@ func NewManagerWith(opts Options) *Manager {
 		wall:     make(map[*Session]time.Time),
 		wcQuit:   make(chan struct{}),
 	}
+	m.batchSizes.layout = batchLayout
+	m.gcPauses.layout = gcPauseLayout
+	m.det.detect.layout = detectionLayout
+	m.det.shed.layout = detectionLayout
 	m.runCond = sync.NewCond(&m.runMu)
 	n := runtime.GOMAXPROCS(0)
 	m.workers.Add(n)
@@ -140,11 +149,17 @@ func (m *Manager) Create(cfg SessionConfig) (*Session, error) {
 		return nil, ErrSessionLimit
 	}
 
-	if cfg.ID == "" {
-		cfg.ID = fmt.Sprintf("s%d", m.nextID.Add(1))
-	}
 	m.mu.Lock()
-	if _, dup := m.sessions[cfg.ID]; dup {
+	if cfg.ID == "" {
+		// The next s<N> that no client has taken.
+		for {
+			m.nextID++
+			cfg.ID = "s" + strconv.FormatInt(m.nextID, 10)
+			if _, taken := m.sessions[cfg.ID]; !taken {
+				break
+			}
+		}
+	} else if _, dup := m.sessions[cfg.ID]; dup {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("padd: session %q already exists", cfg.ID)
 	}

@@ -102,7 +102,6 @@ type sessionMetrics struct {
 	Coasts        int64
 	Discarded     int64
 	Anomalies     int64
-	Hist          latencyHist
 
 	// Filled in by metrics() from atomics / queue state.
 	Accepted   int64
@@ -156,6 +155,10 @@ type Session struct {
 
 	mu   sync.Mutex
 	snap sessionMetrics
+
+	// latency observes each tick's wall time; lock-free, so it lives
+	// beside the snapshot rather than in it.
+	latency histogram
 
 	// Executor-confined state (touched only while holding stateRunning).
 	trace     *obs.Tracer
@@ -248,6 +251,7 @@ func newSession(id string, cfg SessionConfig, m *Manager) (*Session, error) {
 	s.snap.MinSOC = 1
 	s.snap.MeanSOC = 1
 	s.snap.MeanMicroSOC = -1
+	s.latency.layout = latencyLayout
 	// Register in the fleet rollup at the initial position (after the
 	// last fallible step, so an aborted construction never leaks a
 	// bucket); publish moves the counters as the engine changes state,
@@ -343,7 +347,7 @@ func (s *Session) EnqueueFlat(u []float64, samples int) error {
 	paused := s.paused
 	s.qmu.Unlock()
 	s.accepted.Add(int64(samples))
-	s.mgr.batchSizes.observe(samples)
+	s.mgr.batchSizes.observe(int64(samples))
 	s.lastIngest.Store(time.Now().UnixNano())
 	// A paused session holds its queue, so waking a worker would only
 	// no-op; Resume schedules when the pause lifts. (No lost wakeup: a
@@ -580,7 +584,7 @@ func (s *Session) processFlat(b flatBatch) {
 	for i := 0; i < b.samples; i++ {
 		if s.st.Done() {
 			s.discarded += int64(b.samples - i)
-			s.publish(0)
+			s.publish(s.st.Stats(), 0)
 			break
 		}
 		u := b.u[i*servers : (i+1)*servers]
@@ -643,7 +647,7 @@ func (s *Session) step(u []float64) {
 					Tick: tick, Rack: -1, Kind: obs.KindAnomaly,
 					A: float64(r.Avg), B: float64(s.cusum.Baseline()),
 				})
-				s.mgr.det.detect.observe(s.st.Now() - s.onset)
+				s.mgr.det.detect.observe(int64(s.st.Now() - s.onset))
 				s.closeExcursion()
 			} else if s.excursion && s.cusum.Sum() == 0 {
 				s.closeExcursion() // decayed without crossing the decision level
@@ -656,14 +660,14 @@ func (s *Session) step(u []float64) {
 	// observable.
 	if s.excursion && !s.shedSeen && ts.ShedServers > 0 {
 		s.shedSeen = true
-		s.mgr.det.shed.observe(s.st.Now() - s.onset)
+		s.mgr.det.shed.observe(int64(s.st.Now() - s.onset))
 	}
 	if s.st.Done() && !s.finished {
 		s.finished = true
 		s.trace.Emit(obs.Event{Tick: tick, Rack: -1, Kind: obs.KindFinished})
 	}
 	s.flushEvents()
-	s.publish(elapsed)
+	s.publish(ts, elapsed)
 }
 
 // tickEvents bounds the events one tick can log, which sizes the
@@ -711,12 +715,12 @@ func (s *Session) rollupLeave() {
 	r.margin[s.rlMargin].Add(-1)
 }
 
-// publish refreshes the cross-goroutine snapshot, appends the tick to
-// the observability rings and moves the session's fleet-rollup buckets.
+// publish refreshes the cross-goroutine snapshot from the engine's
+// stats ts, appends the tick to the observability rings, moves the
+// session's fleet-rollup buckets and observes the tick's wall time.
 // Zero allocations in steady state: the snapshot is copied in place and
 // the rings were sized at creation.
-func (s *Session) publish(elapsed time.Duration) {
-	ts := s.st.Stats()
+func (s *Session) publish(ts sim.TickStats, elapsed time.Duration) {
 	if s.series != nil && int64(ts.Ticks) != s.seriesTick {
 		// One sample per engine tick, so bucket index maps to sim time
 		// (index × step × tick); the discard path republishes without
@@ -756,8 +760,8 @@ func (s *Session) publish(elapsed time.Duration) {
 	s.snap.Coasts = s.coasts
 	s.snap.Discarded = s.discarded
 	s.snap.Anomalies = s.anomalies
-	if elapsed > 0 {
-		s.snap.Hist.observe(elapsed)
-	}
 	s.mu.Unlock()
+	if elapsed > 0 {
+		s.latency.observe(int64(elapsed))
+	}
 }
