@@ -2,6 +2,7 @@ package attacksearch
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/runner"
 	"repro/internal/schemes"
@@ -10,8 +11,8 @@ import (
 
 // Config shapes one attack search.
 type Config struct {
-	// Schemes lists the defenses to search against. Empty selects all
-	// six (schemes.SchemeNames order).
+	// Schemes lists the defenses to search against, each at most once.
+	// Empty selects all six (schemes.SchemeNames order).
 	Schemes []string
 	// Budget is the evaluation budget per scheme. 0 selects 400 — enough
 	// for the seeding pass to cover the space and the descent to
@@ -67,9 +68,12 @@ func Search(cfg Config) (*Report, error) {
 	if len(cfg.Schemes) == 0 {
 		cfg.Schemes = schemes.SchemeNames
 	}
-	for _, name := range cfg.Schemes {
+	for i, name := range cfg.Schemes {
 		if _, err := schemes.ByName(name, schemes.Options{}); err != nil {
 			return nil, err
+		}
+		if slices.Contains(cfg.Schemes[:i], name) {
+			return nil, fmt.Errorf("attacksearch: scheme %q listed twice", name)
 		}
 	}
 	env := cfg.Env.withDefaults()

@@ -3,9 +3,11 @@ package attacksearch
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -40,6 +42,18 @@ func render(t *testing.T, rep *Report) (csv, jsonl []byte) {
 		t.Fatal(err)
 	}
 	return c.Bytes(), j.Bytes()
+}
+
+// TestSearchRejectsRepeatedScheme: a scheme listed twice would be
+// searched twice, with every frontier row doubled, so Search refuses
+// the list and names the scheme.
+func TestSearchRejectsRepeatedScheme(t *testing.T) {
+	for _, list := range [][]string{{"PAD", "PAD"}, {"Conv", "PAD", "Conv"}} {
+		_, err := Search(Config{Schemes: list, Budget: 2, Env: quickEnv()})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", list[0])) {
+			t.Errorf("Search(%q) error = %v, want one naming %s", list, err, list[0])
+		}
+	}
 }
 
 // TestSearchDeterminism is the harness's core property: the frontier CSV

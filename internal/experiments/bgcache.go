@@ -47,31 +47,28 @@ func cachedTraceBackground(servers int, horizon, step time.Duration, seed uint64
 
 func cachedBurstyRampBackground(servers int, lo, hi float64, horizon time.Duration,
 	seed uint64, burstEvery, burstLen time.Duration, burstBoost float64) []*stats.Series {
-	out, _ := bgCache.get(
+	return bgCache.mustGet(
 		bgKey{
 			kind: "burstyRamp", servers: servers, lo: lo, hi: hi, horizon: horizon, seed: seed,
 			burstEvery: burstEvery, burstLen: burstLen, burstBoost: burstBoost,
 		},
-		func() ([]*stats.Series, error) {
-			return burstyRampBackground(servers, lo, hi, horizon, seed, burstEvery, burstLen, burstBoost), nil
+		func() []*stats.Series {
+			return burstyRampBackground(servers, lo, hi, horizon, seed, burstEvery, burstLen, burstBoost)
 		})
-	return out
 }
 
 func cachedFlatNoisyBackground(servers int, mean float64, horizon time.Duration, seed uint64) []*stats.Series {
-	out, _ := bgCache.get(
+	return bgCache.mustGet(
 		bgKey{kind: "flatNoisy", servers: servers, lo: mean, hi: mean, horizon: horizon, seed: seed},
-		func() ([]*stats.Series, error) {
-			return stats.NoisyUtilization(servers, mean, horizon, 10*time.Second, seed), nil
+		func() []*stats.Series {
+			return stats.NoisyUtilization(servers, mean, horizon, 10*time.Second, seed)
 		})
-	return out
 }
 
 func cachedFineNoisyBackground(servers int, mean float64, horizon time.Duration, seed uint64) []*stats.Series {
-	out, _ := bgCache.get(
+	return bgCache.mustGet(
 		bgKey{kind: "fineNoisy", servers: servers, lo: mean, hi: mean, horizon: horizon, seed: seed},
-		func() ([]*stats.Series, error) {
-			return fineNoisyBackground(servers, mean, horizon, seed), nil
+		func() []*stats.Series {
+			return fineNoisyBackground(servers, mean, horizon, seed)
 		})
-	return out
 }

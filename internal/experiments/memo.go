@@ -1,12 +1,17 @@
 package experiments
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // memo is a process-wide singleflight cache for pure computations: the
 // first caller for a key builds its value under that key's Once, while
 // latecomers for the same key block only on that entry, not on the
-// whole cache. Every caller for a key sees the same value or error.
-// Values are shared, so they must be read-only once built.
+// whole cache. Every caller for a key sees the same value or error; a
+// build that panics panics its own caller and leaves every later caller
+// an error, never a zero value posing as the result. Values are shared,
+// so they must be read-only once built.
 //
 // The experiments use two: the background utilization series
 // (bgcache.go) and Figure 16's attack-free reference throughput
@@ -35,6 +40,25 @@ func (c *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
 		c.m[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.v, e.err = build() })
+	e.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				e.err = fmt.Errorf("experiments: memoized build for %v panicked: %v", key, r)
+				panic(r)
+			}
+		}()
+		e.v, e.err = build()
+	})
 	return e.v, e.err
+}
+
+// mustGet is get for a build that cannot fail: the only error it can
+// meet is an earlier caller's panicking build, which it raises again
+// rather than return the zero value.
+func (c *memo[K, V]) mustGet(key K, build func() V) V {
+	v, err := c.get(key, func() (V, error) { return build(), nil })
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -33,6 +33,20 @@ const DVFSExponent = 2.4
 // shedding.
 const SleepPower units.Watts = 20
 
+// dvfsFrac is the fractional part math.Pow splits off the float64
+// DVFSExponent-1 before taking Exp(y·Log(x)): 1.4 rounds to a float64
+// just below it, so this is 0.3999999999999999, not 0.4.
+var _, dvfsFrac = math.Modf(DVFSExponent - 1)
+
+// DVFSFreq inverts the DVFS law for saturated servers: the frequency at
+// which dynamic power falls to ratio ∈ (0, 1] of its full-frequency
+// value, ratio^(1/DVFSExponent). The exponent is below 1/2 and has no
+// integer part, so for any ratio in (0, 1] math.Pow reduces to exactly
+// this Exp/Log product; TestDVFSClosedForms pins the two bit for bit.
+func DVFSFreq(ratio float64) float64 {
+	return math.Exp((1 / DVFSExponent) * math.Log(ratio))
+}
+
 // Power returns the draw of a server running at demanded utilization
 // util ∈ [0,1] with its clock scaled to freq ∈ (0,1]. When demand exceeds
 // the scaled capacity the server saturates at the capped frequency.
@@ -47,7 +61,7 @@ func (m ServerModel) Power(util, freq float64) units.Watts {
 // evaluation are bit-identical.
 type PowerCoef struct {
 	freq  float64 // clamped frequency
-	scale float64 // Pow(freq, DVFSExponent-1)
+	scale float64 // freq^(DVFSExponent-1)
 	idle  units.Watts
 	span  float64 // float64(Peak - Idle)
 }
@@ -56,11 +70,15 @@ type PowerCoef struct {
 func (m ServerModel) PowerCoef(freq float64) PowerCoef {
 	f := clampFreq(freq)
 	// Dynamic power scales with the voltage/frequency operating point.
-	// math.Pow(1, y) == 1 exactly for any y, so the uncapped fast path
-	// skips the call without changing a bit.
+	// For f in [0.1, 1) math.Pow(f, DVFSExponent-1) is exactly f times
+	// Exp(dvfsFrac·Log(f)): Pow's Frexp/Ldexp bookkeeping for the integer
+	// part 1 rescales by a power of two, which rounds nothing at these
+	// magnitudes, and none of its special cases applies
+	// (TestDVFSClosedForms). Pow(1, y) == 1 exactly, so the uncapped fast
+	// path skips both calls without changing a bit.
 	scale := 1.0
 	if f != 1 {
-		scale = math.Pow(f, DVFSExponent-1)
+		scale = f * math.Exp(dvfsFrac*math.Log(f))
 	}
 	return PowerCoef{freq: f, scale: scale, idle: m.Idle, span: float64(m.Peak - m.Idle)}
 }

@@ -2,6 +2,7 @@ package powersim
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -139,6 +140,39 @@ func TestFullPowerExact(t *testing.T) {
 				t.Errorf("%+v: FullPower().Power(%v) = %v (%#x), PowerCoef(1).Power %v (%#x)",
 					m, u, got, math.Float64bits(float64(got)), want, math.Float64bits(float64(want)))
 			}
+		}
+	}
+}
+
+// TestDVFSClosedForms pins the engine's two DVFS powers to math.Pow bit
+// for bit: PowerCoef's freq^(DVFSExponent-1) over the frequencies the
+// clamp lets through it, [0.1, 1), and DVFSFreq's ratio^(1/DVFSExponent)
+// over (0, 1]. Each range gets its edges, a dense grid and uniform
+// random points; the ratios also get random bit patterns, which spread
+// over every binade down to the smallest subnormal.
+func TestDVFSClosedForms(t *testing.T) {
+	const n = 1 << 18
+	rng := rand.New(rand.NewPCG(1, 2))
+	freqs := []float64{0.1, math.Nextafter(0.1, 1), 0.5, math.Nextafter(1, 0)}
+	ratios := []float64{
+		1, math.Nextafter(1, 0), 0.5, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+		math.SmallestNonzeroFloat64,
+	}
+	for k := range n {
+		freqs = append(freqs, 0.1+0.9*float64(k)/n, 0.1+0.9*rng.Float64())
+		ratios = append(ratios, float64(k+1)/n, 1-rng.Float64(),
+			math.Float64frombits(1+rng.Uint64N(math.Float64bits(1))))
+	}
+	for _, f := range freqs {
+		if got, want := DL585G5.PowerCoef(f).scale, math.Pow(f, DVFSExponent-1); got != want {
+			t.Fatalf("PowerCoef(%v).scale = %v (%#x), math.Pow %v (%#x)",
+				f, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, r := range ratios {
+		if got, want := DVFSFreq(r), math.Pow(r, 1/DVFSExponent); got != want {
+			t.Fatalf("DVFSFreq(%v) = %v (%#x), math.Pow %v (%#x)",
+				r, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 }

@@ -19,8 +19,6 @@
 package schemes
 
 import (
-	"math"
-
 	"repro/internal/battery"
 	"repro/internal/powersim"
 	"repro/internal/sim"
@@ -119,7 +117,7 @@ func capFreqFor(awakeServers int, demand, target units.Watts, floor float64) flo
 	if dynT <= 0 {
 		return floor
 	}
-	f := math.Pow(dynT/dyn, 1/powersim.DVFSExponent)
+	f := powersim.DVFSFreq(dynT / dyn)
 	if f < floor {
 		return floor
 	}
