@@ -65,6 +65,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := checkShape(*racks, *spr); err != nil {
+		fatal(err)
+	}
 	if err := prof.Start(); err != nil {
 		fatal(err)
 	}
@@ -114,18 +117,14 @@ func main() {
 		return []sim.AttackSpec{{Servers: servers, Attack: atk}}
 	}
 
-	opts := schemes.Options{ServersPerRack: *spr}
 	if *compare {
-		runComparison(cfg, mkAttacks, opts, *microFrac, *workers, *tracePath)
+		runComparison(cfg, mkAttacks, *microFrac, *workers, *tracePath)
 		return
 	}
 	cfg.Attacks = mkAttacks()
-	scheme, err := schemes.ByName(*schemeName, opts)
+	scheme, err := schemes.Deploy(&cfg, *schemeName, *microFrac)
 	if err != nil {
 		fatal(err)
-	}
-	if schemes.NeedsMicroDEB(*schemeName) {
-		cfg.MicroDEBFactory = schemes.MicroDEBFactory(*microFrac)
 	}
 
 	if *chart {
@@ -204,6 +203,18 @@ func renderTimeline(rec *sim.Recording) {
 	}
 }
 
+// checkShape rejects a cluster shape with no servers before the
+// background is sized from it.
+func checkShape(racks, spr int) error {
+	if racks < 1 {
+		return fmt.Errorf("-racks must be at least 1, got %d", racks)
+	}
+	if spr < 1 {
+		return fmt.Errorf("-servers-per-rack must be at least 1, got %d", spr)
+	}
+	return nil
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "padsim:", err)
 	if prof != nil {
@@ -251,43 +262,30 @@ func comparePath(path, scheme string) string {
 // every scheme faces the identical scenario and the bars are independent
 // of the worker count.
 func runComparison(base sim.Config, mkAttacks func() []sim.AttackSpec,
-	opts schemes.Options, microFrac float64, workers int, tracePath string) {
-	type entry struct {
-		name  string
-		mk    func() sim.Scheme
-		micro bool
-	}
-	var entries []entry
-	for _, name := range schemes.SchemeNames {
-		name := name
-		entries = append(entries, entry{
-			name:  name,
-			mk:    func() sim.Scheme { s, _ := schemes.ByName(name, opts); return s },
-			micro: schemes.NeedsMicroDEB(name),
-		})
-	}
+	microFrac float64, workers int, tracePath string) {
 	var jobs []runner.Job[*sim.Result]
-	for _, e := range entries {
+	for _, name := range schemes.SchemeNames {
 		jobs = append(jobs, runner.Job[*sim.Result]{
-			Key: "padsim/compare/" + e.name,
+			Key: "padsim/compare/" + name,
 			Run: func() (*sim.Result, error) {
 				cfg := base
-				cfg.Key = "padsim/compare/" + e.name
+				cfg.Key = "padsim/compare/" + name
 				cfg.Attacks = mkAttacks()
-				if e.micro {
-					cfg.MicroDEBFactory = schemes.MicroDEBFactory(microFrac)
+				scheme, err := schemes.Deploy(&cfg, name, microFrac)
+				if err != nil {
+					return nil, err
 				}
 				if tracePath == "" {
-					return sim.Run(cfg, e.mk())
+					return sim.Run(cfg, scheme)
 				}
 				// Each concurrent run writes its own per-scheme trace file
 				// through its own tracer; goroutine confinement holds.
-				trace, err := openTrace(comparePath(tracePath, e.name))
+				trace, err := openTrace(comparePath(tracePath, name))
 				if err != nil {
 					return nil, err
 				}
 				cfg.Trace = trace.tr
-				res, err := sim.Run(cfg, e.mk())
+				res, err := sim.Run(cfg, scheme)
 				if cerr := trace.close(); err == nil {
 					err = cerr
 				}
@@ -300,9 +298,9 @@ func runComparison(base sim.Config, mkAttacks func() []sim.AttackSpec,
 		fatal(err)
 	}
 	chart := &report.BarChart{Title: "Survival time (s) under this scenario"}
-	for i, e := range entries {
+	for i, name := range schemes.SchemeNames {
 		res := results[i]
-		label := e.name
+		label := name
 		if !res.Tripped {
 			label += " (no trip)"
 		}
@@ -312,8 +310,8 @@ func runComparison(base sim.Config, mkAttacks func() []sim.AttackSpec,
 		fatal(err)
 	}
 	if tracePath != "" {
-		for _, e := range entries {
-			fmt.Printf("trace: %-5s %s\n", e.name, comparePath(tracePath, e.name))
+		for _, name := range schemes.SchemeNames {
+			fmt.Printf("trace: %-5s %s\n", name, comparePath(tracePath, name))
 		}
 	}
 }

@@ -22,7 +22,7 @@ func ExampleRun() {
 		})},
 		StopOnTrip: true,
 	}
-	res, err := padsec.Run(cfg, padsec.NewConv(padsec.SchemeOptions{ServersPerRack: 5}))
+	res, err := padsec.Run(cfg, padsec.NewConv(padsec.SchemeOptions{}))
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -52,7 +52,7 @@ func ExampleNewPAD() {
 		MicroDEBFactory: padsec.NewMicroDEBFactory(0.01),
 		StopOnTrip:      true,
 	}
-	res, err := padsec.Run(cfg, padsec.NewPAD(padsec.SchemeOptions{ServersPerRack: 5}))
+	res, err := padsec.Run(cfg, padsec.NewPAD(padsec.SchemeOptions{}))
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -254,29 +254,24 @@ func (s Scenario) Background() []*stats.Series {
 // nothing and does not stop on trip — callers layer their own policy on
 // top (Evaluate stops on trip, the corpus replay runs the full horizon).
 func (s Scenario) SimConfig(schemeName string, bg []*stats.Series) (sim.Config, sim.Scheme, error) {
-	scheme, err := schemes.ByName(schemeName, schemes.Options{ServersPerRack: s.ServersPerRack})
-	if err != nil {
-		return sim.Config{}, nil, err
-	}
-	specs, err := s.AttackSpecs()
-	if err != nil {
-		return sim.Config{}, nil, err
-	}
-	if bg == nil {
-		bg = s.Background()
-	}
 	cfg := sim.Config{
 		Key:            "attacksearch/" + s.Name + "/" + schemeName,
 		Racks:          s.Racks,
 		ServersPerRack: s.ServersPerRack,
 		Tick:           s.Tick(),
 		Duration:       s.Duration(),
-		Background:     bg,
-		Attacks:        specs,
 	}
-	if schemes.NeedsMicroDEB(schemeName) {
-		cfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
+	scheme, err := schemes.Deploy(&cfg, schemeName, schemes.DefaultMicroFraction)
+	if err != nil {
+		return sim.Config{}, nil, err
 	}
+	if cfg.Attacks, err = s.AttackSpecs(); err != nil {
+		return sim.Config{}, nil, err
+	}
+	if bg == nil {
+		bg = s.Background()
+	}
+	cfg.Background = bg
 	return cfg, scheme, nil
 }
 
@@ -328,8 +323,13 @@ func LoadScenario(path string) (Scenario, error) {
 	return s, nil
 }
 
-// WriteScenario writes one scenario file in the canonical encoding.
+// WriteScenario writes one scenario file in the canonical encoding. A
+// scenario that fails Validate, which LoadCorpus would reject, is not
+// written.
 func WriteScenario(path string, s Scenario) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
 		return err

@@ -3,6 +3,8 @@ package attacksearch
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -104,6 +106,21 @@ func TestScenarioValidate(t *testing.T) {
 	}
 	if err := validScenario().Validate(); err != nil {
 		t.Fatalf("valid scenario rejected: %v", err)
+	}
+}
+
+// TestWriteScenarioValidates: a scenario LoadCorpus would reject, here
+// a 2 h horizon, is refused with Validate's reason and leaves no file.
+func TestWriteScenarioValidates(t *testing.T) {
+	s := validScenario()
+	s.DurationS = 7200
+	path := filepath.Join(t.TempDir(), "long.json")
+	err := WriteScenario(path, s)
+	if err == nil || !strings.Contains(err.Error(), "duration 7200 s out of (0,3600]") {
+		t.Fatalf("WriteScenario(7200 s) error = %v, want the duration bound", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("rejected scenario left a file: stat error %v", err)
 	}
 }
 

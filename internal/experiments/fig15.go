@@ -86,10 +86,7 @@ func Fig15(p Params) (*Fig15Result, error) {
 						vc.PrepDuration = 3 * time.Minute
 						vc.MaxPhaseI = 3 * time.Minute
 						cfg.Attacks = []sim.AttackSpec{attackSpec(4, vc)}
-						if schemes.NeedsMicroDEB(name) {
-							cfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
-						}
-						scheme, err := schemes.ByName(name, schemes.Options{})
+						scheme, err := schemes.Deploy(&cfg, name, schemes.DefaultMicroFraction)
 						if err != nil {
 							return nil, err
 						}

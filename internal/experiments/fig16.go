@@ -32,8 +32,8 @@ func fig16Schemes() []string { return []string{"PS", "PSPC", "Conv", "PAD"} }
 // fig16Config is the attack-free cluster Figure 16 measures. Breakers
 // stay live: outage is exactly the throughput cost the conventional
 // designs pay. Apart from key, which the run only echoes, it depends on
-// the scheme, the seed and Quick alone.
-func fig16Config(p Params, key, name string) sim.Config {
+// the seed and Quick alone.
+func fig16Config(p Params, key string) sim.Config {
 	racks := scaleInt(p, 12, 6)
 	const spr = 10
 	horizon := scaleDur(p, 30*time.Minute, 8*time.Minute)
@@ -42,7 +42,7 @@ func fig16Config(p Params, key, name string) sim.Config {
 	// feeds are restored after two minutes of operator recovery, so the
 	// throughput cost of each design's failures scales with how often the
 	// attack defeats it.
-	cfg := sim.Config{
+	return sim.Config{
 		Key:            key,
 		Racks:          racks,
 		ServersPerRack: spr,
@@ -52,10 +52,6 @@ func fig16Config(p Params, key, name string) sim.Config {
 		BatteryFactory: smallCabinet,
 		RestoreAfter:   2 * time.Minute,
 	}
-	if schemes.NeedsMicroDEB(name) {
-		cfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
-	}
-	return cfg
 }
 
 // fig16RefKey is everything a scheme's attack-free reference run
@@ -74,15 +70,7 @@ var fig16Refs memo[fig16RefKey, float64]
 // cluster with no attack, the denominator of every point.
 func fig16Reference(p Params, name string) (float64, error) {
 	ref, err := fig16Refs.get(fig16RefKey{name, p.seed(), p.Quick}, func() (float64, error) {
-		scheme, err := schemes.ByName(name, schemes.Options{})
-		if err != nil {
-			return 0, err
-		}
-		res, err := sim.Run(fig16Config(p, "fig16/"+name+"/reference", name), scheme)
-		if err != nil {
-			return 0, err
-		}
-		return res.Throughput, nil
+		return fig16Throughput(fig16Config(p, "fig16/"+name+"/reference"), name)
 	})
 	if err == nil && ref == 0 {
 		err = fmt.Errorf("experiments: reference throughput is zero")
@@ -92,8 +80,8 @@ func fig16Reference(p Params, name string) (float64, error) {
 
 // fig16AttackedConfig is the Figure 16 cluster under a four-node CPU
 // attack firing spikes of the given width and rate.
-func fig16AttackedConfig(p Params, key, name string, width time.Duration, perMinute float64) sim.Config {
-	cfg := fig16Config(p, key, name)
+func fig16AttackedConfig(p Params, key string, width time.Duration, perMinute float64) sim.Config {
+	cfg := fig16Config(p, key)
 	cfg.Attacks = []sim.AttackSpec{attackSpec(4, virus.Config{
 		Profile:         virus.CPUIntensive,
 		PrepDuration:    5 * time.Second,
@@ -105,14 +93,14 @@ func fig16AttackedConfig(p Params, key, name string, width time.Duration, perMin
 	return cfg
 }
 
-// fig16Attacked returns the scheme's throughput on the Figure 16
-// cluster under attack.
-func fig16Attacked(p Params, key, name string, width time.Duration, perMinute float64) (float64, error) {
-	scheme, err := schemes.ByName(name, schemes.Options{})
+// fig16Throughput deploys the named scheme on a Figure 16 cluster and
+// returns the run's throughput.
+func fig16Throughput(cfg sim.Config, name string) (float64, error) {
+	scheme, err := schemes.Deploy(&cfg, name, schemes.DefaultMicroFraction)
 	if err != nil {
 		return 0, err
 	}
-	res, err := sim.Run(fig16AttackedConfig(p, key, name, width, perMinute), scheme)
+	res, err := sim.Run(cfg, scheme)
 	if err != nil {
 		return 0, err
 	}
@@ -144,7 +132,9 @@ func fig16Sweep(p Params, fig string, attacks []fig16Attack) ([]float64, error) 
 			key := fig + "/" + name + "/" + a.key
 			jobs = append(jobs, runner.Job[float64]{
 				Key: key,
-				Run: func() (float64, error) { return fig16Attacked(p, key, name, a.width, a.perMinute) },
+				Run: func() (float64, error) {
+					return fig16Throughput(fig16AttackedConfig(p, key, a.width, a.perMinute), name)
+				},
 			})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/battery"
 	"repro/internal/cost"
+	"repro/internal/powersim"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/schemes"
@@ -49,7 +50,7 @@ func Fig17(p Params) (*Fig17Result, error) {
 	bg := cachedFlatNoisyBackground(racks*spr, 0.31, horizon, p.seed()+41)
 
 	capex := cost.CapexModel{}
-	nameplate := units.Watts(521 * spr)
+	nameplate := powersim.DL585G5.Peak * spr
 	vdebCap := battery.SizeForAutonomy(nameplate, battery.RackCabinetAutonomy, 0, 0)
 
 	out := &Fig17Result{}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/battery"
+	"repro/internal/powersim"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/schemes"
@@ -174,8 +175,8 @@ func Fig7(p Params) (*Fig7Result, error) {
 		return nil, err
 	}
 	res := runs[0]
-	nameplate := 521.0 * spr
-	budget := units.Watts(0.75 * nameplate)
+	nameplate := powersim.DL585G5.Peak * spr
+	budget := 0.75 * nameplate
 	limit := budget * 1.08
 	tbl := report.NewTable(
 		"Figure 7 — effective power attack demo",

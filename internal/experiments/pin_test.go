@@ -78,11 +78,11 @@ func TestResultPinned(t *testing.T) {
 	p := Params{Quick: true}
 	var got bytes.Buffer
 	for _, name := range []string{"PSPC", "PAD"} {
-		scheme, err := schemes.ByName(name, schemes.Options{})
+		cfg, scheme, err := fig15DenseCPU(p, name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(fig15DenseCPUConfig(p, name), scheme)
+		res, err := sim.Run(cfg, scheme)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,9 +109,9 @@ func TestResultPinned(t *testing.T) {
 	checkPinned(t, "result_bits.txt", got.Bytes())
 }
 
-// fig15DenseCPUConfig is Fig15's run for one scheme under the dense CPU
-// attack, configured the way Fig15 builds it.
-func fig15DenseCPUConfig(p Params, name string) sim.Config {
+// fig15DenseCPU is Fig15's run for one scheme under the dense CPU
+// attack, configured and deployed the way Fig15 builds it.
+func fig15DenseCPU(p Params, name string) (sim.Config, sim.Scheme, error) {
 	racks := scaleInt(p, 22, 6)
 	const spr = 10
 	horizon := fig15Horizon(p)
@@ -130,8 +130,6 @@ func fig15DenseCPUConfig(p Params, name string) sim.Config {
 	vc.PrepDuration = 3 * time.Minute
 	vc.MaxPhaseI = 3 * time.Minute
 	cfg.Attacks = []sim.AttackSpec{attackSpec(4, vc)}
-	if schemes.NeedsMicroDEB(name) {
-		cfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
-	}
-	return cfg
+	scheme, err := schemes.Deploy(&cfg, name, schemes.DefaultMicroFraction)
+	return cfg, scheme, err
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/metering"
+	"repro/internal/powersim"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/schemes"
@@ -153,7 +154,7 @@ func table1Run(p Params, key string, servers int, scale float64, width time.Dura
 	}
 	// Baseline: what the monitor expects of this rack — idle-plus-mean
 	// background power.
-	baseline := units.Watts(10 * (299 + 0.50*(521-299)))
+	baseline := powersim.DL585G5.Power(0.50, 1) * spr
 	return res.Recording, atk.Attack.SpikeTimes(), baseline, nil
 }
 

@@ -135,7 +135,7 @@ func TestEventLogBusyTicks(t *testing.T) {
 		}
 	}
 
-	scheme, err := schemes.ByName("uDEB", schemes.Options{ServersPerRack: spr})
+	scheme, err := schemes.ByName("uDEB", schemes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func figure9Stepper(t *testing.T, record bool) *sim.Stepper {
 	for i := range attacked {
 		attacked[i] = i
 	}
-	scheme, err := schemes.ByName("PAD", schemes.Options{ServersPerRack: fig9SPR})
+	scheme, err := schemes.ByName("PAD", schemes.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,10 +203,6 @@ func replayScheme(cfg ReplayConfig, name string, bg []*stats.Series, mgr *Manage
 // runOffline reproduces sim.Run by hand with tracer attached, copying
 // each tick's demand.
 func runOffline(cfg ReplayConfig, name string, bg []*stats.Series, tracer *obs.Tracer) (*sim.Result, [][]float64, error) {
-	scheme, err := schemes.ByName(name, schemes.Options{ServersPerRack: cfg.ServersPerRack})
-	if err != nil {
-		return nil, nil, err
-	}
 	simCfg := sim.Config{
 		Key:            "replay/offline/" + name,
 		Racks:          cfg.Racks,
@@ -218,8 +214,9 @@ func runOffline(cfg ReplayConfig, name string, bg []*stats.Series, tracer *obs.T
 		RecordStep:     cfg.Tick,
 		Trace:          tracer,
 	}
-	if schemes.NeedsMicroDEB(name) {
-		simCfg.MicroDEBFactory = schemes.MicroDEBFactory(schemes.DefaultMicroFraction)
+	scheme, err := schemes.Deploy(&simCfg, name, schemes.DefaultMicroFraction)
+	if err != nil {
+		return nil, nil, err
 	}
 	switch {
 	case cfg.AttackFactory != nil:

@@ -187,10 +187,6 @@ type Session struct {
 // coaster when it ticks on wall clock. cfg must already have defaults
 // applied and be validated.
 func newSession(id string, cfg SessionConfig, m *Manager) (*Session, error) {
-	scheme, err := schemes.ByName(cfg.Scheme, schemes.Options{ServersPerRack: cfg.ServersPerRack})
-	if err != nil {
-		return nil, err
-	}
 	simCfg := sim.Config{
 		Key:                   "padd/" + id,
 		Racks:                 cfg.Racks,
@@ -202,8 +198,9 @@ func newSession(id string, cfg SessionConfig, m *Manager) (*Session, error) {
 		Record:                cfg.Record,
 		RecordStep:            cfg.RecordStep.Duration,
 	}
-	if schemes.NeedsMicroDEB(cfg.Scheme) {
-		simCfg.MicroDEBFactory = schemes.MicroDEBFactory(cfg.MicroFraction)
+	scheme, err := schemes.Deploy(&simCfg, cfg.Scheme, cfg.MicroFraction)
+	if err != nil {
+		return nil, err
 	}
 	events := newEventRing(cfg.EventLog)
 	simCfg.Trace = obs.NewTracer(tickEvents(cfg), events)

@@ -14,7 +14,7 @@ type Conv struct {
 
 // NewConv builds the conventional baseline.
 func NewConv(opts Options) *Conv {
-	return &Conv{chargers{opts: opts.withDefaults()}}
+	return &Conv{chargers{opts: opts}}
 }
 
 // Name implements sim.Scheme.
@@ -36,7 +36,7 @@ type PS struct {
 
 // NewPS builds the peak-shaving baseline.
 func NewPS(opts Options) *PS {
-	return &PS{chargers{opts: opts.withDefaults()}}
+	return &PS{chargers{opts: opts}}
 }
 
 // Name implements sim.Scheme.
@@ -67,7 +67,7 @@ type PSPC struct {
 
 // NewPSPC builds the PS-plus-power-capping baseline.
 func NewPSPC(opts Options) *PSPC {
-	return &PSPC{chargers: chargers{opts: opts.withDefaults()}}
+	return &PSPC{chargers: chargers{opts: opts}}
 }
 
 // Name implements sim.Scheme.

@@ -15,7 +15,8 @@ var SchemeNames = []string{"Conv", "PS", "PSPC", "uDEB", "vDEB", "PAD"}
 
 // ByName constructs a fresh instance of the named scheme. Scheme
 // instances carry per-run controller state, so every sim.Run (and every
-// online padd session) needs its own.
+// online padd session) needs its own. Deploy also installs the hardware
+// the scheme needs.
 func ByName(name string, opts Options) (sim.Scheme, error) {
 	switch name {
 	case "Conv":
@@ -35,9 +36,16 @@ func ByName(name string, opts Options) (sim.Scheme, error) {
 	}
 }
 
-// NeedsMicroDEB reports whether the named scheme deploys μDEB hardware
-// on every rack (uDEB and the full PAD defense).
-func NeedsMicroDEB(name string) bool { return name == "uDEB" || name == "PAD" }
+// Deploy constructs the named scheme with default options and installs
+// in cfg the hardware it needs: uDEB and the full PAD defense get a μDEB
+// bank on every rack holding microFraction of the rack battery's energy.
+func Deploy(cfg *sim.Config, name string, microFraction float64) (sim.Scheme, error) {
+	scheme, err := ByName(name, Options{})
+	if err == nil && (name == "uDEB" || name == "PAD") {
+		cfg.MicroDEBFactory = MicroDEBFactory(microFraction)
+	}
+	return scheme, err
+}
 
 // DefaultMicroFraction is the μDEB sizing outside Figure 17's sweep: 1%
 // of the rack cabinet's energy, about 0.7 Wh on the evaluated rack, the

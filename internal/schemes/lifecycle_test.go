@@ -98,9 +98,10 @@ func TestPADLifecycle(t *testing.T) {
 func TestVDEBSaturatedPoolEvenDuty(t *testing.T) {
 	s := NewVDEB(Options{PIdeal: 200})
 	view := sim.ClusterView{
-		Tick:        100 * time.Millisecond,
-		PDUBudget:   6000,
-		TotalDemand: 9000, // shave 3000 >> 2×200
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      6000,
+		TotalDemand:    9000, // shave 3000 >> 2×200
 		Racks: []sim.RackView{
 			{Demand: 4500, Budget: 3000, BatterySOC: 0.9, BatteryMax: 5000, BatteryMaxCharge: 100},
 			{Demand: 4500, Budget: 3000, BatterySOC: 0.2, BatteryMax: 5000, BatteryMaxCharge: 100},
@@ -119,9 +120,10 @@ func TestVDEBSaturatedPoolEvenDuty(t *testing.T) {
 func TestUDEBRequestsMicroCharge(t *testing.T) {
 	s := NewUDEB(Options{})
 	view := sim.ClusterView{
-		Tick:        100 * time.Millisecond,
-		PDUBudget:   8000,
-		TotalDemand: 4000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      8000,
+		TotalDemand:    4000,
 		Racks: []sim.RackView{
 			{Demand: 2000, Budget: 4000, BatterySOC: 1, BatteryMax: 2000,
 				BatteryMaxCharge: 100, MicroSOC: 0.5},
@@ -144,9 +146,10 @@ func TestPADStrictOptionStartsAtL2(t *testing.T) {
 	mk := func(strict bool) core.Level {
 		s := NewPAD(Options{Strict: strict})
 		view := sim.ClusterView{
-			Tick:        100 * time.Millisecond,
-			PDUBudget:   8000,
-			TotalDemand: 4000,
+			Tick:           100 * time.Millisecond,
+			ServersPerRack: 10,
+			PDUBudget:      8000,
+			TotalDemand:    4000,
 			Racks: []sim.RackView{
 				// Healthy battery, drained μDEB.
 				{Demand: 4000, Budget: 4000, BatterySOC: 1, BatteryMax: 5000,

@@ -26,9 +26,8 @@ type PAD struct {
 
 // NewPAD builds the full defense.
 func NewPAD(opts Options) *PAD {
-	opts = opts.withDefaults()
 	saving := powersim.DL585G5.Power(0.5, 1) - powersim.SleepPower
-	shedder, err := core.NewShedder(opts.ShedRatio, saving)
+	shedder, err := core.NewShedder(0, saving) // 0: the paper's 3% bound
 	if err != nil {
 		panic(err) // defaults guarantee valid arguments
 	}
@@ -52,8 +51,11 @@ func (s *PAD) Level() core.Level {
 
 // PlanInto implements sim.Scheme.
 func (s *PAD) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action {
+	// PIdeal feeds the policy inputs, which come before the pool's plan.
+	s.planner.resolve(view)
+	pIdeal := s.planner.ctrl.PIdeal
 	smoothed := s.gov.observe(view)
-	inputs := s.policyInputs(view, smoothedTotal(smoothed))
+	inputs := policyInputs(view, smoothedTotal(smoothed), pIdeal)
 	if s.policy == nil {
 		// The first tick selects the Figure-9 initial state; stepping the
 		// fresh policy with the same inputs would double-apply them (a
@@ -103,9 +105,9 @@ func (s *PAD) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action 
 		if budget == 0 {
 			budget = v.Budget
 		}
-		covered := budget + units.Min(v.BatteryMax, s.opts.PIdeal)
+		covered := budget + units.Min(v.BatteryMax, pIdeal)
 		if smoothed[i] > covered {
-			desired[i] = capFreqFor(s.opts.ServersPerRack, smoothed[i], covered, floor)
+			desired[i] = capFreqFor(view.ServersPerRack, smoothed[i], covered, floor)
 		}
 	}
 	applied := s.gov.submit(desired, view.Tick)
@@ -120,7 +122,7 @@ func (s *PAD) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action 
 	// small recharge reserve so the exhausted backups can recover.
 	var poolCover units.Watts
 	for _, v := range view.Racks {
-		poolCover += units.Min(v.BatteryMax, s.opts.PIdeal)
+		poolCover += units.Min(v.BatteryMax, pIdeal)
 	}
 	shortfall := smoothedTotal(smoothed) - view.PDUBudget
 	uncovered := shortfall - poolCover
@@ -137,8 +139,8 @@ func (s *PAD) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action 
 			target = shortfall + view.PDUBudget/50
 		}
 		if target > 0 {
-			counts, _ := s.shedder.Plan(target, socs, s.opts.ServersPerRack,
-				s.opts.ServersPerRack*len(view.Racks))
+			counts, _ := s.shedder.Plan(target, socs, view.ServersPerRack,
+				view.ServersPerRack*len(view.Racks))
 			for i := range acts {
 				acts[i].ShedServers = counts[i]
 			}
@@ -154,19 +156,12 @@ func (s *PAD) PlanInto(view sim.ClusterView, scratch []sim.Action) []sim.Action 
 // collapsed is "empty" for defense purposes long before its nominal SOC
 // reads zero, and that is what a battery-management system senses through
 // terminal voltage.
-func (s *PAD) policyInputs(view sim.ClusterView, monitoredTotal units.Watts) core.PolicyInputs {
+func policyInputs(view sim.ClusterView, monitoredTotal, pIdeal units.Watts) core.PolicyInputs {
 	var vdeb float64
 	var micro float64
 	microCount := 0
 	for _, v := range view.Racks {
-		avail := 1.0
-		if s.opts.PIdeal > 0 {
-			avail = float64(v.BatteryMax) / float64(s.opts.PIdeal)
-			if avail > 1 {
-				avail = 1
-			}
-		}
-		vdeb += avail
+		vdeb += min(float64(v.BatteryMax)/float64(pIdeal), 1)
 		if v.MicroSOC >= 0 {
 			micro += v.MicroSOC
 			microCount++

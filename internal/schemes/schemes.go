@@ -19,6 +19,8 @@
 package schemes
 
 import (
+	"cmp"
+
 	"repro/internal/battery"
 	"repro/internal/powersim"
 	"repro/internal/sim"
@@ -26,11 +28,10 @@ import (
 )
 
 // Options tune behaviour shared across schemes. Every scheme models the
-// engine's servers, powersim.DL585G5, sleeping at powersim.SleepPower.
+// engine's servers, powersim.DL585G5, sleeping at powersim.SleepPower,
+// and learns the rack size from the cluster it runs on
+// (sim.ClusterView.ServersPerRack).
 type Options struct {
-	// ServersPerRack is needed to translate shed power into server
-	// counts. 0 selects 10.
-	ServersPerRack int
 	// Offline switches battery charging from online (opportunistic) to
 	// offline (threshold-triggered), the Figure 5 contrast.
 	Offline bool
@@ -38,10 +39,9 @@ type Options struct {
 	// cycle. 0 selects 0.30.
 	OfflineThreshold float64
 	// PIdeal is the per-rack safe discharge bound Algorithm 1 enforces.
-	// 0 selects half the rack nameplate implied by ServersPerRack.
+	// 0 selects half the rack nameplate of the cluster the scheme runs
+	// on.
 	PIdeal units.Watts
-	// ShedRatio is PAD's maximum shed fraction. 0 selects 0.03.
-	ShedRatio float64
 	// Strict selects PAD's strict initial policy level for the
 	// [vDEB>0, μDEB==0] states.
 	Strict bool
@@ -50,22 +50,6 @@ type Options struct {
 // capFreq is the fixed DVFS cap PSPC applies under shortfall, and PAD's
 // capping floor outside Level 3: the paper's 20% frequency decrease.
 const capFreq = 0.8
-
-func (o Options) withDefaults() Options {
-	if o.ServersPerRack == 0 {
-		o.ServersPerRack = 10
-	}
-	if o.OfflineThreshold == 0 {
-		o.OfflineThreshold = 0.30
-	}
-	if o.PIdeal == 0 {
-		o.PIdeal = powersim.DL585G5.Peak * units.Watts(o.ServersPerRack) / 2
-	}
-	if o.ShedRatio == 0 {
-		o.ShedRatio = 0.03
-	}
-	return o
-}
 
 // chargers lazily builds one charge policy per rack.
 type chargers struct {
@@ -78,7 +62,7 @@ func (c *chargers) policy(i, n int) battery.ChargePolicy {
 		c.policies = make([]battery.ChargePolicy, n)
 		for j := range c.policies {
 			if c.opts.Offline {
-				c.policies[j] = &battery.OfflineCharger{Threshold: c.opts.OfflineThreshold}
+				c.policies[j] = &battery.OfflineCharger{Threshold: cmp.Or(c.opts.OfflineThreshold, 0.30)}
 			} else {
 				c.policies[j] = battery.OnlineCharger{}
 			}

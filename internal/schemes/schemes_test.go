@@ -105,8 +105,9 @@ func TestSchemeNames(t *testing.T) {
 
 func TestActionShapes(t *testing.T) {
 	view := sim.ClusterView{
-		Tick:      100 * time.Millisecond,
-		PDUBudget: 10000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      10000,
 		Racks: []sim.RackView{
 			{Demand: 3000, Budget: 2500, BatterySOC: 0.9, BatteryMax: 2000, BatteryMaxCharge: 300, MicroSOC: 0.8},
 			{Demand: 2000, Budget: 2500, BatterySOC: 0.4, BatteryMax: 2000, BatteryMaxCharge: 300, MicroSOC: 0.8},
@@ -131,9 +132,10 @@ func TestActionShapes(t *testing.T) {
 
 func TestConvNeverDischarges(t *testing.T) {
 	view := sim.ClusterView{
-		Tick:        100 * time.Millisecond,
-		PDUBudget:   4000,
-		TotalDemand: 6000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      4000,
+		TotalDemand:    6000,
 		Racks: []sim.RackView{
 			{Demand: 6000, Budget: 4000, BatterySOC: 1, BatteryMax: 5000},
 		},
@@ -147,8 +149,9 @@ func TestConvNeverDischarges(t *testing.T) {
 func TestPSDischargesExcessOnly(t *testing.T) {
 	s := NewPS(Options{})
 	view := sim.ClusterView{
-		Tick:      100 * time.Millisecond,
-		PDUBudget: 8000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      8000,
 		Racks: []sim.RackView{
 			{Demand: 3000, Budget: 2500, BatterySOC: 1, BatteryMax: 5000, BatteryMaxCharge: 100},
 			{Demand: 2000, Budget: 2500, BatterySOC: 0.5, BatteryMax: 5000, BatteryMaxCharge: 100},
@@ -176,9 +179,10 @@ func TestPSDischargesExcessOnly(t *testing.T) {
 func TestPSPCCapsAfterLatency(t *testing.T) {
 	s := NewPSPC(Options{})
 	view := sim.ClusterView{
-		Tick:        100 * time.Millisecond,
-		PDUBudget:   4000,
-		TotalDemand: 6000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      4000,
+		TotalDemand:    6000,
 		Racks: []sim.RackView{
 			{Demand: 6000, Budget: 4000, BatterySOC: 0, BatteryMax: 0},
 		},
@@ -202,9 +206,10 @@ func TestPSPCCapsAfterLatency(t *testing.T) {
 func TestPSPCDoesNotCapWhenBatteryCovers(t *testing.T) {
 	s := NewPSPC(Options{})
 	view := sim.ClusterView{
-		Tick:        100 * time.Millisecond,
-		PDUBudget:   4000,
-		TotalDemand: 5000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      4000,
+		TotalDemand:    5000,
 		Racks: []sim.RackView{
 			{Demand: 5000, Budget: 4000, BatterySOC: 1, BatteryMax: 3000, BatteryMaxCharge: 100},
 		},
@@ -222,9 +227,10 @@ func TestPSPCDoesNotCapWhenBatteryCovers(t *testing.T) {
 func TestVDEBShiftsDutyToHealthyRacks(t *testing.T) {
 	s := NewVDEB(Options{})
 	view := sim.ClusterView{
-		Tick:        100 * time.Millisecond,
-		PDUBudget:   7000,
-		TotalDemand: 8000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      7000,
+		TotalDemand:    8000,
 		Racks: []sim.RackView{
 			{Demand: 4000, Budget: 3500, BatterySOC: 0.05, BatteryMax: 2000, BatteryMaxCharge: 100},
 			{Demand: 4000, Budget: 3500, BatterySOC: 0.95, BatteryMax: 2000, BatteryMaxCharge: 100},
@@ -244,9 +250,10 @@ func TestVDEBShiftsDutyToHealthyRacks(t *testing.T) {
 func TestVDEBBudgetStretchBounded(t *testing.T) {
 	s := NewVDEB(Options{})
 	view := sim.ClusterView{
-		Tick:        100 * time.Millisecond,
-		PDUBudget:   50000, // huge slack
-		TotalDemand: 4000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      50000, // huge slack
+		TotalDemand:    4000,
 		Racks: []sim.RackView{
 			{Demand: 4000, Budget: 3500, BatterySOC: 1, BatteryMax: 2000, BatteryMaxCharge: 100},
 		},
@@ -258,19 +265,20 @@ func TestVDEBBudgetStretchBounded(t *testing.T) {
 }
 
 func TestPADReportsLevels(t *testing.T) {
-	// ShedRatio raised because 3% of this 20-server test cluster rounds
-	// to zero servers.
-	s := NewPAD(Options{ShedRatio: 0.25})
+	s := NewPAD(Options{})
 	if s.Level() != core.Level1 {
 		t.Fatal("pre-run level should default to L1")
 	}
+	// Two racks of 20 servers: 3% of 40 servers is one, the fewest the
+	// shed budget lets PAD put to sleep.
 	view := sim.ClusterView{
-		Tick:        100 * time.Millisecond,
-		PDUBudget:   8000,
-		TotalDemand: 6000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 20,
+		PDUBudget:      16000,
+		TotalDemand:    12000,
 		Racks: []sim.RackView{
-			{Demand: 3000, Budget: 4000, BatterySOC: 1, BatteryMax: 2000, BatteryMaxCharge: 100, MicroSOC: 1},
-			{Demand: 3000, Budget: 4000, BatterySOC: 1, BatteryMax: 2000, BatteryMaxCharge: 100, MicroSOC: 1},
+			{Demand: 6000, Budget: 8000, BatterySOC: 1, BatteryMax: 4000, BatteryMaxCharge: 200, MicroSOC: 1},
+			{Demand: 6000, Budget: 8000, BatterySOC: 1, BatteryMax: 4000, BatteryMaxCharge: 200, MicroSOC: 1},
 		},
 	}
 	plan(s, view)
@@ -289,9 +297,9 @@ func TestPADReportsLevels(t *testing.T) {
 	for i := range view.Racks {
 		view.Racks[i].MicroSOC = 0.01
 	}
-	view.TotalDemand = 9000
-	view.Racks[0].Demand = 4500
-	view.Racks[1].Demand = 4500
+	view.TotalDemand = 18000
+	view.Racks[0].Demand = 9000
+	view.Racks[1].Demand = 9000
 	var acts []sim.Action
 	// The monitoring smoother has a 60 s time constant: give it a few
 	// minutes of simulated time to see the new demand level.
@@ -355,8 +363,9 @@ func TestCapFreqFor(t *testing.T) {
 func TestOfflineChargingOption(t *testing.T) {
 	s := NewPS(Options{Offline: true})
 	view := sim.ClusterView{
-		Tick:      100 * time.Millisecond,
-		PDUBudget: 8000,
+		Tick:           100 * time.Millisecond,
+		ServersPerRack: 10,
+		PDUBudget:      8000,
 		Racks: []sim.RackView{
 			// SOC 0.8: above the offline threshold, must not charge.
 			{Demand: 2000, Budget: 2500, BatterySOC: 0.8, BatteryMax: 100, BatteryMaxCharge: 100},

@@ -1,10 +1,12 @@
 package schemes
 
 import (
+	"cmp"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/powersim"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -13,8 +15,8 @@ import (
 // and by PAD: a 1-second software refresh of Algorithm-1 discharge caps
 // and iPDU soft-limit reassignments, applied tick by tick in between.
 type vdebPlanner struct {
-	opts Options
-	ctrl *core.VDEBController
+	pIdeal units.Watts          // Options.PIdeal; 0 selects the view's default
+	ctrl   *core.VDEBController // built by resolve on the first view
 
 	// BudgetStretch caps how far a rack's soft limit may be raised above
 	// its default, modeling the physical wiring limit of the rack feed.
@@ -33,15 +35,23 @@ type vdebPlanner struct {
 }
 
 func newVDEBPlanner(opts Options) *vdebPlanner {
-	ctrl, err := core.NewVDEBController(opts.PIdeal)
-	if err != nil {
-		panic(err) // opts.withDefaults guarantees a positive PIdeal
-	}
 	return &vdebPlanner{
-		opts:          opts,
-		ctrl:          ctrl,
+		pIdeal:        opts.PIdeal,
 		budgetStretch: 1.2,
 		refreshEvery:  time.Second,
+	}
+}
+
+// resolve builds the Algorithm-1 controller on the first view, whose
+// rack size sets PIdeal's default: half the rack nameplate.
+func (p *vdebPlanner) resolve(view sim.ClusterView) {
+	if p.ctrl == nil {
+		pIdeal := cmp.Or(p.pIdeal, powersim.DL585G5.Peak*units.Watts(view.ServersPerRack)/2)
+		ctrl, err := core.NewVDEBController(pIdeal)
+		if err != nil {
+			panic(err) // a negative Options.PIdeal, or a view without ServersPerRack
+		}
+		p.ctrl = ctrl
 	}
 }
 
@@ -131,6 +141,7 @@ func (p *vdebPlanner) refresh(view sim.ClusterView) {
 // planInto produces the per-rack pooling actions for this tick in acts,
 // which must hold len(view.Racks) zeroed entries.
 func (p *vdebPlanner) planInto(view sim.ClusterView, ch *chargers, acts []sim.Action) []sim.Action {
+	p.resolve(view)
 	if !p.started || view.Time-p.lastRefresh >= p.refreshEvery {
 		p.refresh(view)
 		p.lastRefresh = view.Time
@@ -163,7 +174,6 @@ type VDEB struct {
 
 // NewVDEB builds the vDEB-only scheme.
 func NewVDEB(opts Options) *VDEB {
-	opts = opts.withDefaults()
 	return &VDEB{
 		chargers: chargers{opts: opts},
 		planner:  newVDEBPlanner(opts),
@@ -188,7 +198,7 @@ type UDEB struct {
 
 // NewUDEB builds the μDEB-only scheme.
 func NewUDEB(opts Options) *UDEB {
-	return &UDEB{chargers{opts: opts.withDefaults()}}
+	return &UDEB{chargers{opts: opts}}
 }
 
 // Name implements sim.Scheme.

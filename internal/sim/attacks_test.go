@@ -52,7 +52,7 @@ func TestCoordinatedAttackGroups(t *testing.T) {
 			Background:     coordBG(racks*spr, 2*time.Minute),
 			Attacks:        specs,
 		}
-		res, err := sim.Run(cfg, schemes.NewPS(schemes.Options{ServersPerRack: spr}))
+		res, err := sim.Run(cfg, schemes.NewPS(schemes.Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestAttackGroupValidation(t *testing.T) {
 		ServersPerRack: 2,
 		Duration:       time.Second,
 	}
-	scheme := schemes.NewPS(schemes.Options{ServersPerRack: 2})
+	scheme := schemes.NewPS(schemes.Options{})
 
 	overlap := cfg
 	overlap.Attacks = []sim.AttackSpec{

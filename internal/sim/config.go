@@ -62,6 +62,9 @@ type ClusterView struct {
 	TotalDemand units.Watts
 	// PDUBudget is the cluster feed budget.
 	PDUBudget units.Watts
+	// ServersPerRack is every rack's server count, from Config; schemes
+	// size PAD's shed counts and the PIdeal default from it.
+	ServersPerRack int
 	// Racks are the per-rack views. The backing array is owned by the
 	// engine and reused on every tick: it is valid only for the duration
 	// of the PlanInto call and must never be retained or mutated by the

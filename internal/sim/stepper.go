@@ -531,12 +531,13 @@ func (st *Stepper) Advance(demandU []float64) error {
 	// 3. Scheme decides into the engine's reusable action buffer, zeroed
 	// first so no decision leaks from the previous tick.
 	view := ClusterView{
-		Time:        st.now,
-		Tick:        cfg.Tick,
-		TotalDemand: totalDemand,
-		PDUBudget:   st.pduBudget,
-		Racks:       st.views,
-		Trace:       st.tracer,
+		Time:           st.now,
+		Tick:           cfg.Tick,
+		TotalDemand:    totalDemand,
+		PDUBudget:      st.pduBudget,
+		ServersPerRack: cfg.ServersPerRack,
+		Racks:          st.views,
+		Trace:          st.tracer,
 	}
 	clear(st.actsBuf)
 	actions := st.scheme.PlanInto(view, st.actsBuf)

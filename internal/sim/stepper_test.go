@@ -52,7 +52,7 @@ func stepperMakers() map[string]func() sim.Scheme {
 	for _, name := range schemes.SchemeNames {
 		name := name
 		makers[name] = func() sim.Scheme {
-			s, err := schemes.ByName(name, schemes.Options{ServersPerRack: 5})
+			s, err := schemes.ByName(name, schemes.Options{})
 			if err != nil {
 				panic(err)
 			}

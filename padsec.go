@@ -18,6 +18,10 @@
 //	}
 //	res, err := padsec.Run(cfg, padsec.NewPAD(padsec.SchemeOptions{}))
 //
+// ClusterConfig is the one place a run's shape is stated: a scheme
+// learns the servers per rack from the cluster it runs on, so
+// SchemeOptions carry only policy choices.
+//
 // The simulator, schemes, threat model, rack battery and super-capacitor
 // models and experiment runners live in internal packages; this package re-exports the stable
 // surface. See DESIGN.md for the system inventory and EXPERIMENTS.md for
@@ -72,7 +76,8 @@ type (
 	SchemeAction = sim.Action
 	// AttackSpec places a power virus on specific servers.
 	AttackSpec = sim.AttackSpec
-	// SchemeOptions tune the built-in schemes.
+	// SchemeOptions tune the built-in schemes. A scheme learns its shape
+	// from the cluster it runs on (ClusterView.ServersPerRack).
 	SchemeOptions = schemes.Options
 )
 

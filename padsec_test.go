@@ -23,7 +23,7 @@ func TestFacadeQuickAttackRun(t *testing.T) {
 		})},
 		StopOnTrip: true,
 	}
-	conv, err := Run(cfg, NewConv(SchemeOptions{ServersPerRack: 5}))
+	conv, err := Run(cfg, NewConv(SchemeOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,12 +32,38 @@ func TestFacadeQuickAttackRun(t *testing.T) {
 	}
 
 	cfg.MicroDEBFactory = NewMicroDEBFactory(0.01)
-	pad, err := Run(cfg, NewPAD(SchemeOptions{ServersPerRack: 5}))
+	pad, err := Run(cfg, NewPAD(SchemeOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pad.SurvivalTime <= conv.SurvivalTime {
 		t.Fatalf("PAD (%v) should outlive Conv (%v)", pad.SurvivalTime, conv.SurvivalTime)
+	}
+}
+
+// TestFacadeSchemeLearnsShape: a scheme built without options plans for
+// the racks of the cluster it runs on. Planning for 10-server racks on
+// this 4×5 cluster, PAD shed 2.7% of its servers; planning for 5, none.
+func TestFacadeSchemeLearnsShape(t *testing.T) {
+	cfg := ClusterConfig{
+		Racks:          4,
+		ServersPerRack: 5,
+		Duration:       20 * time.Minute,
+		Background:     FlatBackground(20, 0.62),
+		Attacks: []AttackSpec{NewAttack(3, AttackConfig{
+			Profile:      CPUIntensive,
+			PrepDuration: time.Second,
+			MaxPhaseI:    2 * time.Minute,
+		})},
+		MicroDEBFactory: NewMicroDEBFactory(0.01),
+	}
+	res, err := Run(cfg, NewPAD(SchemeOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tripped || res.MeanShedRatio != 0 {
+		t.Fatalf("PAD on 4x5: tripped %v, mean shed ratio %v; want no trip and no shedding",
+			res.Tripped, res.MeanShedRatio)
 	}
 }
 
