@@ -12,6 +12,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/virus"
 )
@@ -36,34 +37,6 @@ type AblationResult struct {
 	Table  *report.Table
 }
 
-// ablationSurvivalRun executes a standard Fig15-style dense attack
-// against one scheme configuration and reports survival.
-func ablationSurvivalRun(p Params, key string, mk func() sim.Scheme, horizon time.Duration) (*sim.Result, error) {
-	racks := scaleInt(p, 12, 6)
-	const spr = 10
-	bg := cachedBurstyRampBackground(racks*spr, 0.48, 0.78, horizon, p.seed()+61,
-		3*time.Minute, 20*time.Second, 0.15)
-	cfg := sim.Config{
-		Key:                key,
-		Racks:              racks,
-		ServersPerRack:     spr,
-		Tick:               200 * time.Millisecond,
-		Duration:           horizon,
-		OvershootTolerance: 0.04,
-		Background:         bg,
-		StopOnTrip:         true,
-		Attacks: []sim.AttackSpec{attackSpec(4, virus.Config{
-			Profile:         virus.CPUIntensive,
-			SpikeWidth:      4 * time.Second,
-			SpikesPerMinute: 6,
-			PrepDuration:    time.Minute,
-			MaxPhaseI:       3 * time.Minute,
-			Seed:            p.seed(),
-		})},
-	}
-	return sim.Run(cfg, mk())
-}
-
 // AblationPIdeal sweeps Algorithm 1's per-rack discharge bound, the
 // guard against the deep per-battery currents that accelerate aging.
 // Only the tightest setting binds: at full scale 0.1× nameplate holds
@@ -72,22 +45,43 @@ func ablationSurvivalRun(p Params, key string, mk func() sim.Scheme, horizon tim
 // survival: the bound run outlasts the unbound ones (954 s against
 // 942 s).
 func AblationPIdeal(p Params) (*AblationResult, error) {
+	racks := scaleInt(p, 12, 6)
+	const spr = 10
 	horizon := scaleDur(p, 40*time.Minute, 15*time.Minute)
+	bg := burstyRampBackground(racks*spr, 0.48, 0.78, horizon, p.seed()+61,
+		3*time.Minute, 20*time.Second, 0.15)
 	fractions := []float64{0.1, 0.25, 0.5, 1.0} // of rack nameplate
 	out := &AblationResult{}
 	tbl := report.NewTable(
 		"Ablation — Algorithm 1 PIdeal bound (vDEB scheme, dense attack)",
 		"PIdeal(xNameplate)", "Survival(s)", "MaxRackDischarge(W)")
+	// One Fig15-style dense attack per bound.
 	var jobs []runner.Job[*sim.Result]
 	for _, f := range fractions {
 		key := fmt.Sprintf("ablation/pideal/f=%g", f)
 		jobs = append(jobs, runner.Job[*sim.Result]{
 			Key: key,
 			Run: func() (*sim.Result, error) {
-				pi := powersim.DL585G5.Peak * 10 * units.Watts(f) // of a 10-server rack's nameplate
-				return ablationSurvivalRun(p, key, func() sim.Scheme {
-					return schemes.NewVDEB(schemes.Options{PIdeal: pi})
-				}, horizon)
+				cfg := sim.Config{
+					Key:                key,
+					Racks:              racks,
+					ServersPerRack:     spr,
+					Tick:               200 * time.Millisecond,
+					Duration:           horizon,
+					OvershootTolerance: 0.04,
+					Background:         bg,
+					StopOnTrip:         true,
+					Attacks: []sim.AttackSpec{attackSpec(4, virus.Config{
+						Profile:         virus.CPUIntensive,
+						SpikeWidth:      4 * time.Second,
+						SpikesPerMinute: 6,
+						PrepDuration:    time.Minute,
+						MaxPhaseI:       3 * time.Minute,
+						Seed:            p.seed(),
+					})},
+				}
+				pi := powersim.DL585G5.Peak * spr * units.Watts(f) // of a rack's nameplate
+				return sim.Run(cfg, schemes.NewVDEB(schemes.Options{PIdeal: pi}))
 			},
 		})
 	}
@@ -116,6 +110,7 @@ func AblationPIdeal(p Params) (*AblationResult, error) {
 // internal/metering).
 func AblationDetectors(p Params) (*AblationResult, error) {
 	horizon := scaleDur(p, 15*time.Minute, 4*time.Minute)
+	bg := table1Background(p, horizon)
 	out := &AblationResult{}
 	tbl := report.NewTable(
 		"Ablation — threshold vs CUSUM detection (5 s metering)",
@@ -142,7 +137,7 @@ func AblationDetectors(p Params) (*AblationResult, error) {
 		jobs = append(jobs, runner.Job[shapeRun]{
 			Key: key,
 			Run: func() (shapeRun, error) {
-				rec, spikes, baseline, err := table1Run(p, key, 4, sh.scale, sh.width, sh.perMin, horizon)
+				rec, spikes, baseline, err := table1Run(p, bg, key, 4, sh.scale, sh.width, sh.perMin, horizon)
 				if err != nil {
 					return shapeRun{}, err
 				}
@@ -259,6 +254,7 @@ func AblationPlacement(p Params) (*AblationResult, error) {
 // the attacker/defender arms race one level above Table I.
 func AblationJitter(p Params) (*AblationResult, error) {
 	horizon := scaleDur(p, 20*time.Minute, 8*time.Minute)
+	bg := stats.NoisyUtilization(10, 0.50, horizon, 10*time.Second, p.seed()+71)
 	out := &AblationResult{}
 	tbl := report.NewTable(
 		"Ablation — spike-phase jitter vs periodicity detection (2 s metering)",
@@ -275,7 +271,7 @@ func AblationJitter(p Params) (*AblationResult, error) {
 		jobs = append(jobs, runner.Job[jitterTrace]{
 			Key: key,
 			Run: func() (jitterTrace, error) {
-				rec, spikes, baseline, err := jitterRun(p, key, jitter, horizon)
+				rec, spikes, baseline, err := jitterRun(p, bg, key, jitter, horizon)
 				if err != nil {
 					return jitterTrace{}, err
 				}
@@ -316,11 +312,10 @@ func AblationJitter(p Params) (*AblationResult, error) {
 	return out, nil
 }
 
-// jitterRun simulates a stealthy low-amplitude spike train with the given
-// phase jitter and returns the recorded rack draw.
-func jitterRun(p Params, key string, jitter float64, horizon time.Duration) (*sim.Recording, []time.Duration, units.Watts, error) {
+// jitterRun simulates a stealthy low-amplitude spike train over bg with
+// the given phase jitter and returns the recorded rack draw.
+func jitterRun(p Params, bg []*stats.Series, key string, jitter float64, horizon time.Duration) (*sim.Recording, []time.Duration, units.Watts, error) {
 	const racks, spr = 1, 10
-	bg := cachedFlatNoisyBackground(racks*spr, 0.50, horizon, p.seed()+71)
 	atk := attackSpec(4, virus.Config{
 		Profile:         virus.CPUIntensive,
 		PrepDuration:    time.Second,

@@ -114,14 +114,19 @@ func TestStepperDigests(t *testing.T) {
 	cfg.StopOnTrip = false
 	add("fig15/PAD/Dense/CPU/full", cfg, pad)
 	const key = "fig16a/Conv/rate=0.50"
-	add(key, fig16AttackedConfig(p, key, 2*time.Second, 15), schemes.NewConv(schemes.Options{}))
+	add(key, fig16AttackedConfig(p, fig16Background(p), key, 2*time.Second, 15), schemes.NewConv(schemes.Options{}))
 
+	fig5bg, err := fig5Background(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, offline := range []bool{false, true} {
-		cfg, scheme, err := fig5Run(p, offline)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg, scheme := fig5Run(p, fig5bg, offline)
 		add(cfg.Key, cfg, scheme)
+	}
+	fig14bg, err := fig14Background(p)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, run := range []struct {
 		key    string
@@ -130,11 +135,7 @@ func TestStepperDigests(t *testing.T) {
 		{"fig14/before", schemes.NewPS(schemes.Options{Offline: true})},
 		{"fig14/after", schemes.NewPAD(schemes.Options{})},
 	} {
-		cfg, err := fig14Config(p, run.key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		add(run.key, cfg, run.scheme)
+		add(run.key, fig14Config(p, fig14bg, run.key), run.scheme)
 	}
 	cfg, ps, err := scens[0].SimConfig("PS", nil)
 	if err != nil {

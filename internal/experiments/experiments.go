@@ -9,14 +9,14 @@
 // internal/runner: the sweep is expressed as a slice of keyed jobs,
 // the runner fans them across Params.Workers goroutines, and the
 // tables are assembled afterwards in job order — so the rendered
-// output is byte-identical at any worker count. Shared inputs (the
-// background utilization series) come from a process-wide cache keyed
-// by the full generator argument tuple (see bgcache.go): each distinct
-// background is built once — even when jobs request it concurrently —
-// and shared read-only by every run that needs it. Figure 16's
-// attack-free reference throughputs are memoized the same way (see
-// memo.go and fig16.go). Everything mutable (schemes, attack
-// controllers, batteries) is created inside each job.
+// output is byte-identical at any worker count. The one shared input,
+// the background utilization series, belongs to the experiment: its
+// driver builds each distinct background once, before fanning out, and
+// hands it read-only to every run that replays it, so it is garbage
+// once the experiment returns. Figure 16's attack-free reference
+// throughputs are memoized per process (see memo.go and fig16.go).
+// Everything mutable (schemes, attack controllers, batteries) is
+// created inside each job.
 package experiments
 
 import (
@@ -75,7 +75,8 @@ func scaleInt(p Params, full, quick int) int {
 }
 
 // traceBackground generates a synthetic Google-style trace for the given
-// cluster and replays it into per-server utilization series.
+// cluster and replays it into per-server utilization series, binning
+// the tasks as they are drawn.
 func traceBackground(servers int, horizon time.Duration, step time.Duration, seed uint64, surge bool) ([]*stats.Series, error) {
 	cfg := trace.SynthConfig{
 		Machines: servers,
@@ -87,11 +88,7 @@ func traceBackground(servers int, horizon time.Duration, step time.Duration, see
 		cfg.SurgeWidth = 45 * time.Minute
 		cfg.SurgeBoost = 0.35
 	}
-	tr, err := trace.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return trace.MachineSeries(tr, step)
+	return trace.GenerateMachineSeries(cfg, step)
 }
 
 // rampBackground builds per-server utilization that wanders around a mean

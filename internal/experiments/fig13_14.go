@@ -34,7 +34,7 @@ func Fig13(p Params) (*Fig13Result, error) {
 	horizon := scaleDur(p, 24*time.Hour, 6*time.Hour)
 	tick := 5 * time.Minute
 
-	bg, err := cachedTraceBackground(racks*spr, horizon, tick, p.seed(), false)
+	bg, err := traceBackground(racks*spr, horizon, tick, p.seed(), false)
 	if err != nil {
 		return nil, err
 	}
@@ -119,15 +119,15 @@ type Fig14Result struct {
 // create masses of vulnerable racks in conventional designs; PAD sheds
 // under 3% of servers and flattens the battery-usage map.
 func Fig14(p Params) (*Fig14Result, error) {
+	bg, err := fig14Background(p)
+	if err != nil {
+		return nil, err
+	}
 	job := func(key string, mk func() sim.Scheme) runner.Job[*sim.Recording] {
 		return runner.Job[*sim.Recording]{
 			Key: key,
 			Run: func() (*sim.Recording, error) {
-				cfg, err := fig14Config(p, key)
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(cfg, mk())
+				res, err := sim.Run(fig14Config(p, bg, key), mk())
 				if err != nil {
 					return nil, err
 				}
@@ -165,25 +165,29 @@ func Fig14(p Params) (*Fig14Result, error) {
 // fig14Tick is Figure 14's step.
 const fig14Tick = 5 * time.Minute
 
-// fig14Config is Figure 14's run under the given key: the surge-laden
-// trace replay both designs face.
-func fig14Config(p Params, key string) (sim.Config, error) {
-	racks := scaleInt(p, 22, 8)
-	const spr = 10
-	horizon := scaleDur(p, 24*time.Hour, 8*time.Hour)
-	bg, err := cachedTraceBackground(racks*spr, horizon, fig14Tick, p.seed()+11, true)
-	if err != nil {
-		return sim.Config{}, err
-	}
+// fig14Shape is Figure 14's cluster (racks of ten servers) and horizon.
+func fig14Shape(p Params) (racks int, horizon time.Duration) {
+	return scaleInt(p, 22, 8), scaleDur(p, 24*time.Hour, 8*time.Hour)
+}
+
+// fig14Background is the surge-laden trace both designs face.
+func fig14Background(p Params) ([]*stats.Series, error) {
+	racks, horizon := fig14Shape(p)
+	return traceBackground(racks*10, horizon, fig14Tick, p.seed()+11, true)
+}
+
+// fig14Config is Figure 14's run over bg under the given key.
+func fig14Config(p Params, bg []*stats.Series, key string) sim.Config {
+	racks, horizon := fig14Shape(p)
 	return sim.Config{
 		Key:             key,
 		Racks:           racks,
-		ServersPerRack:  spr,
+		ServersPerRack:  10,
 		Tick:            fig14Tick,
 		Duration:        horizon,
 		Background:      bg,
 		Record:          true,
 		DisableTrips:    true,
 		MicroDEBFactory: schemes.MicroDEBFactory(schemes.DefaultMicroFraction),
-	}, nil
+	}
 }

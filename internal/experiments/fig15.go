@@ -49,7 +49,7 @@ func Fig15(p Params) (*Fig15Result, error) {
 	tick := scaleDur(p, 100*time.Millisecond, 200*time.Millisecond)
 	// A rising-demand window with periodic flash-crowd bursts: the bursts
 	// are what separates hardware-speed defenses from capping latency.
-	bg := cachedBurstyRampBackground(racks*spr, 0.48, 0.78, horizon, p.seed()+23,
+	bg := burstyRampBackground(racks*spr, 0.48, 0.78, horizon, p.seed()+23,
 		3*time.Minute, 20*time.Second, 0.15)
 
 	out := &Fig15Result{AvgSurvival: map[string]time.Duration{}}

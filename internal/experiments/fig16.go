@@ -8,6 +8,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/virus"
 )
 
@@ -29,14 +30,23 @@ type Fig16Result struct {
 // fig16Schemes are the four schemes the paper plots.
 func fig16Schemes() []string { return []string{"PS", "PSPC", "Conv", "PAD"} }
 
-// fig16Config is the attack-free cluster Figure 16 measures. Breakers
-// stay live: outage is exactly the throughput cost the conventional
-// designs pay. Apart from key, which the run only echoes, it depends on
-// the seed and Quick alone.
-func fig16Config(p Params, key string) sim.Config {
-	racks := scaleInt(p, 12, 6)
-	const spr = 10
-	horizon := scaleDur(p, 30*time.Minute, 8*time.Minute)
+// fig16Shape is Figure 16's cluster (racks of ten servers) and horizon.
+func fig16Shape(p Params) (racks int, horizon time.Duration) {
+	return scaleInt(p, 12, 6), scaleDur(p, 30*time.Minute, 8*time.Minute)
+}
+
+// fig16Background is the background every Figure 16 run replays.
+func fig16Background(p Params) []*stats.Series {
+	racks, horizon := fig16Shape(p)
+	return stats.NoisyUtilization(racks*10, 0.60, horizon, 10*time.Second, p.seed()+31)
+}
+
+// fig16Config is the attack-free cluster Figure 16 measures over bg,
+// fig16Background(p). Breakers stay live: outage is exactly the
+// throughput cost the conventional designs pay. Apart from key, which
+// the run only echoes, it depends on the seed and Quick alone.
+func fig16Config(p Params, bg []*stats.Series, key string) sim.Config {
+	racks, horizon := fig16Shape(p)
 	// Batteries start pre-stressed (a tenth the standard cabinet: the
 	// attack window follows a day of heavy shaving duty) and tripped
 	// feeds are restored after two minutes of operator recovery, so the
@@ -45,10 +55,10 @@ func fig16Config(p Params, key string) sim.Config {
 	return sim.Config{
 		Key:            key,
 		Racks:          racks,
-		ServersPerRack: spr,
+		ServersPerRack: 10,
 		Tick:           200 * time.Millisecond,
 		Duration:       horizon,
-		Background:     cachedFlatNoisyBackground(racks*spr, 0.60, horizon, p.seed()+31),
+		Background:     bg,
 		BatteryFactory: smallCabinet,
 		RestoreAfter:   2 * time.Minute,
 	}
@@ -67,10 +77,10 @@ type fig16RefKey struct {
 var fig16Refs memo[fig16RefKey, float64]
 
 // fig16Reference returns the scheme's throughput on the Figure 16
-// cluster with no attack, the denominator of every point.
-func fig16Reference(p Params, name string) (float64, error) {
+// cluster over bg with no attack, the denominator of every point.
+func fig16Reference(p Params, bg []*stats.Series, name string) (float64, error) {
 	ref, err := fig16Refs.get(fig16RefKey{name, p.seed(), p.Quick}, func() (float64, error) {
-		return fig16Throughput(fig16Config(p, "fig16/"+name+"/reference"), name)
+		return fig16Throughput(fig16Config(p, bg, "fig16/"+name+"/reference"), name)
 	})
 	if err == nil && ref == 0 {
 		err = fmt.Errorf("experiments: reference throughput is zero")
@@ -78,10 +88,10 @@ func fig16Reference(p Params, name string) (float64, error) {
 	return ref, err
 }
 
-// fig16AttackedConfig is the Figure 16 cluster under a four-node CPU
-// attack firing spikes of the given width and rate.
-func fig16AttackedConfig(p Params, key string, width time.Duration, perMinute float64) sim.Config {
-	cfg := fig16Config(p, key)
+// fig16AttackedConfig is the Figure 16 cluster over bg under a
+// four-node CPU attack firing spikes of the given width and rate.
+func fig16AttackedConfig(p Params, bg []*stats.Series, key string, width time.Duration, perMinute float64) sim.Config {
+	cfg := fig16Config(p, bg, key)
 	cfg.Attacks = []sim.AttackSpec{attackSpec(4, virus.Config{
 		Profile:         virus.CPUIntensive,
 		PrepDuration:    5 * time.Second,
@@ -120,11 +130,12 @@ type fig16Attack struct {
 // waits on a reference.
 func fig16Sweep(p Params, fig string, attacks []fig16Attack) ([]float64, error) {
 	names := fig16Schemes()
+	bg := fig16Background(p)
 	var jobs []runner.Job[float64]
 	for _, name := range names {
 		jobs = append(jobs, runner.Job[float64]{
 			Key: fig + "/" + name + "/reference",
-			Run: func() (float64, error) { return fig16Reference(p, name) },
+			Run: func() (float64, error) { return fig16Reference(p, bg, name) },
 		})
 	}
 	for _, name := range names {
@@ -133,7 +144,7 @@ func fig16Sweep(p Params, fig string, attacks []fig16Attack) ([]float64, error) 
 			jobs = append(jobs, runner.Job[float64]{
 				Key: key,
 				Run: func() (float64, error) {
-					return fig16Throughput(fig16AttackedConfig(p, key, a.width, a.perMinute), name)
+					return fig16Throughput(fig16AttackedConfig(p, bg, key, a.width, a.perMinute), name)
 				},
 			})
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/virus"
 )
@@ -47,7 +48,7 @@ func Fig17(p Params) (*Fig17Result, error) {
 	racks := scaleInt(p, 6, 3)
 	const spr = 10
 	horizon := scaleDur(p, 2*time.Hour, 15*time.Minute)
-	bg := cachedFlatNoisyBackground(racks*spr, 0.31, horizon, p.seed()+41)
+	bg := stats.NoisyUtilization(racks*spr, 0.31, horizon, 10*time.Second, p.seed()+41)
 
 	capex := cost.CapexModel{}
 	nameplate := powersim.DL585G5.Peak * spr

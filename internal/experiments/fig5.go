@@ -29,14 +29,15 @@ type Fig5Result struct {
 // paper reports 3–12% variation for online charging and roughly double
 // for offline charging.
 func Fig5(p Params) (*Fig5Result, error) {
+	bg, err := fig5Background(p)
+	if err != nil {
+		return nil, err
+	}
 	job := func(offline bool) runner.Job[*stats.Series] {
 		return runner.Job[*stats.Series]{
 			Key: fmt.Sprintf("fig5/offline=%v", offline),
 			Run: func() (*stats.Series, error) {
-				cfg, scheme, err := fig5Run(p, offline)
-				if err != nil {
-					return nil, err
-				}
+				cfg, scheme := fig5Run(p, bg, offline)
 				res, err := sim.Run(cfg, scheme)
 				if err != nil {
 					return nil, err
@@ -70,20 +71,25 @@ func Fig5(p Params) (*Fig5Result, error) {
 // fig5Tick is Figure 5's step and its SOC sampling period.
 const fig5Tick = 5 * time.Minute
 
-// fig5Run is Figure 5's run under online or offline charging: the
-// configuration and the PS scheme it steps.
-func fig5Run(p Params, offline bool) (sim.Config, sim.Scheme, error) {
-	racks := scaleInt(p, 22, 8)
-	const spr = 10
-	horizon := scaleDur(p, 14*24*time.Hour, 36*time.Hour)
-	bg, err := cachedTraceBackground(racks*spr, horizon, fig5Tick, p.seed(), false)
-	if err != nil {
-		return sim.Config{}, nil, err
-	}
+// fig5Shape is Figure 5's cluster (racks of ten servers) and horizon.
+func fig5Shape(p Params) (racks int, horizon time.Duration) {
+	return scaleInt(p, 22, 8), scaleDur(p, 14*24*time.Hour, 36*time.Hour)
+}
+
+// fig5Background is the trace both of Figure 5's runs replay.
+func fig5Background(p Params) ([]*stats.Series, error) {
+	racks, horizon := fig5Shape(p)
+	return traceBackground(racks*10, horizon, fig5Tick, p.seed(), false)
+}
+
+// fig5Run is Figure 5's run over bg under online or offline charging:
+// the configuration and the PS scheme it steps.
+func fig5Run(p Params, bg []*stats.Series, offline bool) (sim.Config, sim.Scheme) {
+	racks, horizon := fig5Shape(p)
 	cfg := sim.Config{
 		Key:            fmt.Sprintf("fig5/offline=%v", offline),
 		Racks:          racks,
-		ServersPerRack: spr,
+		ServersPerRack: 10,
 		// Gentler oversubscription: only diurnal peaks discharge, so
 		// batteries cycle rather than bottom out fleet-wide.
 		OversubscriptionRatio: 0.84,
@@ -99,7 +105,7 @@ func fig5Run(p Params, offline bool) (sim.Config, sim.Scheme, error) {
 		// A deep recharge trigger: racks that only dip part-way stay
 		// part-charged, which is what makes offline charging uneven.
 		OfflineThreshold: 0.15,
-	}), nil
+	})
 }
 
 // socSpreadSeries computes the cross-rack SOC standard deviation (in

@@ -32,7 +32,7 @@ type Fig6Result struct {
 func Fig6(p Params) (*Fig6Result, error) {
 	const racks, spr = 1, 10
 	horizon := scaleDur(p, 5*time.Minute, 2*time.Minute)
-	bg := cachedFlatNoisyBackground(racks*spr, 0.35, horizon, p.seed())
+	bg := stats.NoisyUtilization(racks*spr, 0.35, horizon, 10*time.Second, p.seed())
 
 	type fig6Run struct {
 		rec        *sim.Recording
@@ -142,7 +142,7 @@ type Fig7Result struct {
 func Fig7(p Params) (*Fig7Result, error) {
 	const racks, spr = 1, 10
 	horizon := scaleDur(p, 70*time.Second, 40*time.Second)
-	bg := cachedFlatNoisyBackground(racks*spr, 0.55, horizon, p.seed()+3)
+	bg := stats.NoisyUtilization(racks*spr, 0.55, horizon, 10*time.Second, p.seed()+3)
 
 	runs, err := runner.Collect(p.pool(), []runner.Job[*sim.Result]{{
 		Key: "fig7/effective-attack-demo",

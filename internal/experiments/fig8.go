@@ -8,6 +8,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/virus"
 )
 
@@ -30,20 +31,29 @@ type Fig8Result struct {
 	Table  *report.Table
 }
 
+// fig8Horizon is the window every Figure 8 run counts attacks over.
+func fig8Horizon(p Params) time.Duration {
+	return scaleDur(p, 15*time.Minute, 3*time.Minute)
+}
+
+// fig8Background is the ten-server rack's background at the given mean
+// for an attack by nodes servers firing spikes of the given width: each
+// (nodes, width) pair draws its own.
+func fig8Background(p Params, nodes int, width time.Duration, mean float64) []*stats.Series {
+	return fineNoisyBackground(10, mean, fig8Horizon(p),
+		p.seed()+uint64(nodes)*17+uint64(width/time.Millisecond))
+}
+
 // countEffectiveAttacks runs the Phase-II spike train against a drained
-// single-rack cluster and counts overload events over the window.
-func countEffectiveAttacks(p Params, key string, profile virus.Profile, nodes int,
-	width time.Duration, perMinute float64, overshoot, ratio, bgMean float64) (int, error) {
-	horizon := scaleDur(p, 15*time.Minute, 3*time.Minute)
-	const racks, spr = 1, 10
-	bg := cachedFineNoisyBackground(racks*spr, bgMean,
-		horizon, p.seed()+uint64(nodes)*17+uint64(width/time.Millisecond))
+// single-rack cluster over bg and counts overload events over the window.
+func countEffectiveAttacks(p Params, bg []*stats.Series, key string, profile virus.Profile, nodes int,
+	width time.Duration, perMinute float64, overshoot, ratio float64) (int, error) {
 	cfg := sim.Config{
 		Key:                   key,
-		Racks:                 racks,
-		ServersPerRack:        spr,
+		Racks:                 1,
+		ServersPerRack:        10,
 		Tick:                  100 * time.Millisecond,
-		Duration:              horizon,
+		Duration:              fig8Horizon(p),
 		OvershootTolerance:    overshoot,
 		OversubscriptionRatio: ratio,
 		Background:            bg,
@@ -72,6 +82,10 @@ func Fig8A(p Params) (*Fig8Result, error) {
 	tbl := report.NewTable(
 		"Figure 8A — effective attacks (15 min) vs malicious nodes",
 		"Profile", "Nodes", "Overshoot", "EffectiveAttacks")
+	bgs := make([][]*stats.Series, 5) // by node count
+	for nodes := 1; nodes <= 4; nodes++ {
+		bgs[nodes] = fig8Background(p, nodes, time.Second, 0.45)
+	}
 	var jobs []runner.Job[int]
 	for _, prof := range virus.Profiles() {
 		for nodes := 1; nodes <= 4; nodes++ {
@@ -80,7 +94,7 @@ func Fig8A(p Params) (*Fig8Result, error) {
 				jobs = append(jobs, runner.Job[int]{
 					Key: key,
 					Run: func() (int, error) {
-						return countEffectiveAttacks(p, key, prof, nodes, time.Second, 4, os, 0, 0.45)
+						return countEffectiveAttacks(p, bgs[nodes], key, prof, nodes, time.Second, 4, os, 0)
 					},
 				})
 			}
@@ -113,15 +127,19 @@ func Fig8B(p Params) (*Fig8Result, error) {
 	tbl := report.NewTable(
 		"Figure 8B — effective attacks (15 min) vs spike width (2 nodes)",
 		"Profile", "Width(s)", "Overshoot", "EffectiveAttacks")
+	bgs := make([][]*stats.Series, len(widths))
+	for i, w := range widths {
+		bgs[i] = fig8Background(p, 2, w, 0.45)
+	}
 	var jobs []runner.Job[int]
 	for _, prof := range virus.Profiles() {
-		for _, w := range widths {
+		for i, w := range widths {
 			for _, os := range overshoots {
 				key := fmt.Sprintf("fig8b/%s/width=%v/os=%.2f", prof.Name, w, os)
 				jobs = append(jobs, runner.Job[int]{
 					Key: key,
 					Run: func() (int, error) {
-						return countEffectiveAttacks(p, key, prof, 2, w, 4, os, 0, 0.45)
+						return countEffectiveAttacks(p, bgs[i], key, prof, 2, w, 4, os, 0)
 					},
 				})
 			}
@@ -157,6 +175,7 @@ func Fig8C(p Params) (*Fig8Result, error) {
 	tbl := report.NewTable(
 		"Figure 8C — effective attacks (15 min) vs spike frequency (1 s spikes)",
 		"Profile", "PerMinute", "Nameplate%", "EffectiveAttacks")
+	bg := fig8Background(p, 3, time.Second, 0.40)
 	var jobs []runner.Job[int]
 	for _, prof := range virus.Profiles() {
 		for _, f := range freqs {
@@ -165,7 +184,7 @@ func Fig8C(p Params) (*Fig8Result, error) {
 				jobs = append(jobs, runner.Job[int]{
 					Key: key,
 					Run: func() (int, error) {
-						return countEffectiveAttacks(p, key, prof, 3, time.Second, f, 0.08, r, 0.40)
+						return countEffectiveAttacks(p, bg, key, prof, 3, time.Second, f, 0.08, r)
 					},
 				})
 			}

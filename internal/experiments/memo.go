@@ -13,9 +13,8 @@ import (
 // an error, never a zero value posing as the result. Values are shared,
 // so they must be read-only once built.
 //
-// The experiments use two: the background utilization series
-// (bgcache.go) and Figure 16's attack-free reference throughput
-// (fig16.go).
+// The experiments use one, for Figure 16's attack-free reference
+// throughput (fig16.go).
 type memo[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*memoEntry[V]
@@ -50,15 +49,4 @@ func (c *memo[K, V]) get(key K, build func() (V, error)) (V, error) {
 		e.v, e.err = build()
 	})
 	return e.v, e.err
-}
-
-// mustGet is get for a build that cannot fail: the only error it can
-// meet is an earlier caller's panicking build, which it raises again
-// rather than return the zero value.
-func (c *memo[K, V]) mustGet(key K, build func() V) V {
-	v, err := c.get(key, func() (V, error) { return build(), nil })
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

@@ -122,7 +122,7 @@ func fig15DenseCPU(p Params, name string) (sim.Config, sim.Scheme, error) {
 		Tick:               scaleDur(p, 100*time.Millisecond, 200*time.Millisecond),
 		Duration:           horizon,
 		OvershootTolerance: 0.04,
-		Background: cachedBurstyRampBackground(racks*spr, 0.48, 0.78, horizon, p.seed()+23,
+		Background: burstyRampBackground(racks*spr, 0.48, 0.78, horizon, p.seed()+23,
 			3*time.Minute, 20*time.Second, 0.15),
 		StopOnTrip: true,
 	}

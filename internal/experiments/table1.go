@@ -10,6 +10,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/schemes"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/virus"
 )
@@ -51,6 +52,7 @@ func MeteringIntervals() []time.Duration {
 // full-height host while each host stays stealthy.
 func Table1(p Params) (*Table1Result, error) {
 	horizon := scaleDur(p, 15*time.Minute, 4*time.Minute)
+	bg := table1Background(p, horizon)
 	intervals := MeteringIntervals()
 	if p.Quick {
 		intervals = intervals[:4]
@@ -82,7 +84,7 @@ func Table1(p Params) (*Table1Result, error) {
 				jobs = append(jobs, runner.Job[shapeRun]{
 					Key: key,
 					Run: func() (shapeRun, error) {
-						rec, spikes, baseline, err := table1Run(p, key, setup.servers, setup.scale, width, perMin, horizon)
+						rec, spikes, baseline, err := table1Run(p, bg, key, setup.servers, setup.scale, width, perMin, horizon)
 						if err != nil {
 							return shapeRun{}, err
 						}
@@ -119,13 +121,19 @@ func Table1(p Params) (*Table1Result, error) {
 	return out, nil
 }
 
-// table1Run simulates one attack shape and returns the recorded rack draw
-// at tick resolution, the spike launch offsets, and the pre-attack mean
-// rack power to seed the detector baseline.
-func table1Run(p Params, key string, servers int, scale float64, width time.Duration, perMin float64,
+// table1Background is the ten-server rack's background for Table I's
+// attack runs over horizon.
+func table1Background(p Params, horizon time.Duration) []*stats.Series {
+	return stats.NoisyUtilization(10, 0.50, horizon, 10*time.Second, p.seed()+5)
+}
+
+// table1Run simulates one attack shape over bg, table1Background(p,
+// horizon), and returns the recorded rack draw at tick resolution, the
+// spike launch offsets, and the pre-attack mean rack power to seed the
+// detector baseline.
+func table1Run(p Params, bg []*stats.Series, key string, servers int, scale float64, width time.Duration, perMin float64,
 	horizon time.Duration) (*sim.Recording, []time.Duration, units.Watts, error) {
 	const racks, spr = 1, 10
-	bg := cachedFlatNoisyBackground(racks*spr, 0.50, horizon, p.seed()+5)
 	atk := attackSpec(servers, virus.Config{
 		Profile:         virus.CPUIntensive,
 		PrepDuration:    time.Second,

@@ -106,9 +106,10 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 }
 
 // Poisson returns a Poisson-distributed count with the given mean, using
-// Knuth's method for small means and a normal approximation above 30.
+// Knuth's method for small means and a normal approximation above 30. A
+// mean that is not positive, NaN included, gives 0 without a draw.
 func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
+	if !(mean > 0) {
 		return 0
 	}
 	if mean > 30 {

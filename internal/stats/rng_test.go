@@ -125,8 +125,12 @@ func TestPoissonMean(t *testing.T) {
 			t.Errorf("Poisson(%v) mean = %v", mean, got)
 		}
 	}
-	if NewRNG(1).Poisson(0) != 0 {
-		t.Error("Poisson(0) should be 0")
+	// Knuth's loop stops once the running product drops to exp(-mean),
+	// which it never does for a NaN mean.
+	for _, mean := range []float64{0, -1, math.NaN()} {
+		if k := NewRNG(1).Poisson(mean); k != 0 {
+			t.Errorf("Poisson(%v) = %d, want 0", mean, k)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,54 @@ func FuzzMachineSeries(f *testing.F) {
 			for i, v := range s.Values {
 				if v < 0 || v > 1 {
 					t.Fatalf("machine %d bin %d out of range: %v", m, i, v)
+				}
+			}
+		}
+	})
+}
+
+// FuzzGenerateMachineSeries: for any small config, GenerateMachineSeries
+// must return MachineSeries(Generate(cfg)) bit for bit, series lengths
+// included, or fail exactly when that does.
+func FuzzGenerateMachineSeries(f *testing.F) {
+	f.Add(uint8(3), uint16(3*3600+7), uint64(1), uint16(7), false)
+	f.Add(uint8(15), uint16(6*3600+30), uint64(3), uint16(60), true)
+	f.Add(uint8(0), uint16(90), uint64(9), uint16(1), false)
+	f.Add(uint8(7), uint16(1), uint64(2), uint16(300), true)
+	f.Add(uint8(1), uint16(600), uint64(4), uint16(0), false)
+	f.Add(uint8(11), uint16(65535), uint64(1<<63), uint16(65535), true)
+	f.Fuzz(func(t *testing.T, machines uint8, horizonS uint16, seed uint64, stepS uint16, surge bool) {
+		cfg := SynthConfig{
+			Machines: 1 + int(machines%16),
+			Horizon:  time.Duration(horizonS)*time.Second + time.Second,
+			Seed:     seed,
+		}
+		if surge {
+			cfg.SurgePeriod = 2 * time.Hour
+			cfg.SurgeWidth = 20 * time.Minute
+			cfg.SurgeBoost = 0.3
+		}
+		step := time.Duration(stepS) * time.Second
+		tr, err := Generate(cfg)
+		if err != nil {
+			t.Fatalf("Generate(%+v): %v", cfg, err)
+		}
+		want, wantErr := MachineSeries(tr, step)
+		got, err := GenerateMachineSeries(cfg, step)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("step %v: GenerateMachineSeries error %v, MachineSeries error %v", step, err, wantErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d series, want %d", len(got), len(want))
+		}
+		for m := range want {
+			g, w := got[m], want[m]
+			if g.Step != w.Step || len(g.Values) != len(w.Values) {
+				t.Fatalf("machine %d: step %v, %d values; want %v, %d", m, g.Step, len(g.Values), w.Step, len(w.Values))
+			}
+			for i := range w.Values {
+				if math.Float64bits(g.Values[i]) != math.Float64bits(w.Values[i]) {
+					t.Fatalf("machine %d bin %d: %v, want %v", m, i, g.Values[i], w.Values[i])
 				}
 			}
 		}

@@ -82,11 +82,17 @@ func TestClusterSeries(t *testing.T) {
 	}
 }
 
+// TestMachineSeriesOutOfRangeMachine: a task on a machine outside the
+// population, a negative population and a task that starts before the
+// trace are errors, not panics.
 func TestMachineSeriesOutOfRangeMachine(t *testing.T) {
-	tr := &Trace{Machines: 1, Tasks: []Task{
-		{Start: 0, End: time.Second, Machine: 3, CPURate: 0.5},
-	}}
-	if _, err := MachineSeries(tr, time.Second); err == nil {
-		t.Fatal("out-of-range machine should fail")
+	for _, tr := range []*Trace{
+		{Machines: 1, Tasks: []Task{{Start: 0, End: time.Second, Machine: 3, CPURate: 0.5}}},
+		{Machines: -1},
+		{Machines: 1, Tasks: []Task{{Start: -time.Minute, End: time.Minute, CPURate: 0.5}}},
+	} {
+		if _, err := MachineSeries(tr, time.Second); err == nil {
+			t.Errorf("%+v: MachineSeries succeeded", tr)
+		}
 	}
 }

@@ -79,26 +79,36 @@ func (c SynthConfig) withDefaults() SynthConfig {
 	return c
 }
 
-// Validate reports a configuration error, if any.
+// Validate reports a configuration error, if any, naming the field. The
+// range checks are written in accept form, so a NaN field fails them.
 func (c SynthConfig) Validate() error {
 	c = c.withDefaults()
 	if c.Machines < 0 {
-		return fmt.Errorf("trace: negative machine count %d", c.Machines)
+		return fmt.Errorf("trace: negative Machines %d", c.Machines)
 	}
 	if c.Horizon < 0 {
-		return fmt.Errorf("trace: negative horizon %v", c.Horizon)
+		return fmt.Errorf("trace: negative Horizon %v", c.Horizon)
 	}
-	if c.MeanUtilization <= 0 || c.MeanUtilization >= 1 {
-		return fmt.Errorf("trace: mean utilization %v out of (0,1)", c.MeanUtilization)
+	if !(c.MeanUtilization > 0 && c.MeanUtilization < 1) {
+		return fmt.Errorf("trace: MeanUtilization %v out of (0,1)", c.MeanUtilization)
 	}
-	if c.DiurnalSwing < 0 || c.DiurnalSwing >= 1 {
-		return fmt.Errorf("trace: diurnal swing %v out of [0,1)", c.DiurnalSwing)
+	if !(c.DiurnalSwing >= 0 && c.DiurnalSwing < 1) {
+		return fmt.Errorf("trace: DiurnalSwing %v out of [0,1)", c.DiurnalSwing)
 	}
-	if c.WeekendDip < 0 || c.WeekendDip >= 1 {
-		return fmt.Errorf("trace: weekend dip %v out of [0,1)", c.WeekendDip)
+	if !(c.WeekendDip >= 0 && c.WeekendDip < 1) {
+		return fmt.Errorf("trace: WeekendDip %v out of [0,1)", c.WeekendDip)
 	}
-	if c.SurgeBoost < 0 || c.SurgeBoost > 1 {
-		return fmt.Errorf("trace: surge boost %v out of [0,1]", c.SurgeBoost)
+	if c.MeanTaskDuration <= 0 {
+		return fmt.Errorf("trace: MeanTaskDuration %v must be positive", c.MeanTaskDuration)
+	}
+	if !(c.TasksPerJob > 0 && c.TasksPerJob <= math.MaxFloat64) {
+		return fmt.Errorf("trace: TasksPerJob %v must be positive and finite", c.TasksPerJob)
+	}
+	if c.SurgePeriod < 0 || c.SurgeWidth < 0 {
+		return fmt.Errorf("trace: negative SurgePeriod %v or SurgeWidth %v", c.SurgePeriod, c.SurgeWidth)
+	}
+	if !(c.SurgeBoost >= 0 && c.SurgeBoost <= 1) {
+		return fmt.Errorf("trace: SurgeBoost %v out of [0,1]", c.SurgeBoost)
 	}
 	return nil
 }
@@ -131,6 +141,25 @@ func (c SynthConfig) utilizationEnvelope(t time.Duration) float64 {
 	return u
 }
 
+// slot is the arrival process's step: each one-minute slot draws a
+// Poisson number of jobs.
+const slot = time.Minute
+
+// meanRate is the mean CPU rate per task: rates are drawn uniform in
+// [0.05, 0.35].
+const meanRate = 0.2
+
+// slotJobs returns the expected number of jobs arriving in the slot that
+// starts at t. By Little's law (concurrency = arrival rate × duration),
+// it keeps the expected number of concurrently running tasks at
+// envelope×machines/meanRate. c has its defaults applied.
+func (c SynthConfig) slotJobs(t time.Duration) float64 {
+	u := c.utilizationEnvelope(t)
+	targetTasks := u * float64(c.Machines) / meanRate
+	jobsPerSec := targetTasks / (c.MeanTaskDuration.Seconds() * c.TasksPerJob)
+	return jobsPerSec * slot.Seconds()
+}
+
 // Generate produces a synthetic trace from cfg, its tasks in start
 // order (ties in the order they were drawn), the order replay consumes
 // them in.
@@ -145,31 +174,7 @@ func Generate(cfg SynthConfig) (*Trace, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	rng := stats.NewRNG(cfg.Seed)
-	arrivalRNG := rng.Split(1)
-	taskRNG := rng.Split(2)
-	placeRNG := rng.Split(3)
-
 	tr := &Trace{Machines: cfg.Machines}
-
-	// Mean CPU rate per task: drawn uniform in [0.05, 0.35], mean 0.2.
-	const meanRate = 0.2
-	// Little's law: concurrency = arrivalRate × duration. Target
-	// concurrency (in tasks) at envelope u is u×machines/meanRate.
-	meanDur := cfg.MeanTaskDuration.Seconds()
-	// Log-normal duration with sigma 1.0: mean = exp(mu + sigma²/2).
-	const durSigma = 1.0
-	durMu := math.Log(meanDur) - durSigma*durSigma/2
-
-	// Step through time in arrival slots (one minute) drawing a Poisson
-	// number of jobs per slot; arrivals returns a slot's expected count.
-	const slot = time.Minute
-	arrivals := func(t time.Duration) float64 {
-		u := cfg.utilizationEnvelope(t)
-		targetTasks := u * float64(cfg.Machines) / meanRate
-		jobsPerSec := targetTasks / (meanDur * cfg.TasksPerJob)
-		return jobsPerSec * slot.Seconds()
-	}
 
 	// Allocate the tasks once. The arrival process expects jobs×perJob
 	// tasks, a job bringing 1 + Poisson(TasksPerJob-1); four standard
@@ -178,45 +183,104 @@ func Generate(cfg SynthConfig) (*Trace, error) {
 	// append.
 	var jobs float64
 	for t := time.Duration(0); t < cfg.Horizon; t += slot {
-		jobs += max(arrivals(t), 0)
+		jobs += max(cfg.slotJobs(t), 0)
 	}
 	perJob := max(cfg.TasksPerJob, 1)
 	want := jobs * perJob
 	want += 4 * math.Sqrt(want*(perJob+1))
 	tr.Tasks = make([]Task, 0, int(want))
 
-	for t := time.Duration(0); t < cfg.Horizon; t += slot {
-		first := len(tr.Tasks)
-		n := arrivalRNG.Poisson(arrivals(t))
+	cfg.draw(func(job []Task) { tr.Tasks = append(tr.Tasks, job...) })
+	return tr, nil
+}
+
+// GenerateMachineSeries returns MachineSeries(Generate(cfg), step), bit
+// for bit, without holding the trace: each job's tasks are binned as they
+// are drawn, in the order Generate returns them, so every bin receives the
+// same addends in the same order. It holds the series and one slot's
+// tasks, where Generate holds every task.
+func GenerateMachineSeries(cfg SynthConfig, step time.Duration) ([]*stats.Series, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	// No task ends past the horizon, so these bins hold every task; the
+	// series are trimmed to the latest end, MachineSeries' horizon.
+	b, err := newBinner(cfg.Machines, step, cfg.Horizon)
+	if err != nil {
+		return nil, err
+	}
+	cfg.draw(func(job []Task) {
+		for _, t := range job {
+			b.add(t)
+		}
+	})
+	return b.finish(), nil
+}
+
+// draw runs the arrival process of c, which has its defaults applied, and
+// hands emit every job's tasks, one job per call, in start order (ties in
+// the order they were drawn). emit must not retain the slice: the next
+// slot reuses it.
+func (c SynthConfig) draw(emit func(job []Task)) {
+	rng := stats.NewRNG(c.Seed)
+	arrivalRNG := rng.Split(1)
+	taskRNG := rng.Split(2)
+	placeRNG := rng.Split(3)
+
+	// Log-normal duration with sigma 1.0: mean = exp(mu + sigma²/2).
+	const durSigma = 1.0
+	durMu := math.Log(c.MeanTaskDuration.Seconds()) - durSigma*durSigma/2
+
+	// A job's tasks share its start and are drawn together, so a stable
+	// sort of a slot's jobs by start, expanded in order, is the stable
+	// sort of its tasks.
+	type drawnJob struct {
+		start  time.Duration
+		lo, hi int // the job's tasks, tasks[lo:hi]
+	}
+	var (
+		tasks []Task
+		jobs  []drawnJob
+	)
+	for t := time.Duration(0); t < c.Horizon; t += slot {
+		tasks, jobs = tasks[:0], jobs[:0]
+		n := arrivalRNG.Poisson(c.slotJobs(t))
 		for j := 0; j < n; j++ {
 			start := t + time.Duration(arrivalRNG.Float64()*float64(slot))
-			nTasks := 1 + taskRNG.Poisson(cfg.TasksPerJob-1)
+			lo := len(tasks)
+			nTasks := 1 + taskRNG.Poisson(c.TasksPerJob-1)
 			for k := 0; k < nTasks; k++ {
 				dur := time.Duration(taskRNG.LogNormal(durMu, durSigma) * float64(time.Second))
 				if dur < time.Second {
 					dur = time.Second
 				}
 				end := start + dur
-				if end > cfg.Horizon {
-					end = cfg.Horizon
+				if end > c.Horizon {
+					end = c.Horizon
 				}
 				if end <= start {
 					continue
 				}
-				tr.Tasks = append(tr.Tasks, Task{
+				tasks = append(tasks, Task{
 					Start:   start,
 					End:     end,
-					Machine: placeRNG.Intn(cfg.Machines),
+					Machine: placeRNG.Intn(c.Machines),
 					CPURate: taskRNG.Range(0.05, 0.35),
 				})
+			}
+			if len(tasks) > lo {
+				jobs = append(jobs, drawnJob{start, lo, len(tasks)})
 			}
 		}
 		// Every start drawn in this slot lies in [t, t+slot), so sorting
 		// each slot as it closes (stably, as replay expects) puts the
 		// whole trace in start order.
-		slices.SortStableFunc(tr.Tasks[first:], func(a, b Task) int {
-			return cmp.Compare(a.Start, b.Start)
+		slices.SortStableFunc(jobs, func(a, b drawnJob) int {
+			return cmp.Compare(a.start, b.start)
 		})
+		for _, job := range jobs {
+			emit(tasks[job.lo:job.hi])
+		}
 	}
-	return tr, nil
 }

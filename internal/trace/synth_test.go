@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -166,18 +167,54 @@ func TestGenerateSurges(t *testing.T) {
 	}
 }
 
+// TestGenerateConfigValidation: every bad value of a field, NaN and the
+// infinities included, is refused with an error naming that field, by
+// both generators and before either draws a task. A NaN mean utilization
+// used to pass, and then panicked sizing the task slice.
 func TestGenerateConfigValidation(t *testing.T) {
-	bad := []SynthConfig{
-		{Machines: -1},
-		{MeanUtilization: 1.2},
-		{DiurnalSwing: 1.0},
-		{WeekendDip: -0.1},
-		{SurgePeriod: time.Hour, SurgeBoost: 2},
-		{Horizon: -time.Hour},
-	}
-	for i, cfg := range bad {
-		if _, err := Generate(cfg); err == nil {
-			t.Errorf("config %d should fail", i)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		field     string
+		bad, good []SynthConfig
+	}{
+		{"Machines", []SynthConfig{{Machines: -1}}, []SynthConfig{{Machines: 1}}},
+		{"Horizon", []SynthConfig{{Horizon: -time.Hour}, {Horizon: -1}}, []SynthConfig{{Horizon: time.Second}}},
+		{"MeanUtilization",
+			[]SynthConfig{{MeanUtilization: nan}, {MeanUtilization: -0.1}, {MeanUtilization: 1}, {MeanUtilization: 1.2}, {MeanUtilization: inf}},
+			[]SynthConfig{{MeanUtilization: 0.01}, {MeanUtilization: 0.99}}},
+		{"DiurnalSwing",
+			[]SynthConfig{{DiurnalSwing: nan}, {DiurnalSwing: -0.1}, {DiurnalSwing: 1}, {DiurnalSwing: inf}},
+			[]SynthConfig{{DiurnalSwing: 0.99}}},
+		{"WeekendDip",
+			[]SynthConfig{{WeekendDip: nan}, {WeekendDip: -0.1}, {WeekendDip: 1}, {WeekendDip: inf}},
+			[]SynthConfig{{WeekendDip: 0.99}}},
+		{"MeanTaskDuration",
+			[]SynthConfig{{MeanTaskDuration: -time.Minute}, {MeanTaskDuration: -1}},
+			[]SynthConfig{{MeanTaskDuration: time.Second}}},
+		{"TasksPerJob",
+			[]SynthConfig{{TasksPerJob: nan}, {TasksPerJob: -1}, {TasksPerJob: inf}, {TasksPerJob: -inf}},
+			[]SynthConfig{{TasksPerJob: 0.5}, {TasksPerJob: 40}}},
+		{"SurgePeriod", []SynthConfig{{SurgePeriod: -time.Hour}}, []SynthConfig{{SurgePeriod: time.Minute}}},
+		{"SurgeWidth", []SynthConfig{{SurgePeriod: time.Hour, SurgeWidth: -time.Minute}}, []SynthConfig{{SurgePeriod: time.Hour, SurgeWidth: time.Hour}}},
+		{"SurgeBoost",
+			[]SynthConfig{{SurgePeriod: time.Hour, SurgeBoost: nan}, {SurgeBoost: -0.1}, {SurgePeriod: time.Hour, SurgeBoost: 2}},
+			[]SynthConfig{{SurgePeriod: time.Hour, SurgeBoost: 1}}},
+	} {
+		for _, cfg := range c.bad {
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%+v: Validate() = %v, want an error naming %s", cfg, err, c.field)
+			}
+			if _, err := Generate(cfg); err == nil {
+				t.Errorf("%+v: Generate succeeded", cfg)
+			}
+			if _, err := GenerateMachineSeries(cfg, time.Minute); err == nil {
+				t.Errorf("%+v: GenerateMachineSeries succeeded", cfg)
+			}
+		}
+		for _, cfg := range c.good {
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%+v: Validate() = %v, want nil", cfg, err)
+			}
 		}
 	}
 }
