@@ -12,49 +12,25 @@
 # The compiler's -m report gives each inlined call's position and callee
 # (a callee inlined inside another inlined body is reported at the outer
 # call). The caller is the top-level function whose declaration precedes
-# that position in its file, named <package directory>.<function>; the
-# callee is named as the compiler prints it.
+# that position in its file, named <package directory>.<function> as
+# gofuncs.awk names it; the callee is named as the compiler prints it.
 set -euo pipefail
 dir=$1
 shift
 go build "$@" -gcflags='repro/...=-m' -o /dev/null "./$dir" 2>&1 |
-	awk -F': inlining call to ' '
-		NF == 2 {
-			split($1, pos, ":")
-			file = pos[1]
-			if (!(file in read)) {
-				read[file] = 1
-				pkg = file
-				sub(/\/[^\/]*$/, "", pkg)
-				n = 0
-				while ((getline src < file) > 0) {
-					n++
-					if (src !~ /^func /) continue
-					name = src
-					sub(/^func /, "", name)
-					recv = ""
-					if (name ~ /^\(/) {
-						recv = name
-						sub(/\).*/, "", recv)
-						sub(/.* /, "", recv)
-						sub(/^\(/, "", recv)
-						sub(/\[.*/, "", recv)
-						if (recv ~ /^\*/) recv = "(" recv ")"
-						recv = recv "."
-						sub(/^\([^)]*\) */, "", name)
-					}
-					sub(/[\[(].*/, "", name)
-					nfunc[file]++
-					fline[file, nfunc[file]] = n
-					fname[file, nfunc[file]] = pkg "." recv name
-				}
-				close(file)
-			}
-			caller = "?"
-			for (i = 1; i <= nfunc[file]; i++) {
-				if (fline[file, i] > pos[2]) break
-				caller = fname[file, i]
-			}
-			print caller " -> " $2
-		}' |
+	awk -F': inlining call to ' -f "$(dirname "$0")/gofuncs.awk" -f /dev/fd/3 3<<'EOF' |
+NF == 2 {
+	split($1, pos, ":")
+	file = pos[1]
+	readfuncs(file)
+	pkg = file
+	sub(/\/[^\/]*$/, "", pkg)
+	caller = "?"
+	for (i = 1; i <= nfunc[file]; i++) {
+		if (fline[file, i] > pos[2]) break
+		caller = pkg "." fname[file, i]
+	}
+	print caller " -> " $2
+}
+EOF
 	LC_ALL=C sort -u

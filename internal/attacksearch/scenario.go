@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"time"
 
@@ -100,11 +99,6 @@ type Expectation struct {
 	TimeToTripS      float64 `json:"time_to_trip_s"`
 	EffectiveAttacks int     `json:"effective_attacks"`
 }
-
-// finite rejects NaN and ±Inf — every float field passes through here so
-// a hostile scenario file cannot smuggle non-finite arithmetic into the
-// engine (the same hardening KiBaM and virus configs received in PR 1).
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Validate reports a malformed scenario. Range checks are written in
 // accept-range form so NaN fields are rejected rather than slipping past

@@ -93,9 +93,6 @@ func (e *Encoder) Reset() {
 	e.records = 0
 }
 
-// Records reports how many records the frame holds so far.
-func (e *Encoder) Records() int { return int(e.records) }
-
 func (e *Encoder) header() {
 	if len(e.buf) != 0 {
 		return

@@ -75,16 +75,6 @@ func (j Joules) String() string {
 	}
 }
 
-// String implements fmt.Stringer.
-func (wh WattHours) String() string {
-	switch {
-	case wh >= 1e3 || wh <= -1e3:
-		return fmt.Sprintf("%.4gkWh", float64(wh)/1e3)
-	default:
-		return fmt.Sprintf("%.4gWh", float64(wh))
-	}
-}
-
 // Max returns the larger of a and b.
 func Max(a, b Watts) Watts {
 	if a > b {

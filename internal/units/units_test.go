@@ -99,10 +99,4 @@ func TestEnergyStrings(t *testing.T) {
 	if s := Joules(2.5e6).String(); !strings.HasSuffix(s, "MJ") {
 		t.Errorf("2.5e6 J should render in MJ, got %q", s)
 	}
-	if s := WattHours(72).String(); s != "72Wh" {
-		t.Errorf("72 Wh renders as %q", s)
-	}
-	if s := WattHours(7200).String(); s != "7.2kWh" {
-		t.Errorf("7200 Wh renders as %q", s)
-	}
 }

@@ -37,7 +37,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/placement"
 	"repro/internal/powersim"
-	"repro/internal/scheduler"
 	"repro/internal/schemes"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -117,14 +116,6 @@ type (
 	CampaignConfig = placement.CampaignConfig
 	// CampaignResult summarizes a co-residency hunt.
 	CampaignResult = placement.CampaignResult
-	// Job, JobRecord, Impairment and SchedulerConfig drive the job-level
-	// service model (the paper's job-scheduler substrate).
-	Job             = scheduler.Job
-	JobTask         = scheduler.TaskReq
-	JobRecord       = scheduler.JobRecord
-	Impairment      = scheduler.Impairment
-	SchedulerConfig = scheduler.Config
-	JobMetrics      = scheduler.Metrics
 )
 
 // The calibrated virus profiles and canned scenarios.
@@ -150,20 +141,6 @@ const (
 // does it take to land a squad on one rack.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	return placement.RunCampaign(cfg)
-}
-
-// RunJobs simulates the job-level service model: trace-derived jobs over
-// a cluster whose servers suffer the given outage/capping impairments.
-func RunJobs(cfg SchedulerConfig, jobs []Job, impairments []Impairment) ([]JobRecord, JobMetrics, error) {
-	return scheduler.Run(cfg, jobs, impairments)
-}
-
-// JobsFromTrace converts a workload trace into scheduler jobs.
-func JobsFromTrace(tr *Trace) []Job { return scheduler.FromTrace(tr) }
-
-// RackOutage marks every server of a rack dark over a window.
-func RackOutage(rack, serversPerRack int, from, to time.Duration) []Impairment {
-	return scheduler.OutageImpairments(rack, serversPerRack, from, to)
 }
 
 // The three security levels.
