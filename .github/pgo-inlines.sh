@@ -14,12 +14,16 @@
 # call). The caller is the top-level function whose declaration precedes
 # that position in its file, named <package directory>.<function> as
 # gofuncs.awk names it; the callee is named as the compiler prints it.
+# Only calls in the module's own files, whose positions are relative to
+# the repository root, are printed: a call inside a standard-library
+# generic body instantiated here is reported at its absolute path under
+# GOROOT, which depends on where Go is installed.
 set -euo pipefail
 dir=$1
 shift
 go build "$@" -gcflags='repro/...=-m' -o /dev/null "./$dir" 2>&1 |
 	awk -F': inlining call to ' -f "$(dirname "$0")/gofuncs.awk" -f /dev/fd/3 3<<'EOF' |
-NF == 2 {
+NF == 2 && $1 !~ /^\// {
 	split($1, pos, ":")
 	file = pos[1]
 	readfuncs(file)

@@ -9,16 +9,22 @@
 //	experiments -only fig15     # one experiment
 //	experiments -workers 1      # sequential legacy path
 //
-// Independent simulation runs within each experiment fan out across
-// -workers goroutines (default: GOMAXPROCS). The output is byte-identical
-// at any worker count; -workers 1 runs everything inline on the calling
-// goroutine.
+// -workers (default: GOMAXPROCS) bounds the simulation runs in flight
+// across the whole invocation: every experiment's independent runs draw
+// from one budget of that many slots, and two experiments run at once,
+// so one's serial setup or last runs overlap the other's. Each
+// experiment's stdout is held until it and every experiment before it
+// have finished, then printed in run order. The output is
+// byte-identical at any worker count; -workers 1 runs one experiment at
+// a time, each with its runs inline.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -39,7 +45,7 @@ var prof *profiling.Flags
 
 type experiment struct {
 	name string
-	run  func(experiments.Params, string) error
+	run  func(experiments.Params, *output) error
 }
 
 // all lists every experiment in run order; -only selects among them.
@@ -94,7 +100,7 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "random seed")
 		only        = flag.String("only", "", "comma-separated experiment names (fig5, table1, ..., ablations); empty runs all")
 		results     = flag.String("results", "results", "output directory for CSV artifacts")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker goroutines (1 = sequential)")
+		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation runs at once, across all experiments (1 = sequential)")
 		progress    = flag.Bool("progress", false, "report per-run progress and ETA on stderr")
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -134,14 +140,75 @@ func main() {
 		fatal(err)
 	}
 
-	for _, r := range run {
-		start := time.Now()
-		logger.Debug("experiment starting", "name", r.name)
-		if err := r.run(p, *results); err != nil {
-			fatal(fmt.Errorf("%s: %w", r.name, err))
-		}
-		fmt.Printf("[%s done in %v]\n\n", r.name, time.Since(start).Round(time.Millisecond))
+	if err := runAll(os.Stdout, p, *results, run); err != nil {
+		fatal(err)
 	}
+}
+
+// maxInFlight is how many experiments run at once. A second keeps the
+// budget's slots busy while the first builds its backgrounds or waits
+// on its last runs; two bound the peak memory to two experiments'
+// backgrounds.
+const maxInFlight = 2
+
+// runAll runs the experiments on one budget of p.Workers simulation
+// runs, at most maxInFlight of them at a time (one when the budget has
+// one slot), starting each in run order as a place frees up. Each
+// writes its stdout into its own buffer; w receives the buffers in run
+// order, each followed by its "[name done in D]" line, where D is the
+// experiment's own wall time. It returns the first error in run order,
+// after printing what that experiment wrote, without waiting for the
+// experiments still running, so the caller should exit.
+func runAll(w io.Writer, p experiments.Params, dir string, run []experiment) error {
+	p = p.Shared()
+	type outcome struct {
+		out  output
+		err  error
+		took time.Duration
+		done chan struct{}
+	}
+	outs := make([]outcome, len(run))
+	for i := range outs {
+		outs[i].out.dir = dir
+		outs[i].done = make(chan struct{})
+	}
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		// Shared has resolved a Workers of 0 or below, so this is never 0.
+		places := make(chan struct{}, min(maxInFlight, p.Workers))
+		for i, e := range run {
+			select {
+			case places <- struct{}{}:
+			case <-stop:
+				return
+			}
+			go func() {
+				o := &outs[i]
+				slog.Debug("experiment starting", "name", e.name)
+				start := time.Now()
+				o.err = e.run(p, &o.out)
+				o.took = time.Since(start)
+				<-places
+				close(o.done)
+			}()
+		}
+	}()
+	for i, e := range run {
+		o := &outs[i]
+		<-o.done
+		if _, err := w.Write(o.out.Bytes()); err != nil {
+			return err
+		}
+		if o.err != nil {
+			return fmt.Errorf("%s: %w", e.name, o.err)
+		}
+		if _, err := fmt.Fprintf(w, "[%s done in %v]\n\n", e.name, o.took.Round(time.Millisecond)); err != nil {
+			return err
+		}
+		o.out = output{}
+	}
+	return nil
 }
 
 func fatal(err error) {
@@ -152,10 +219,17 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// emit prints the table and writes it as CSV under dir.
-func emit(tbl *report.Table, dir, name string) error {
-	fmt.Println(tbl.String())
-	f, err := os.Create(filepath.Join(dir, name+".csv"))
+// output is where one experiment writes: its stdout, held until the
+// driver prints it, and its files under dir.
+type output struct {
+	bytes.Buffer
+	dir string
+}
+
+// emit prints the table and writes it as CSV.
+func (o *output) emit(tbl *report.Table, name string) error {
+	fmt.Fprintln(o, tbl.String())
+	f, err := os.Create(filepath.Join(o.dir, name+".csv"))
 	if err != nil {
 		return err
 	}
@@ -163,22 +237,23 @@ func emit(tbl *report.Table, dir, name string) error {
 	return tbl.WriteCSV(f)
 }
 
-// emitChart writes an ASCII chart alongside an experiment's CSV.
-func emitChart(render interface{ Render(io.Writer) error }, dir, name string) error {
-	f, err := os.Create(filepath.Join(dir, name+".txt"))
+// emitChart prints an ASCII chart and writes it beside the experiment's
+// CSV.
+func (o *output) emitChart(render interface{ Render(io.Writer) error }, name string) error {
+	f, err := os.Create(filepath.Join(o.dir, name+".txt"))
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := render.Render(os.Stdout); err != nil {
+	if err := render.Render(o); err != nil {
 		return err
 	}
 	return render.Render(f)
 }
 
-// emitMap prints a compact note and writes the heat map text and CSV.
-func emitMap(h *report.Heatmap, dir, name string) error {
-	txt, err := os.Create(filepath.Join(dir, name+".txt"))
+// emitMap writes the heat map text and CSV; it prints nothing.
+func (o *output) emitMap(h *report.Heatmap, name string) error {
+	txt, err := os.Create(filepath.Join(o.dir, name+".txt"))
 	if err != nil {
 		return err
 	}
@@ -186,7 +261,7 @@ func emitMap(h *report.Heatmap, dir, name string) error {
 	if err := h.Render(txt); err != nil {
 		return err
 	}
-	csvf, err := os.Create(filepath.Join(dir, name+".csv"))
+	csvf, err := os.Create(filepath.Join(o.dir, name+".csv"))
 	if err != nil {
 		return err
 	}
@@ -194,20 +269,20 @@ func emitMap(h *report.Heatmap, dir, name string) error {
 	return h.WriteCSV(csvf)
 }
 
-func runFig1(p experiments.Params, dir string) error {
+func runFig1(p experiments.Params, o *output) error {
 	r, err := experiments.Fig1(p)
 	if err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "fig1_outage_cost_cdf")
+	return o.emit(r.Table, "fig1_outage_cost_cdf")
 }
 
-func runFig5(p experiments.Params, dir string) error {
+func runFig5(p experiments.Params, o *output) error {
 	r, err := experiments.Fig5(p)
 	if err != nil {
 		return err
 	}
-	if err := emit(r.Table, dir, "fig5_soc_variation"); err != nil {
+	if err := o.emit(r.Table, "fig5_soc_variation"); err != nil {
 		return err
 	}
 	chart := &report.LineChart{
@@ -217,66 +292,66 @@ func runFig5(p experiments.Params, dir string) error {
 			{Name: "offline", Values: r.Offline.Values},
 		},
 	}
-	return emitChart(chart, dir, "fig5_chart")
+	return o.emitChart(chart, "fig5_chart")
 }
 
-func runFig6(p experiments.Params, dir string) error {
+func runFig6(p experiments.Params, o *output) error {
 	r, err := experiments.Fig6(p)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Phase II began at %v; attacker learned a %v drain time\n",
+	fmt.Fprintf(o, "Phase II began at %v; attacker learned a %v drain time\n",
 		r.PhaseIIStart, r.LearnedDrain)
-	return emit(r.Table, dir, "fig6_two_phase_demo")
+	return o.emit(r.Table, "fig6_two_phase_demo")
 }
 
-func runFig7(p experiments.Params, dir string) error {
+func runFig7(p experiments.Params, o *output) error {
 	r, err := experiments.Fig7(p)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d effective attacks against the drained rack\n", r.EffectiveAttacks)
-	return emit(r.Table, dir, "fig7_effective_attack_demo")
+	fmt.Fprintf(o, "%d effective attacks against the drained rack\n", r.EffectiveAttacks)
+	return o.emit(r.Table, "fig7_effective_attack_demo")
 }
 
-func runFig8A(p experiments.Params, dir string) error {
+func runFig8A(p experiments.Params, o *output) error {
 	r, err := experiments.Fig8A(p)
 	if err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "fig8a_nodes")
+	return o.emit(r.Table, "fig8a_nodes")
 }
 
-func runFig8B(p experiments.Params, dir string) error {
+func runFig8B(p experiments.Params, o *output) error {
 	r, err := experiments.Fig8B(p)
 	if err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "fig8b_width")
+	return o.emit(r.Table, "fig8b_width")
 }
 
-func runFig8C(p experiments.Params, dir string) error {
+func runFig8C(p experiments.Params, o *output) error {
 	r, err := experiments.Fig8C(p)
 	if err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "fig8c_frequency")
+	return o.emit(r.Table, "fig8c_frequency")
 }
 
-func runTable1(p experiments.Params, dir string) error {
+func runTable1(p experiments.Params, o *output) error {
 	r, err := experiments.Table1(p)
 	if err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "table1_detection_rates")
+	return o.emit(r.Table, "table1_detection_rates")
 }
 
-func runFig12(p experiments.Params, dir string) error {
+func runFig12(p experiments.Params, o *output) error {
 	r, err := experiments.Fig12(p)
 	if err != nil {
 		return err
 	}
-	if err := emit(r.Table, dir, "fig12_attack_traces"); err != nil {
+	if err := o.emit(r.Table, "fig12_attack_traces"); err != nil {
 		return err
 	}
 	chart := &report.LineChart{
@@ -286,43 +361,43 @@ func runFig12(p experiments.Params, dir string) error {
 			{Name: "sparse", Values: r.Sparse.Values},
 		},
 	}
-	return emitChart(chart, dir, "fig12_chart")
+	return o.emitChart(chart, "fig12_chart")
 }
 
-func runFig13(p experiments.Params, dir string) error {
+func runFig13(p experiments.Params, o *output) error {
 	r, err := experiments.Fig13(p)
 	if err != nil {
 		return err
 	}
-	if err := emitMap(r.ConvMap, dir, "fig13_conventional_map"); err != nil {
+	if err := o.emitMap(r.ConvMap, "fig13_conventional_map"); err != nil {
 		return err
 	}
-	if err := emitMap(r.PADMap, dir, "fig13_pad_map"); err != nil {
+	if err := o.emitMap(r.PADMap, "fig13_pad_map"); err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "fig13_summary")
+	return o.emit(r.Table, "fig13_summary")
 }
 
-func runFig14(p experiments.Params, dir string) error {
+func runFig14(p experiments.Params, o *output) error {
 	r, err := experiments.Fig14(p)
 	if err != nil {
 		return err
 	}
-	if err := emitMap(r.BeforeMap, dir, "fig14_before_map"); err != nil {
+	if err := o.emitMap(r.BeforeMap, "fig14_before_map"); err != nil {
 		return err
 	}
-	if err := emitMap(r.AfterMap, dir, "fig14_after_map"); err != nil {
+	if err := o.emitMap(r.AfterMap, "fig14_after_map"); err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "fig14_summary")
+	return o.emit(r.Table, "fig14_summary")
 }
 
-func runFig15(p experiments.Params, dir string) error {
+func runFig15(p experiments.Params, o *output) error {
 	r, err := experiments.Fig15(p)
 	if err != nil {
 		return err
 	}
-	if err := emit(r.Table, dir, "fig15_survival_times"); err != nil {
+	if err := o.emit(r.Table, "fig15_survival_times"); err != nil {
 		return err
 	}
 	chart := &report.BarChart{Title: "Figure 15 — average survival time (s)"}
@@ -338,31 +413,31 @@ func runFig15(p experiments.Params, dir string) error {
 			Label: name, Value: r.AvgSurvival[name].Seconds(),
 		})
 	}
-	return emitChart(chart, dir, "fig15_survival_chart")
+	return o.emitChart(chart, "fig15_survival_chart")
 }
 
-func runFig16A(p experiments.Params, dir string) error {
+func runFig16A(p experiments.Params, o *output) error {
 	r, err := experiments.Fig16A(p)
 	if err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "fig16a_throughput_vs_rate")
+	return o.emit(r.Table, "fig16a_throughput_vs_rate")
 }
 
-func runFig16B(p experiments.Params, dir string) error {
+func runFig16B(p experiments.Params, o *output) error {
 	r, err := experiments.Fig16B(p)
 	if err != nil {
 		return err
 	}
-	return emit(r.Table, dir, "fig16b_throughput_vs_width")
+	return o.emit(r.Table, "fig16b_throughput_vs_width")
 }
 
-func runFig17(p experiments.Params, dir string) error {
+func runFig17(p experiments.Params, o *output) error {
 	r, err := experiments.Fig17(p)
 	if err != nil {
 		return err
 	}
-	if err := emit(r.Table, dir, "fig17_cost_efficiency"); err != nil {
+	if err := o.emit(r.Table, "fig17_cost_efficiency"); err != nil {
 		return err
 	}
 	var surv, costs []float64
@@ -377,10 +452,10 @@ func runFig17(p experiments.Params, dir string) error {
 			{Name: "cost ratio %", Values: costs},
 		},
 	}
-	return emitChart(chart, dir, "fig17_chart")
+	return o.emitChart(chart, "fig17_chart")
 }
 
-func runAblations(p experiments.Params, dir string) error {
+func runAblations(p experiments.Params, o *output) error {
 	for _, a := range []struct {
 		name string
 		run  func(experiments.Params) (*experiments.AblationResult, error)
@@ -396,7 +471,7 @@ func runAblations(p experiments.Params, dir string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		if err := emit(r.Table, dir, a.name); err != nil {
+		if err := o.emit(r.Table, a.name); err != nil {
 			return err
 		}
 	}

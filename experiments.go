@@ -8,10 +8,13 @@ import "repro/internal/experiments"
 //
 // Pass ExperimentParams{} for the full-scale runs cmd/experiments uses, or
 // ExperimentParams{Quick: true} for second-scale versions that preserve
-// the qualitative shapes. ExperimentParams.Workers fans each experiment's
-// independent simulation runs across a worker pool (0 = GOMAXPROCS, 1 =
-// sequential) without changing any output byte, and
-// ExperimentParams.Progress streams per-run progress and ETA.
+// the qualitative shapes. ExperimentParams.Workers bounds how many
+// independent simulation runs execute at once (0 = GOMAXPROCS, 1 =
+// sequential) without changing any output byte: within each experiment,
+// or, with the params ExperimentParams.Shared returns, across every
+// experiment run with them, as cmd/experiments runs its whole
+// invocation. ExperimentParams.Progress streams per-run progress and
+// ETA.
 var (
 	// Fig1 reproduces the outage-cost CDF (survey background, bonus).
 	Fig1 = experiments.Fig1

@@ -7,9 +7,10 @@
 //
 // Every experiment executes its independent simulation runs through
 // internal/runner: the sweep is expressed as a slice of keyed jobs,
-// the runner fans them across Params.Workers goroutines, and the
-// tables are assembled afterwards in job order — so the rendered
-// output is byte-identical at any worker count. The one shared input,
+// the runner fans them across Params.Workers slots (shared with other
+// experiments once Params.Shared has made one budget), and the tables
+// are assembled afterwards in job order — so the rendered output is
+// byte-identical at any worker count. The one shared input,
 // the background utilization series, belongs to the experiment: its
 // driver builds each distinct background once, before fanning out, and
 // hands it read-only to every run that replays it, so it is garbage
@@ -38,17 +39,36 @@ type Params struct {
 	// Quick shrinks cluster sizes and horizons so the whole suite runs in
 	// seconds; shapes are preserved, absolute numbers move.
 	Quick bool
-	// Workers bounds how many simulation runs execute concurrently
-	// within an experiment. 0 selects runtime.GOMAXPROCS(0); 1 keeps
+	// Workers bounds how many simulation runs execute at once: within
+	// each experiment, or, once Shared has given the Params one budget,
+	// across every experiment run with them (cmd/experiments runs a
+	// whole invocation on one). 0 selects runtime.GOMAXPROCS(0); 1 keeps
 	// the sequential path. Results are independent of the value: output
 	// at -workers 8 is byte-identical to -workers 1.
 	Workers int
 	// Progress, when non-nil, receives one update per finished run.
 	Progress func(runner.Progress)
+
+	// shared is the budget Shared made; without one, each experiment's
+	// runs get a budget of their own.
+	shared runner.Pool
 }
 
-// pool builds the worker pool every experiment drives its runs through.
+// Shared returns p with one budget of Workers simulation runs, which
+// every experiment run with the result, or a copy of it, draws from,
+// however many of them run at once. Its Workers is resolved: 0 or
+// negative becomes runtime.GOMAXPROCS(0).
+func (p Params) Shared() Params {
+	p.shared = runner.Pool{Workers: p.Workers, OnProgress: p.Progress}.Shared()
+	p.Workers = p.shared.Workers
+	return p
+}
+
+// pool is the worker pool every experiment drives its runs through.
 func (p Params) pool() runner.Pool {
+	if p.shared.Workers > 0 {
+		return p.shared
+	}
 	return runner.Pool{Workers: p.Workers, OnProgress: p.Progress}
 }
 

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Every test runs in Quick mode and asserts the qualitative shape the
@@ -54,6 +57,38 @@ func TestFig5OfflineChargingWorsensSpread(t *testing.T) {
 	// Spreads are plausible percentages (the paper reports 3-12% online).
 	if on > 40 || off > 60 {
 		t.Fatalf("spreads implausibly large: %v / %v", on, off)
+	}
+}
+
+// TestFig5SpreadMatchesRecording: Figure 5 steps its runs by hand and
+// takes the SOC spread after every tick, which must equal, bit for bit,
+// what socSpreadSeries reads off a recording of the same run.
+func TestFig5SpreadMatchesRecording(t *testing.T) {
+	bg, err := fig5Background(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, offline := range []bool{false, true} {
+		got, err := fig5Spread(fig5Run(quick, bg, offline))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, scheme := fig5Run(quick, bg, offline)
+		cfg.Record = true
+		res, err := sim.Run(cfg, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := socSpreadSeries(res.Recording)
+		if got.Step != want.Step || got.Len() != want.Len() || got.Len() == 0 {
+			t.Fatalf("offline=%v: streamed %d samples at %v, recorded %d at %v",
+				offline, got.Len(), got.Step, want.Len(), want.Step)
+		}
+		for i, w := range want.Values {
+			if math.Float64bits(got.Values[i]) != math.Float64bits(w) {
+				t.Fatalf("offline=%v: sample %d streamed %v, recorded %v", offline, i, got.Values[i], w)
+			}
+		}
 	}
 }
 

@@ -37,12 +37,7 @@ func Fig5(p Params) (*Fig5Result, error) {
 		return runner.Job[*stats.Series]{
 			Key: fmt.Sprintf("fig5/offline=%v", offline),
 			Run: func() (*stats.Series, error) {
-				cfg, scheme := fig5Run(p, bg, offline)
-				res, err := sim.Run(cfg, scheme)
-				if err != nil {
-					return nil, err
-				}
-				return socSpreadSeries(res.Recording), nil
+				return fig5Spread(fig5Run(p, bg, offline))
 			},
 		}
 	}
@@ -96,8 +91,6 @@ func fig5Run(p Params, bg []*stats.Series, offline bool) (sim.Config, sim.Scheme
 		Tick:                  fig5Tick,
 		Duration:              horizon,
 		Background:            bg,
-		Record:                true,
-		RecordStep:            fig5Tick,
 		DisableTrips:          true,
 	}
 	return cfg, schemes.NewPS(schemes.Options{
@@ -106,6 +99,30 @@ func fig5Run(p Params, bg []*stats.Series, offline bool) (sim.Config, sim.Scheme
 		// part-charged, which is what makes offline charging uneven.
 		OfflineThreshold: 0.15,
 	})
+}
+
+// fig5Spread steps one of Figure 5's runs by hand and returns the
+// cross-rack SOC spread after every tick: what socSpreadSeries reads
+// off the run's recording at its tick, without recording the run's
+// other series.
+func fig5Spread(cfg sim.Config, scheme sim.Scheme) (*stats.Series, error) {
+	st, err := sim.NewStepper(cfg, scheme)
+	if err != nil {
+		return nil, err
+	}
+	out := stats.NewSeriesWithCap(cfg.Tick, int(cfg.Duration/cfg.Tick))
+	var socs []float64
+	for {
+		ok, err := st.Step()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return out, nil
+		}
+		socs = st.AppendRackSOC(socs[:0])
+		out.Append(stats.StdDev(socs) * 100)
+	}
 }
 
 // socSpreadSeries computes the cross-rack SOC standard deviation (in

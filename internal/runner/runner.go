@@ -5,6 +5,8 @@
 // turns a slice of keyed jobs into a slice of results in job order, which
 // makes the output of a sweep a pure function of its inputs: the same
 // jobs produce byte-identical tables and CSVs at any worker count.
+// Several sweeps can overlap on one shared budget of slots (Pool.Shared)
+// without running more jobs at once than it holds.
 //
 // Concurrency contract: the runner owns the goroutines; each Job.Run
 // executes on exactly one of them and must not share mutable state (in
@@ -83,17 +85,30 @@ type Progress struct {
 	ETA time.Duration
 }
 
-// Pool bounds how a sweep executes.
+// Pool bounds how sweeps execute: a budget of Workers job slots. A Map
+// draws one slot per running job. A pool from Shared keeps one budget
+// for every Map that uses it or a copy of it, however many run at once;
+// any other pool gives each Map a budget of its own, so a pool used by
+// one Map at a time runs it the same either way.
 type Pool struct {
-	// Workers is the number of concurrent goroutines. 0 (or negative)
+	// Workers is the number of jobs that run at once. 0 (or negative)
 	// selects runtime.GOMAXPROCS(0); 1 runs every job inline on the
 	// caller's goroutine — the legacy sequential path, bit-compatible
 	// with the pre-runner loops.
 	Workers int
 	// OnProgress, when non-nil, receives one update per finished job.
-	// Calls are serialized; the callback must not invoke the pool
-	// reentrantly.
+	// Calls are serialized, across every Map that shares the pool's
+	// budget too; the callback must not invoke the pool reentrantly.
 	OnProgress func(Progress)
+
+	budget *budget // set by Shared
+}
+
+// budget is a pool's job slots and the lock that serializes its
+// progress callbacks.
+type budget struct {
+	slots chan struct{}
+	mu    sync.Mutex
 }
 
 func (p Pool) workers() int {
@@ -101,6 +116,18 @@ func (p Pool) workers() int {
 		return p.Workers
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// Shared returns p holding one budget of its Workers slots, resolved so
+// that the returned pool's Workers is at least 1. Every Map run with it
+// or a copy of it draws from that budget: together they run at most
+// Workers jobs at once. A job holds its slot until it returns, also
+// while it waits on another job, so a job must not Map on the pool that
+// runs it; waiting on a job that already holds a slot cannot deadlock.
+func (p Pool) Shared() Pool {
+	p.Workers = p.workers()
+	p.budget = &budget{slots: make(chan struct{}, p.Workers)}
+	return p
 }
 
 // Map executes the jobs under the pool's concurrency bound and returns
@@ -112,15 +139,21 @@ func Map[T any](pool Pool, jobs []Job[T]) []Result[T] {
 	if len(jobs) == 0 {
 		return results
 	}
+	b := pool.budget
+	if b == nil {
+		b = &budget{slots: make(chan struct{}, pool.workers())}
+	}
 	start := time.Now()
-	var mu sync.Mutex // guards done and serializes OnProgress
-	done := 0
-	finish := func(i int) {
+	done := 0 // guarded by b.mu
+	run := func(i int) {
+		b.slots <- struct{}{}
+		results[i] = runOne(jobs[i], i)
+		<-b.slots
 		if pool.OnProgress == nil {
 			return
 		}
-		mu.Lock()
-		defer mu.Unlock()
+		b.mu.Lock()
+		defer b.mu.Unlock()
 		done++
 		elapsed := time.Since(start)
 		var eta time.Duration
@@ -133,11 +166,10 @@ func Map[T any](pool Pool, jobs []Job[T]) []Result[T] {
 		})
 	}
 
-	n := pool.workers()
+	n := cap(b.slots)
 	if n == 1 {
 		for i := range jobs {
-			results[i] = runOne(jobs[i], i)
-			finish(i)
+			run(i)
 		}
 		return results
 	}
@@ -151,8 +183,7 @@ func Map[T any](pool Pool, jobs []Job[T]) []Result[T] {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runOne(jobs[i], i)
-				finish(i)
+				run(i)
 			}
 		}()
 	}

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -301,4 +304,120 @@ func TestSimRunsAreIsolated(t *testing.T) {
 			t.Errorf("run %d: parallel result differs from sequential rerun", i)
 		}
 	}
+}
+
+// TestSharedBudget runs four Maps at once on one shared pool of three
+// slots. Together they must never run more than three jobs at a time,
+// each must return its results in job order with its panic captured on
+// its own job, and the progress callback, which all four share, must
+// never be entered while another call is inside it.
+func TestSharedBudget(t *testing.T) {
+	const workers, maps, jobsPer = 3, 4, 12
+	var running, high, inCallback atomic.Int32
+	calls := 0 // written only inside the callback: -race reports overlapping calls
+	pool := runner.Pool{
+		Workers: workers,
+		OnProgress: func(runner.Progress) {
+			if inCallback.Add(1) != 1 {
+				t.Error("OnProgress entered while another call was inside it")
+			}
+			calls++
+			time.Sleep(20 * time.Microsecond)
+			inCallback.Add(-1)
+		},
+	}.Shared()
+	mkJobs := func(m int) []runner.Job[int] {
+		jobs := make([]runner.Job[int], jobsPer)
+		for i := range jobs {
+			jobs[i] = runner.Job[int]{
+				Key: fmt.Sprintf("map%d/job%d", m, i),
+				Run: func() (int, error) {
+					n := running.Add(1)
+					for h := high.Load(); n > h && !high.CompareAndSwap(h, n); h = high.Load() {
+					}
+					time.Sleep(time.Duration(jobsPer-i) * 50 * time.Microsecond)
+					running.Add(-1)
+					if i == m {
+						panic(fmt.Sprintf("map %d", m))
+					}
+					return m*100 + i, nil
+				},
+			}
+		}
+		return jobs
+	}
+	results := make([][]runner.Result[int], maps)
+	var wg sync.WaitGroup
+	for m := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[m] = runner.Map(pool, mkJobs(m))
+		}()
+	}
+	wg.Wait()
+
+	if h := high.Load(); h > workers {
+		t.Errorf("%d jobs ran at once on a shared budget of %d", h, workers)
+	} else if h < 2 {
+		t.Errorf("at most %d job ran at once on a shared budget of %d", h, workers)
+	}
+	if calls != maps*jobsPer {
+		t.Errorf("%d progress calls, want %d", calls, maps*jobsPer)
+	}
+	for m, rs := range results {
+		for i, r := range rs {
+			if r.Index != i || r.Key != fmt.Sprintf("map%d/job%d", m, i) {
+				t.Errorf("map %d: result %d is job %d (%q)", m, i, r.Index, r.Key)
+			}
+			var pe *runner.PanicError
+			if i == m {
+				if !errors.As(r.Err, &pe) || pe.Value != fmt.Sprintf("map %d", m) {
+					t.Errorf("map %d: job %d: want its panic, got %v", m, i, r.Err)
+				}
+			} else if r.Err != nil || r.Value != m*100+i {
+				t.Errorf("map %d: job %d = %d, %v; want %d", m, i, r.Value, r.Err, m*100+i)
+			}
+		}
+	}
+}
+
+// TestSharedResolvesWorkers: a shared pool's Workers is its slot count,
+// with 0 and negative values resolved to GOMAXPROCS.
+func TestSharedResolvesWorkers(t *testing.T) {
+	for w, want := range map[int]int{-2: runtime.GOMAXPROCS(0), 0: runtime.GOMAXPROCS(0), 1: 1, 5: 5} {
+		if got := (runner.Pool{Workers: w}).Shared().Workers; got != want {
+			t.Errorf("Pool{Workers: %d}.Shared().Workers = %d, want %d", w, got, want)
+		}
+	}
+}
+
+// TestOneWorkerRunsInline: at one worker, shared or not, every job runs
+// on the goroutine that called Map.
+func TestOneWorkerRunsInline(t *testing.T) {
+	for name, pool := range map[string]runner.Pool{"own": {Workers: 1}, "shared": runner.Pool{Workers: 1}.Shared()} {
+		jobs := make([]runner.Job[int], 4)
+		for i := range jobs {
+			jobs[i] = runner.Job[int]{Key: fmt.Sprint(i), Run: func() (int, error) { return goroutineID(), nil }}
+		}
+		caller := goroutineID()
+		for _, r := range runner.Map(pool, jobs) {
+			if r.Err != nil || r.Value != caller {
+				t.Errorf("%s budget: job %s ran on goroutine %d (%v), want the caller's %d",
+					name, r.Key, r.Value, r.Err, caller)
+			}
+		}
+	}
+}
+
+// goroutineID reads the calling goroutine's number off its stack trace
+// header, "goroutine N [running]:".
+func goroutineID() int {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, err := strconv.Atoi(strings.Fields(string(buf))[1])
+	if err != nil {
+		panic(err)
+	}
+	return id
 }

@@ -882,6 +882,16 @@ func (st *Stepper) Stats() TickStats {
 // (TickStats.Tripped without the rest of the snapshot).
 func (st *Stepper) Tripped() bool { return st.res.Tripped }
 
+// AppendRackSOC appends each rack battery's state of charge after the
+// last advanced tick to dst, in rack order, and returns the extended
+// slice: the values a recording's RackSOC series sample on that tick.
+func (st *Stepper) AppendRackSOC(dst []float64) []float64 {
+	for _, b := range st.batteries {
+		dst = append(dst, b.SOC())
+	}
+	return dst
+}
+
 // BreakerMargin returns the smallest rated-minus-draw margin across the
 // untripped feeds (rack feeds and the cluster PDU) after the last
 // advanced tick — TickStats.BreakerMargin without the rest of the
